@@ -20,7 +20,8 @@ points lies in exactly one spread element, located arithmetically, so the
 multiset of located labels decides the class (all equal: A; all distinct:
 B; one label q+1 times and the rest once: C).  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
-worker count produces the identical report.
+worker count produces the identical report.  classify_plane runs the same
+block kernel on a single plane.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from .pg5 import (
     count_planes,
     enumeration_chunks,
     planes_block_np,
-    plane_points,
     projective_coeffs,
 )
-from .spread import Spread
+from .spread import Spread, locate_np
 
+# Trace collection by default only where it is cheap: np.unique over the
+# B-plane rows adds about half again to the census time at q = 5.
 DEFAULT_TRACE_Q_LIMIT = 3
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -74,19 +76,15 @@ class PlaneClass:
 
 
 def classify_plane(spread: Spread, pl) -> PlaneClass:
-    """Classify one plane by tallying the located labels of its points."""
-    ctx = spread.ctx
-    k = ctx.q**2 + ctx.q + 1
-    tally = Counter(spread.locate(pt) for pt in plane_points(ctx.base, pl))
-    if len(tally) == 1:
-        return PlaneClass(tag="A", trace=tuple(tally))
-    if len(tally) == k:
-        return PlaneClass(tag="B", trace=tuple(sorted(tally)))
-    line_met = [m for m, c in tally.items() if c == ctx.q + 1]
-    point_met = [m for m, c in tally.items() if c == 1]
-    if len(line_met) == 1 and len(point_met) == ctx.q**2:
-        return PlaneClass(tag="C", trace=(line_met[0],))
-    raise RuntimeError(f"inconsistent intersection tally {dict(tally)}")
+    """Classify one plane: the census kernel applied to a one-plane block."""
+    block = np.array([pl.basis], dtype=np.uint8)
+    codes, is_a, is_b, _ = _classify_block(spread.ctx, block)
+    labels = codes[0].tolist()
+    if is_b[0]:
+        return PlaneClass(tag="B", trace=tuple(labels))
+    # A: every label equal; C: the line-met label is the only repeated one
+    repeated = labels[int(np.argmax(codes[0, 1:] == codes[0, :-1]))]
+    return PlaneClass(tag="A" if is_a[0] else "C", trace=(repeated,))
 
 
 @dataclass
@@ -117,12 +115,10 @@ def _cached_ctx(p: int, h: int, base_mod: tuple, cubic_mod: tuple) -> FieldCtx:
     return make_field(p, h, base_modulus=base_mod, cubic_modulus=cubic_mod)
 
 
-def _census_chunk(ctx: FieldCtx, pattern_idx: int, start: int, stop: int,
-                  collect_traces: bool):
-    """Classify one enumeration chunk; returns (nA, nB, nC, trace Counter)."""
-    q, q3 = ctx.q, ctx.q3
+def _classify_block(ctx: FieldCtx, B: np.ndarray):
+    """Sorted located labels (n, k) and A/B/C masks for basis matrices B (n, 3, 6)."""
+    q = ctx.q
     k = cover_size(q)
-    B = planes_block_np(q, PIVOT_PATTERNS[pattern_idx], start, stop)
     n = B.shape[0]
 
     coeffs = np.array(projective_coeffs(q), dtype=np.uint8)  # (k, 3)
@@ -133,15 +129,8 @@ def _census_chunk(ctx: FieldCtx, pattern_idx: int, start: int, stop: int,
     pts = mul_np[coeffs[None, :, 0, None], B[:, None, 0, :]]
     pts = add_np[pts, mul_np[coeffs[None, :, 1, None], B[:, None, 1, :]]]
     pts = add_np[pts, mul_np[coeffs[None, :, 2, None], B[:, None, 2, :]]]
-    pts = pts.astype(np.int32)
 
-    x_idx = pts[..., 0] + q * pts[..., 1] + q * q * pts[..., 2]
-    y_idx = pts[..., 3] + q * pts[..., 4] + q * q * pts[..., 5]
-    codes = np.where(
-        x_idx != 0,
-        ctx.ext_mul_np[y_idx, ctx.ext_inv_np[x_idx]].astype(np.int32),
-        q3,
-    )  # (n, k) located labels
+    codes = locate_np(ctx, pts)  # (n, k) located labels
     codes.sort(axis=1)
 
     is_a = (codes == codes[:, :1]).all(axis=1)
@@ -158,12 +147,20 @@ def _census_chunk(ctx: FieldCtx, pattern_idx: int, start: int, stop: int,
         np.maximum(max_run, run + 1, out=max_run)
     is_c = (~is_a) & (~is_b) & (ndistinct == q * q + 1) & (max_run == q + 1)
 
-    na, nb, nc = int(is_a.sum()), int(is_b.sum()), int(is_c.sum())
-    if na + nb + nc != n:
-        bad = np.nonzero(~(is_a | is_b | is_c))[0][0]
+    classified = is_a | is_b | is_c
+    if not classified.all():
+        bad = int(np.argmin(classified))
         raise RuntimeError(
             f"inconsistent intersection tally for plane labels {codes[bad].tolist()}"
         )
+    return codes, is_a, is_b, is_c
+
+
+def _census_chunk(ctx: FieldCtx, pattern_idx: int, start: int, stop: int,
+                  collect_traces: bool):
+    """Classify one enumeration chunk; returns (nA, nB, nC, trace Counter)."""
+    B = planes_block_np(ctx.q, PIVOT_PATTERNS[pattern_idx], start, stop)
+    codes, is_a, is_b, is_c = _classify_block(ctx, B)
 
     traces: Counter | None = None
     if collect_traces:
@@ -172,7 +169,7 @@ def _census_chunk(ctx: FieldCtx, pattern_idx: int, start: int, stop: int,
         uniq, counts = np.unique(brows, axis=0, return_counts=True)
         for row, c in zip(uniq, counts):
             traces[row.tobytes()] += int(c)
-    return na, nb, nc, traces
+    return int(is_a.sum()), int(is_b.sum()), int(is_c.sum()), traces
 
 
 def _pool_chunk(args):
@@ -187,17 +184,9 @@ def trace_key_bytes(labels) -> bytes:
 
 
 def trace_is_cover_check(
-    ctx: FieldCtx,
-    spread: Spread | None = None,
-    traces: Counter | None = None,
-    cover_keys: set[bytes] | None = None,
+    ctx: FieldCtx, traces: Counter, cover_keys: set[bytes]
 ) -> TraceCheck:
-    """Compare collected B-plane traces against the cover enumeration."""
-    if traces is None:
-        report, _ = _census_with_traces(ctx, spread)
-        return report.trace_check
-    if cover_keys is None:
-        cover_keys = {trace_key_bytes(c) for c in enumerate_covers(ctx).by_key}
+    """Compare collected B-plane traces against the cover keys."""
     two_k = 2 * cover_size(ctx.q)
     matched = set(traces) <= cover_keys
     multiplicity_ok = set(traces) == cover_keys and all(
@@ -206,36 +195,8 @@ def trace_is_cover_check(
     return TraceCheck(checked=True, matched=matched, multiplicity_ok=multiplicity_ok)
 
 
-def run_census(
-    ctx: FieldCtx,
-    spread: Spread | None = None,
-    jobs: int = 1,
-    collect_traces: bool | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    trace_q_limit: int = DEFAULT_TRACE_Q_LIMIT,
-) -> CensusReport:
-    """Sweep every plane of PG(5,q) and report exact class counts.
-
-    The reduction over chunks is associative, so jobs and chunk_size affect
-    runtime only; the report is identical for any split.
-    """
-    report, _ = _census_full(ctx, spread, jobs, collect_traces, chunk_size,
-                             trace_q_limit)
-    return report
-
-
-def _census_with_traces(ctx, spread):
-    return _census_full(ctx, spread, 1, True, DEFAULT_CHUNK_SIZE,
-                        DEFAULT_TRACE_Q_LIMIT)
-
-
-def _census_full(ctx, spread, jobs, collect_traces, chunk_size, trace_q_limit):
-    t0 = time.perf_counter()
-    if spread is not None and spread.ctx.q3 != ctx.q3:
-        raise ValueError("spread was built over a different field")
-    if collect_traces is None:
-        collect_traces = ctx.q <= trace_q_limit
-
+def _sweep(ctx: FieldCtx, jobs: int, collect_traces: bool, chunk_size: int):
+    """Classify every plane; returns (nA, nB, nC, trace Counter or None)."""
     chunks = enumeration_chunks(ctx.q, chunk_size)
     na = nb = nc = 0
     traces: Counter | None = Counter() if collect_traces else None
@@ -254,12 +215,34 @@ def _census_full(ctx, spread, jobs, collect_traces, chunk_size, trace_q_limit):
             na += ca
             nb += cb
             nc += cc
-            if traces is not None and ctr is not None:
+            if traces is not None:
                 traces.update(ctr)
     finally:
         if pool is not None:
             pool.shutdown()
+    return na, nb, nc, traces
 
+
+def run_census(
+    ctx: FieldCtx,
+    spread: Spread | None = None,
+    jobs: int = 1,
+    collect_traces: bool | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> CensusReport:
+    """Sweep every plane of PG(5,q) and report exact class counts.
+
+    Traces are collected by default for q <= DEFAULT_TRACE_Q_LIMIT.  The
+    reduction over chunks is associative, so jobs and chunk_size affect
+    runtime only; the report is identical for any split.
+    """
+    t0 = time.perf_counter()
+    if spread is not None and spread.ctx.q3 != ctx.q3:
+        raise ValueError("spread was built over a different field")
+    if collect_traces is None:
+        collect_traces = ctx.q <= DEFAULT_TRACE_Q_LIMIT
+
+    na, nb, nc, traces = _sweep(ctx, jobs, collect_traces, chunk_size)
     total = na + nb + nc
     if total != count_planes(ctx.q):
         raise RuntimeError("census did not visit every plane exactly once")
@@ -271,11 +254,11 @@ def _census_full(ctx, spread, jobs, collect_traces, chunk_size, trace_q_limit):
 
     if traces is not None:
         cover_keys = {trace_key_bytes(c) for c in cover_set.by_key}
-        tc = trace_is_cover_check(ctx, spread, traces=traces, cover_keys=cover_keys)
+        tc = trace_is_cover_check(ctx, traces=traces, cover_keys=cover_keys)
     else:
         tc = TraceCheck(checked=False)
 
-    report = CensusReport(
+    return CensusReport(
         q=ctx.q,
         count_a=na,
         count_b=nb,
@@ -286,4 +269,3 @@ def _census_full(ctx, spread, jobs, collect_traces, chunk_size, trace_q_limit):
         trace_check=tc,
         runtime_seconds=time.perf_counter() - t0,
     )
-    return report, traces

@@ -53,6 +53,20 @@ def _check(checks: list, name: str, expected, actual) -> bool:
     return ok
 
 
+def _cover_count_checks(checks: list, q: int, cover_set) -> None:
+    _check(checks, "covers_total", covers_mod.total_count(q), cover_set.total)
+    _check(checks, "covers_kind1", covers_mod.kind1_count(q), cover_set.count_kind1)
+    _check(checks, "covers_kind2", covers_mod.kind2_count(q), cover_set.count_kind2)
+
+
+def _census_checks(checks: list, q: int, report) -> None:
+    _check(checks, "census_count_a", census_mod.type_a_count(q), report.count_a)
+    _check(checks, "census_count_b", census_mod.type_b_count(q), report.count_b)
+    _check(checks, "census_count_c", census_mod.type_c_count(q), report.count_c)
+    _check(checks, "census_total", count_planes(q), report.total)
+    _check(checks, "identity_x_eq_y", True, report.identity_x_eq_y)
+
+
 def _make_ctx(args) -> FieldCtx:
     p, h = parse_prime_power(args.q)
     return make_field(
@@ -94,17 +108,11 @@ def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
         return checks, {}
 
     cover_set = covers_mod.enumerate_covers(ctx, check_dedup=True)
-    _check(checks, "covers_total", covers_mod.total_count(q), cover_set.total)
-    _check(checks, "covers_kind1", covers_mod.kind1_count(q), cover_set.count_kind1)
-    _check(checks, "covers_kind2", covers_mod.kind2_count(q), cover_set.count_kind2)
+    _cover_count_checks(checks, q, cover_set)
     _check(checks, "covers_dedup_exact", True, cover_set.dedup_exact)
 
     report = census_mod.run_census(ctx, spread, jobs=args.jobs)
-    _check(checks, "census_count_a", census_mod.type_a_count(q), report.count_a)
-    _check(checks, "census_count_b", census_mod.type_b_count(q), report.count_b)
-    _check(checks, "census_count_c", census_mod.type_c_count(q), report.count_c)
-    _check(checks, "census_total", count_planes(q), report.total)
-    _check(checks, "identity_x_eq_y", True, report.identity_x_eq_y)
+    _census_checks(checks, q, report)
     if report.trace_check.checked:
         _check(checks, "trace_matched", True, report.trace_check.matched)
         _check(checks, "trace_multiplicity", True, report.trace_check.multiplicity_ok)
@@ -131,25 +139,17 @@ def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
 
 
 def cmd_census(ctx: FieldCtx, args) -> tuple[list, dict]:
-    q = ctx.q
     spread = build_spread(ctx, check=True)
     report = census_mod.run_census(ctx, spread, jobs=args.jobs)
     checks = []
-    _check(checks, "census_count_a", census_mod.type_a_count(q), report.count_a)
-    _check(checks, "census_count_b", census_mod.type_b_count(q), report.count_b)
-    _check(checks, "census_count_c", census_mod.type_c_count(q), report.count_c)
-    _check(checks, "census_total", count_planes(q), report.total)
-    _check(checks, "identity_x_eq_y", True, report.identity_x_eq_y)
+    _census_checks(checks, ctx.q, report)
     return checks, report.to_dict()
 
 
 def cmd_covers(ctx: FieldCtx, args) -> tuple[list, dict]:
-    q = ctx.q
     cover_set = covers_mod.enumerate_covers(ctx)
     checks = []
-    _check(checks, "covers_total", covers_mod.total_count(q), cover_set.total)
-    _check(checks, "covers_kind1", covers_mod.kind1_count(q), cover_set.count_kind1)
-    _check(checks, "covers_kind2", covers_mod.kind2_count(q), cover_set.count_kind2)
+    _cover_count_checks(checks, ctx.q, cover_set)
     data = {
         "total": cover_set.total,
         "kind1": cover_set.count_kind1,
@@ -190,9 +190,7 @@ def cmd_switching(ctx: FieldCtx, args) -> tuple[list, dict]:
     pair = hyperreg_mod.andre_switching_sets(ctx, spread, args.a, args.f)
     checks = []
     _check(checks, "switching_property_verified", True, True)  # constructor raises otherwise
-    cover = covers_mod.cover_type1(ctx, args.a, args.f)
-    hr = hyperreg_mod.hyper_regulus(spread, cover)
-    tv = hyperreg_mod.transversal_planes(spread, hr)
+    tv = hyperreg_mod.transversal_planes(spread, pair.hyper_regulus)
     union = sorted({p.key for p in pair.y_planes} | {p.key for p in pair.z_planes})
     _check(checks, "union_equals_transversals", True,
            union == [p.key for p in tv])

@@ -49,7 +49,7 @@ from .pg5 import (
     plane_points,
     projective_coeffs,
 )
-from .spread import Spread
+from .spread import Spread, locate_np
 
 
 @dataclass
@@ -60,6 +60,7 @@ class HyperRegulus:
 
 @dataclass
 class SwitchingPair:
+    hyper_regulus: HyperRegulus  # of the kind-1 cover the pair switches
     y_planes: tuple[Plane, ...]
     z_planes: tuple[Plane, ...]
 
@@ -107,7 +108,7 @@ def andre_switching_sets(ctx: FieldCtx, spread: Spread, a: int, f: int) -> Switc
             for p2 in fam2:
                 if meet_dim(base, p1, p2) != 0:
                     raise RuntimeError("cross-set planes do not meet in a single point")
-    return SwitchingPair(y_planes=ys, z_planes=zs)
+    return SwitchingPair(hyper_regulus=hr, y_planes=ys, z_planes=zs)
 
 
 def transversal_count(q: int) -> int:
@@ -140,8 +141,7 @@ def _transversals_brute(spread: Spread, hr: HyperRegulus) -> list[Plane]:
 def _transversals_span(spread: Spread, hr: HyperRegulus) -> list[Plane]:
     ctx = spread.ctx
     base = ctx.base
-    q, q3 = ctx.q, ctx.q3
-    k = q * q + q + 1
+    q = ctx.q
 
     pts1 = np.array(plane_points(base, hr.planes[0]), dtype=np.uint8)
     pts2 = np.array(plane_points(base, hr.planes[1]), dtype=np.uint8)
@@ -159,15 +159,8 @@ def _transversals_span(spread: Spread, hr: HyperRegulus) -> list[Plane]:
     for third in hr.planes[2:q + 2]:  # q third planes guarantee a spanning triple
         pts3 = np.array(plane_points(base, third), dtype=np.uint8)
         t3 = mul_np[pts3[:, None, :], coeffs[:, 2][None, :, None]]
-        combos = add_np[s12[:, :, None, :, :], t3[None, None, :, :, :]].astype(np.int32)
-
-        x_idx = combos[..., 0] + q * combos[..., 1] + q * q * combos[..., 2]
-        y_idx = combos[..., 3] + q * combos[..., 4] + q * q * combos[..., 5]
-        codes = np.where(
-            x_idx != 0,
-            ctx.ext_mul_np[y_idx, ctx.ext_inv_np[x_idx]].astype(np.int32),
-            q3,
-        )
+        combos = add_np[s12[:, :, None, :, :], t3[None, None, :, :, :]]
+        codes = locate_np(ctx, combos)
         codes.sort(axis=3)
         hits = (codes == target).all(axis=3)  # (k_i, k_j, k_l)
 

@@ -59,38 +59,6 @@ def all_points(base: BaseField):
             yield (0,) * lead + (1,) + tail
 
 
-def _rank(base: BaseField, rows) -> int:
-    """Rank of a small matrix over GF(q) by Gaussian elimination."""
-    add, mul, neg, inv = base._add, base._mul, base._neg, base._inv
-    rows = [list(r) for r in rows]
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n):
-        piv = -1
-        for r in range(rank, m):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        if prow[col] != 1:
-            mrow = mul[inv[prow[col]]]
-            rows[rank] = prow = [mrow[x] for x in prow]
-        for r in range(rank + 1, m):
-            t = rows[r][col]
-            if t:
-                mrow = mul[neg[t]]
-                rr = rows[r]
-                for c in range(col, n):
-                    rr[c] = add[rr[c]][mrow[prow[c]]]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 def _rref(base: BaseField, rows):
     """Full RREF; returns (rows, rank, pivot_columns)."""
     add, mul, neg, inv = base._add, base._mul, base._neg, base._inv
@@ -192,7 +160,7 @@ def incidence(base: BaseField, pt, pl: Plane) -> bool:
 
 def meet_dim(base: BaseField, a: Plane, b: Plane) -> int:
     """Projective dimension of a∩b: -1 empty, 0 point, 1 line, 2 equal."""
-    return 5 - _rank(base, a.basis + b.basis)
+    return 5 - _rref(base, a.basis + b.basis)[1]
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ infinity sort last in canonical cover keys.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .gf import FieldCtx
 from .pg5 import (
     Plane,
@@ -82,6 +84,20 @@ class Spread:
         if x == 0:
             return ctx.q3
         return ctx.div(y, x)
+
+
+def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
+    """Spread.locate over the last axis of an array of nonzero 6-vectors.
+
+    The vectors need not be normalised: y/x is unchanged by scaling.
+    """
+    c = np.moveaxis(v.astype(np.uint16), -1, 0)  # indices < q^3 <= 4096
+    x, y = ctx.from_coords(c[:3]), ctx.from_coords(c[3:])
+    return np.where(
+        x != 0,
+        ctx.ext_mul_np[y, ctx.ext_inv_np[x]].astype(np.int32),
+        ctx.q3,
+    )
 
 
 def build_spread(ctx: FieldCtx, check: bool = True) -> Spread:

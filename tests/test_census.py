@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from hyperreguli.census import (
+    DEFAULT_CHUNK_SIZE,
     classify_plane,
     run_census,
     trace_is_cover_check,
@@ -12,12 +13,23 @@ from hyperreguli.census import (
     type_b_count,
     type_c_count,
 )
-from hyperreguli.census import _census_with_traces
+from hyperreguli.census import _sweep
 from hyperreguli.covers import cover_size, cover_type1, enumerate_covers, total_count
 from hyperreguli.hyperreg import andre_switching_sets, transversal_count
 from hyperreguli.pg5 import count_planes, enumerate_planes, plane_from_points
 
 from helpers import classify_by_meets
+
+
+@pytest.fixture(scope="module")
+def sweep2(ctx2):
+    """(nA, nB, nC, B-plane trace multiset) of the sweep run_census uses, q = 2."""
+    return _sweep(ctx2, 1, True, DEFAULT_CHUNK_SIZE)
+
+
+@pytest.fixture(scope="module")
+def cover_keys2(ctx2):
+    return {trace_key_bytes(k) for k in enumerate_covers(ctx2).by_key}
 
 
 def test_classify_spread_element(spread2):
@@ -57,17 +69,16 @@ def test_census_counts(q, expected, ctx_by_q, spread_by_q):
     assert report.trace_check.matched and report.trace_check.multiplicity_ok
 
 
-def test_census_agrees_with_reference_classifier_q2(ctx2, spread2):
+def test_census_agrees_with_reference_classifier_q2(spread2, sweep2):
     tags = Counter()
     traces = Counter()
-    for pl in enumerate_planes(ctx2.base):
+    for pl in enumerate_planes(spread2.ctx.base):
         cls = classify_plane(spread2, pl)
         tags[cls.tag] += 1
         if cls.tag == "B":
             traces[trace_key_bytes(cls.trace)] += 1
-    report, census_traces = _census_with_traces(ctx2, spread2)
-    assert (tags["A"], tags["B"], tags["C"]) == \
-        (report.count_a, report.count_b, report.count_c)
+    na, nb, nc, census_traces = sweep2
+    assert (tags["A"], tags["B"], tags["C"]) == (na, nb, nc)
     assert traces == census_traces
 
 
@@ -137,13 +148,33 @@ def test_closed_forms():
         assert b == total_count(q) * 2 * cover_size(q)
 
 
-def test_trace_check_standalone_q2(ctx2, spread2):
-    tc = trace_is_cover_check(ctx2, spread2)
+def test_trace_check_standalone_q2(ctx2, sweep2, cover_keys2):
+    tc = trace_is_cover_check(ctx2, sweep2[3], cover_keys2)
     assert tc.checked and tc.matched and tc.multiplicity_ok
 
 
-def test_trace_multiplicities_are_constant_q2(ctx2, spread2):
-    report, traces = _census_with_traces(ctx2, spread2)
-    cover_keys = {trace_key_bytes(k) for k in enumerate_covers(ctx2).by_key}
-    assert set(traces) == cover_keys
+def test_trace_multiplicities_are_constant_q2(sweep2, cover_keys2):
+    traces = sweep2[3]
+    assert set(traces) == cover_keys2
     assert set(traces.values()) == {14}
+
+
+def test_trace_check_failure_paths_q2(ctx2, sweep2, cover_keys2):
+    k = cover_size(2)
+    some_cover = min(cover_keys2)
+
+    not_a_cover = Counter(sweep2[3])
+    not_a_cover[trace_key_bytes([0] * k)] += 1  # repeated labels: never a cover
+    tc = trace_is_cover_check(ctx2, not_a_cover, cover_keys2)
+    assert not tc.matched and not tc.multiplicity_ok
+
+    for delta in (1, -1):
+        off_by_one = Counter(sweep2[3])
+        off_by_one[some_cover] += delta
+        tc = trace_is_cover_check(ctx2, off_by_one, cover_keys2)
+        assert tc.matched and not tc.multiplicity_ok
+
+    missing = Counter(sweep2[3])
+    del missing[some_cover]
+    tc = trace_is_cover_check(ctx2, missing, cover_keys2)
+    assert tc.matched and not tc.multiplicity_ok

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hyperreguli.pg5 import all_points, incidence, meet_dim, plane_points
@@ -7,6 +8,7 @@ from hyperreguli.spread import (
     build_spread,
     format_label,
     infinity_label,
+    locate_np,
     parse_label,
     spread_element,
     verify_regularity,
@@ -42,12 +44,19 @@ def test_partition_by_brute_force_q2(ctx2, spread2):
         assert len(containing) == 1
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_locate_matches_brute_force(q, ctx_by_q, spread_by_q):
     ctx, spread = ctx_by_q[q], spread_by_q[q]
+    labels = []
     for pt in all_points(ctx.base):
         m = spread.locate(pt)
         assert incidence(ctx.base, pt, spread.element(m))
+        labels.append(m)
+    pts = np.array(list(all_points(ctx.base)), dtype=np.uint8)
+    assert locate_np(ctx, pts).tolist() == labels
+    # q - 1 is a non-unit scalar for q > 2 (GF(2) has no other nonzero one)
+    scaled = ctx.base.mul_np[q - 1][pts]
+    assert locate_np(ctx, scaled).tolist() == labels
 
 
 @pytest.mark.parametrize("q", [2, 3])
