@@ -11,14 +11,17 @@ enumeration, classifies each plane, checks the exact counts
     total: (q^3+1) (q^2+1) (q^4+q^3+q^2+q+1)
 
 against the sweep, and verifies that the B count equals the number of
-covers times 2(q^2+q+1).  When trace collection is on it also records, for
-every B plane, the sorted labels of the spread elements it meets; each such
-trace must be a cover and each cover must occur exactly 2(q^2+q+1) times.
+covers times 2(q^2+q+1).  With trace collection (the default) it also
+records, for every B plane, the sorted labels of the spread elements it
+meets; each such trace must be a cover and each cover must occur exactly
+2(q^2+q+1) times.
 
 A plane is classified without any rank computations: each of its q^2+q+1
 points lies in exactly one spread element, located arithmetically, so the
 multiset of located labels decides the class (all equal: A; all distinct:
-B; one label q+1 times and the rest once: C).  The sweep is an
+B; one label q+1 times and the rest once: C).  The points of a block of
+planes come from one integer matrix product over GF(p), and each B-plane
+trace is looked up exactly in a table of the covers.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
 worker count produces the identical report.  classify_plane runs the same
 block kernel on a single plane.
@@ -26,16 +29,16 @@ block kernel on a single plane.
 
 from __future__ import annotations
 
+import random
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .covers import cover_size, enumerate_covers, total_count
-from .gf import FieldCtx, make_field
+from .gf import MAX_Q, BaseField, FieldCtx, make_field
 from .pg5 import (
     PIVOT_PATTERNS,
     count_planes,
@@ -45,10 +48,20 @@ from .pg5 import (
 )
 from .spread import Spread, locate_np
 
-# Trace collection by default only where it is cheap: np.unique over the
-# B-plane rows adds about half again to the census time at q = 5.
-DEFAULT_TRACE_Q_LIMIT = 3
-DEFAULT_CHUNK_SIZE = 1 << 16
+# Planes per chunk.  Larger chunks buy no speed: at q = 5, chunks of 2^16
+# planes took as long as 2^14 and raised the census's peak RSS from 78 to 142 MB.
+DEFAULT_CHUNK_SIZE = 1 << 14
+
+
+def _odd_multipliers(n: int, seed: int) -> np.ndarray:
+    """n seeded odd 64-bit integers (stdlib random: numpy.random would add
+    about 15 ms to every import of the package)."""
+    rng = random.Random(seed)
+    return np.array([rng.getrandbits(64) | 1 for _ in range(n)], dtype=np.uint64)
+
+
+# Multipliers of the trace-row hash, one per label column.
+_HASH_MULTIPLIERS = _odd_multipliers(cover_size(MAX_Q), 1973)
 
 
 def type_a_count(q: int) -> int:
@@ -110,9 +123,52 @@ class CensusReport:
         return asdict(self)
 
 
-@lru_cache(maxsize=4)
-def _cached_ctx(p: int, h: int, base_mod: tuple, cubic_mod: tuple) -> FieldCtx:
-    return make_field(p, h, base_modulus=base_mod, cubic_modulus=cubic_mod)
+def _points_weights(base: BaseField) -> np.ndarray:
+    """The (k*h, 3*h) GF(p) matrix taking basis digits to point digits.
+
+    Block (c, r) is the h x h matrix of multiplication by the coefficient
+    projective_coeffs[c][r] on GF(p) digit vectors: a = sum_i a_i t^i acts
+    as sum_i a_i T^i, with T the companion matrix of the base modulus.
+    """
+    p, h = base.p, base.h
+    T = np.zeros((h, h), dtype=np.int64)  # multiplication by t
+    T[1:, :-1] = np.eye(h - 1, dtype=np.int64)
+    T[:, -1] = [-c % p for c in base.modulus[:h]]
+    t_powers = [np.eye(h, dtype=np.int64)]
+    for _ in range(h - 1):
+        t_powers.append(T @ t_powers[-1] % p)
+    digits = np.arange(base.q)[:, None] // p ** np.arange(h) % p  # (q, h)
+    mats = np.einsum("ai,ixy->axy", digits, np.array(t_powers)) % p  # (q, h, h)
+    coeffs = np.array(projective_coeffs(base.q))  # (k, 3)
+    k = len(coeffs)
+    return mats[coeffs].transpose(0, 2, 1, 3).reshape(k * h, 3 * h).astype(np.uint16)
+
+
+def _block_points(ctx: FieldCtx, B: np.ndarray) -> np.ndarray:
+    """The k points of each plane, (n, k, 6) over GF(q), for bases B (n, 3, 6).
+
+    pts[n, c] = sum_r coeffs[c, r] * B[n, r] is GF(q)-linear in the basis,
+    so on GF(p) digit planes it is one integer matrix product, reduced mod p.
+    Before the reduction the entries are at most 3h(p-1)^2 <= 432, past
+    uint8 at p = 13, so the product runs in uint16.
+    """
+    p, h = ctx.p, ctx.base.h
+    n = B.shape[0]
+    powers = (p ** np.arange(h)).astype(np.uint16)
+    # digit planes (3h, 6n): row r*h + j is digit j of basis row r, coordinate-major
+    D = (B.transpose(1, 2, 0)[:, None].astype(np.uint16) // powers[:, None, None]) % p
+    W = _points_weights(ctx.base)
+    # numpy's integer `@` has no BLAS kernel and was about 7x slower than
+    # einsum's vectorised sum of products on these shapes
+    R = np.einsum("ij,jm->im", W, D.reshape(3 * h, 6 * n))
+    R -= R // p * p  # R % p; division by a scalar is vectorised, % is not (3x)
+    k = R.shape[0] // h
+    pts = R.reshape(k, h, 6, n)
+    if h > 1:
+        pts = np.einsum("cidm,i->cdm", pts, powers)
+    else:
+        pts = pts[:, 0]
+    return pts.transpose(2, 0, 1)
 
 
 def _classify_block(ctx: FieldCtx, B: np.ndarray):
@@ -121,16 +177,9 @@ def _classify_block(ctx: FieldCtx, B: np.ndarray):
     k = cover_size(q)
     n = B.shape[0]
 
-    coeffs = np.array(projective_coeffs(q), dtype=np.uint8)  # (k, 3)
-    add_np = ctx.base.add_np
-    mul_np = ctx.base.mul_np
-
-    # pts[n, c, d] = sum_r coeffs[c, r] * B[n, r, d] over GF(q)
-    pts = mul_np[coeffs[None, :, 0, None], B[:, None, 0, :]]
-    pts = add_np[pts, mul_np[coeffs[None, :, 1, None], B[:, None, 1, :]]]
-    pts = add_np[pts, mul_np[coeffs[None, :, 2, None], B[:, None, 2, :]]]
-
-    codes = locate_np(ctx, pts)  # (n, k) located labels
+    # the points lie plane-minor in memory, so the labels come out that way;
+    # the row sort wants each plane's labels contiguous
+    codes = np.ascontiguousarray(locate_np(ctx, _block_points(ctx, B)))  # (n, k)
     codes.sort(axis=1)
 
     is_a = (codes == codes[:, :1]).all(axis=1)
@@ -156,31 +205,87 @@ def _classify_block(ctx: FieldCtx, B: np.ndarray):
     return codes, is_a, is_b, is_c
 
 
-def _census_chunk(ctx: FieldCtx, pattern_idx: int, start: int, stop: int,
-                  collect_traces: bool):
-    """Classify one enumeration chunk; returns (nA, nB, nC, trace Counter)."""
-    B = planes_block_np(ctx.q, PIVOT_PATTERNS[pattern_idx], start, stop)
-    codes, is_a, is_b, is_c = _classify_block(ctx, B)
-
-    traces: Counter | None = None
-    if collect_traces:
-        traces = Counter()
-        brows = np.ascontiguousarray(codes[is_b].astype("<u2"))
-        uniq, counts = np.unique(brows, axis=0, return_counts=True)
-        for row, c in zip(uniq, counts):
-            traces[row.tobytes()] += int(c)
-    return int(is_a.sum()), int(is_b.sum()), int(is_c.sum()), traces
-
-
-def _pool_chunk(args):
-    p, h, base_mod, cubic_mod, pattern_idx, start, stop, collect = args
-    ctx = _cached_ctx(p, h, base_mod, cubic_mod)
-    return _census_chunk(ctx, pattern_idx, start, stop, collect)
-
-
 def trace_key_bytes(labels) -> bytes:
     """Canonical byte form of a sorted label tuple, shared with cover keys."""
     return np.asarray(labels, dtype="<u2").tobytes()
+
+
+def _row_hash(rows: np.ndarray) -> np.ndarray:
+    """64-bit hash of each label row (wrapping sum of label times multiplier)."""
+    return np.einsum("ij,j->i", rows.astype(np.uint64), _HASH_MULTIPLIERS[: rows.shape[1]])
+
+
+class CoverTable:
+    """Exact lookup of sorted label rows among the cover keys.
+
+    Rows are found by hash with a binary search over the sorted cover
+    hashes; a row matches a cover only when all its labels equal the
+    cover's, so hash collisions cost time, never exactness.
+    """
+
+    def __init__(self, keys):
+        rows = np.array(list(keys), dtype=np.uint16)
+        hashes = _row_hash(rows)
+        order = np.argsort(hashes, kind="stable")
+        self.hashes = hashes[order]
+        self.rows = rows[order]
+
+    def __len__(self) -> int:
+        return len(self.hashes)
+
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Table index of each row's cover, or -1 where the row is no cover."""
+        h = _row_hash(rows)
+        pending = np.argsort(h)  # sorted queries make the binary searches local
+        h = h[pending]
+        cand = np.searchsorted(self.hashes, h)
+        out = np.full(len(rows), -1, dtype=np.int64)
+        last = len(self) - 1
+        while pending.size:  # one pass per cover sharing a row's hash
+            same = (cand <= last) & (self.hashes[np.minimum(cand, last)] == h)
+            pending, cand, h = pending[same], cand[same], h[same]
+            hit = (self.rows[cand] == rows[pending]).all(axis=1)
+            out[pending[hit]] = cand[hit]
+            pending, cand, h = pending[~hit], cand[~hit] + 1, h[~hit]
+        return out
+
+    def tally(self, rows: np.ndarray) -> tuple[np.ndarray, Counter]:
+        """Per-cover counts of the rows, and a Counter of the rows that are no cover."""
+        idx = self.lookup(rows)
+        hits = np.bincount(idx[idx >= 0], minlength=len(self))
+        witnesses = Counter(trace_key_bytes(r) for r in rows[idx < 0])
+        return hits, witnesses
+
+    def traces(self, hits: np.ndarray, witnesses: Counter) -> Counter:
+        """The trace multiset: every cover hit, by key, plus the witnesses."""
+        traces = Counter({trace_key_bytes(self.rows[i]): int(hits[i])
+                          for i in np.flatnonzero(hits)})
+        traces.update(witnesses)
+        return traces
+
+
+def _census_chunk(ctx: FieldCtx, table: CoverTable | None,
+                  pattern_idx: int, start: int, stop: int):
+    """Classify one enumeration chunk; returns (nA, nB, nC, hits, witnesses).
+
+    hits and witnesses are the chunk's CoverTable.tally, None without a table.
+    """
+    B = planes_block_np(ctx.q, PIVOT_PATTERNS[pattern_idx], start, stop)
+    codes, is_a, is_b, is_c = _classify_block(ctx, B)
+    hits, witnesses = table.tally(codes[is_b]) if table is not None else (None, None)
+    return int(is_a.sum()), int(is_b.sum()), int(is_c.sum()), hits, witnesses
+
+
+_worker = None  # (ctx, table) of a census pool worker, set by _init_worker
+
+
+def _init_worker(p, h, base_mod, cubic_mod, table):
+    global _worker
+    _worker = (make_field(p, h, base_modulus=base_mod, cubic_modulus=cubic_mod), table)
+
+
+def _pool_chunk(chunk):
+    return _census_chunk(*_worker, *chunk)
 
 
 def trace_is_cover_check(
@@ -195,31 +300,39 @@ def trace_is_cover_check(
     return TraceCheck(checked=True, matched=matched, multiplicity_ok=multiplicity_ok)
 
 
-def _sweep(ctx: FieldCtx, jobs: int, collect_traces: bool, chunk_size: int):
-    """Classify every plane; returns (nA, nB, nC, trace Counter or None)."""
+def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
+    """Classify every plane; returns (nA, nB, nC, trace Counter or None).
+
+    The traces are tallied against table; without one none are collected.
+    """
     chunks = enumeration_chunks(ctx.q, chunk_size)
     na = nb = nc = 0
-    traces: Counter | None = Counter() if collect_traces else None
+    hits = np.zeros(len(table), dtype=np.int64) if table is not None else None
+    witnesses = Counter()
 
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_init_worker,
+            initargs=(ctx.p, ctx.h, ctx.base.modulus, ctx.cubic_modulus, table),
+        )
     try:
         if pool is None:
-            results = (_census_chunk(ctx, *c, collect_traces) for c in chunks)
+            results = (_census_chunk(ctx, table, *c) for c in chunks)
         else:
-            args = [
-                (ctx.p, ctx.h, ctx.base.modulus, ctx.cubic_modulus, *c, collect_traces)
-                for c in chunks
-            ]
-            results = pool.map(_pool_chunk, args)
-        for ca, cb, cc, ctr in results:
+            results = pool.map(_pool_chunk, chunks)
+        for ca, cb, cc, chunk_hits, chunk_witnesses in results:
             na += ca
             nb += cb
             nc += cc
-            if traces is not None:
-                traces.update(ctr)
+            if table is not None:
+                hits += chunk_hits
+                witnesses.update(chunk_witnesses)
     finally:
         if pool is not None:
             pool.shutdown()
+    traces = table.traces(hits, witnesses) if table is not None else None
     return na, nb, nc, traces
 
 
@@ -227,27 +340,26 @@ def run_census(
     ctx: FieldCtx,
     spread: Spread | None = None,
     jobs: int = 1,
-    collect_traces: bool | None = None,
+    collect_traces: bool = True,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> CensusReport:
     """Sweep every plane of PG(5,q) and report exact class counts.
 
-    Traces are collected by default for q <= DEFAULT_TRACE_Q_LIMIT.  The
-    reduction over chunks is associative, so jobs and chunk_size affect
+    With collect_traces, every B-plane trace is checked against the covers.
+    The reduction over chunks is associative, so jobs and chunk_size affect
     runtime only; the report is identical for any split.
     """
     t0 = time.perf_counter()
     if spread is not None and spread.ctx.q3 != ctx.q3:
         raise ValueError("spread was built over a different field")
-    if collect_traces is None:
-        collect_traces = ctx.q <= DEFAULT_TRACE_Q_LIMIT
 
-    na, nb, nc, traces = _sweep(ctx, jobs, collect_traces, chunk_size)
+    cover_set = enumerate_covers(ctx)
+    table = CoverTable(cover_set.by_key) if collect_traces else None
+    na, nb, nc, traces = _sweep(ctx, jobs, table, chunk_size)
     total = na + nb + nc
     if total != count_planes(ctx.q):
         raise RuntimeError("census did not visit every plane exactly once")
 
-    cover_set = enumerate_covers(ctx)
     identity = nb == cover_set.total * 2 * cover_size(ctx.q)
     if cover_set.total != total_count(ctx.q):
         identity = False  # cover enumeration itself disagrees with its count

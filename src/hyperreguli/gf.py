@@ -225,14 +225,6 @@ class BaseField:
     def mul_np(self) -> np.ndarray:
         return np.array(self._mul, dtype=np.uint8)
 
-    @cached_property
-    def neg_np(self) -> np.ndarray:
-        return np.array(self._neg, dtype=np.uint8)
-
-    @cached_property
-    def inv_np(self) -> np.ndarray:
-        return np.array(self._inv, dtype=np.uint8)
-
 
 # ----------------------------------------------------------------------
 # The tower GF(p) < GF(q) < GF(q^3).

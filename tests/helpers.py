@@ -1,15 +1,25 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here recomputes results from first principles (integer
-arithmetic mod p, explicit rank profiles) without touching the exp/log
-tables or the located-label tally that the package itself relies on.
+arithmetic mod p, explicit rank profiles, entry-by-entry GF(q) table
+lookups) without touching the exp/log tables, the digit-plane matrix
+product or the located-label tally that the package itself relies on.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from hyperreguli.pg5 import meet_dim, plane_from_rows
+import numpy as np
+
+from hyperreguli.pg5 import (
+    PIVOT_PATTERNS,
+    meet_dim,
+    pattern_block_size,
+    plane_from_rows,
+    planes_block_np,
+    projective_coeffs,
+)
 
 
 class PolyFieldOracle:
@@ -74,6 +84,31 @@ def classify_by_meets(spread, pl) -> str:
     if profile[0] == k:
         return "B"
     raise AssertionError(f"unclassifiable meet profile {dict(profile)}")
+
+
+def gather_points(base, B):
+    """The k points of each plane basis in B (n, 3, 6), as (n, k, 6) uint8.
+
+    pts[n, c] = sum_r coeffs[c, r] * B[n, r], evaluated entry by entry
+    through the GF(q) add and mul tables: no digit planes, no matrix product.
+    """
+    coeffs = np.array(projective_coeffs(base.q), dtype=np.uint8)
+    add_np, mul_np = base.add_np, base.mul_np
+    pts = mul_np[coeffs[None, :, 0, None], B[:, None, 0, :]]
+    pts = add_np[pts, mul_np[coeffs[None, :, 1, None], B[:, None, 1, :]]]
+    return add_np[pts, mul_np[coeffs[None, :, 2, None], B[:, None, 2, :]]]
+
+
+def seeded_blocks(q, rng, size=64):
+    """Plane bases (n, 3, 6) from every fifth pivot pattern: each pattern's
+    last `size` planes, where free entries are large, and `size` random ones."""
+    blocks = []
+    for pattern in PIVOT_PATTERNS[::5]:
+        n = pattern_block_size(q, pattern)
+        blocks.append(planes_block_np(q, pattern, max(0, n - size), n))
+        for i in sorted(rng.randrange(n) for _ in range(size)):
+            blocks.append(planes_block_np(q, pattern, i, i + 1))
+    return np.concatenate(blocks)
 
 
 def random_full_rank_rows(base, rng):

@@ -60,6 +60,13 @@ def census_timed(ctx_by_q, spread_by_q):
     return out
 
 
+@pytest.fixture(scope="module")
+def census5_timed(ctx5):
+    """The q = 5 sweep, shared by the count and trace criteria."""
+    t0 = time.perf_counter()
+    return run_census(ctx5, jobs=2), time.perf_counter() - t0
+
+
 def test_criterion_1_cover_counts(covers_timed):
     limits = {2: 1.0, 3: 1.0, 4: 30.0}
     ok = True
@@ -72,7 +79,7 @@ def test_criterion_1_cover_counts(covers_timed):
     report(1, ok, "cover counts 36/756/6240 with exact swap-pair dedup, in time")
 
 
-def test_criterion_2_census_counts(census_timed, ctx5):
+def test_criterion_2_census_counts(census_timed, census5_timed):
     expected = {
         2: (9, 504, 882, 1395, 5.0),
         3: (28, 19656, 14196, 33880, 60.0),
@@ -88,10 +95,9 @@ def test_criterion_2_census_counts(census_timed, ctx5):
     q5 = (type_a_count(5), type_b_count(5), type_c_count(5))
     ok &= q5 == (126, 1953000, 605430)
     ok &= sum(q5) == count_planes(5) == 2558556
-    t0 = time.perf_counter()
-    r5 = run_census(ctx5, jobs=2)
+    r5, elapsed = census5_timed
     ok &= (r5.count_a, r5.count_b, r5.count_c, r5.total) == (*q5, 2558556)
-    ok &= time.perf_counter() - t0 < 3600.0
+    ok &= elapsed < 3600.0
     report(2, ok, "census counts exact for q=2,3,4 and the q=5 sweep, in time")
 
 
@@ -156,16 +162,17 @@ def _switching_matches_transversals(ctx, spread, a, f):
     return union == [p.key for p in tv]
 
 
-def test_criterion_6_trace_bijection(ctx_by_q, spread_by_q, census_timed):
+def test_criterion_6_trace_bijection(census_timed, census5_timed):
     ok = True
-    for q in (2, 3):
-        r, _ = census_timed[q]
+    runs = {q: r for q, (r, _) in census_timed.items()}
+    runs[5] = census5_timed[0]
+    for q, r in runs.items():
         ok &= r.trace_check.checked
         ok &= r.trace_check.matched is True
         ok &= r.trace_check.multiplicity_ok is True
         ok &= r.count_b == total_count(q) * 2 * cover_size(q)
     report(6, ok, "every B-plane trace is a cover and every cover is hit "
-                  "exactly 2(q^2+q+1) times at q=2,3")
+                  "exactly 2(q^2+q+1) times at q=2,3,4,5")
 
 
 def test_criterion_7_property_suites(ctx_by_q, spread_by_q):

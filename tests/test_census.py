@@ -1,10 +1,13 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from hyperreguli import census
 from hyperreguli.census import (
     DEFAULT_CHUNK_SIZE,
+    CoverTable,
     classify_plane,
     run_census,
     trace_is_cover_check,
@@ -13,18 +16,35 @@ from hyperreguli.census import (
     type_b_count,
     type_c_count,
 )
-from hyperreguli.census import _sweep
+from hyperreguli.census import _block_points, _classify_block, _sweep
 from hyperreguli.covers import cover_size, cover_type1, enumerate_covers, total_count
+from hyperreguli.gf import factorize, make_field
 from hyperreguli.hyperreg import andre_switching_sets, transversal_count
-from hyperreguli.pg5 import count_planes, enumerate_planes, plane_from_points
+from hyperreguli.pg5 import (
+    count_planes,
+    enumerate_planes,
+    plane_from_points,
+    plane_from_rows,
+    plane_points,
+)
+from hyperreguli.spread import build_spread
 
-from helpers import classify_by_meets
+from helpers import classify_by_meets, gather_points, seeded_blocks
+
+
+def field(q):
+    ((p, h),) = factorize(q).items()
+    return make_field(p, h)
+
+
+def cover_table(ctx):
+    return CoverTable(enumerate_covers(ctx).by_key)
 
 
 @pytest.fixture(scope="module")
 def sweep2(ctx2):
     """(nA, nB, nC, B-plane trace multiset) of the sweep run_census uses, q = 2."""
-    return _sweep(ctx2, 1, True, DEFAULT_CHUNK_SIZE)
+    return _sweep(ctx2, 1, cover_table(ctx2), DEFAULT_CHUNK_SIZE)
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +198,75 @@ def test_trace_check_failure_paths_q2(ctx2, sweep2, cover_keys2):
     del missing[some_cover]
     tc = trace_is_cover_check(ctx2, missing, cover_keys2)
     assert tc.matched and not tc.multiplicity_ok
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_block_points_match_gather_oracle(q):
+    """The digit-plane matrix product gives the table-gather points exactly."""
+    ctx = field(q)
+    B = seeded_blocks(q, random.Random(q))
+    assert np.array_equal(_block_points(ctx, B), gather_points(ctx.base, B))
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 16])
+def test_classify_block_labels_at_large_q(q):
+    """Located labels where q^3 > 256 (uint8 indices wrap) and, at q = 13,
+    where the unreduced point digits reach (p-1) + 2(p-1)^2 = 300."""
+    ctx = field(q)
+    spread = build_spread(ctx, check=False)
+    B = seeded_blocks(q, random.Random(100 + q), size=16)
+    codes, *_ = _classify_block(ctx, B)
+    for basis, labels in zip(B, codes):
+        pl = plane_from_rows(ctx.base, basis.tolist())
+        want = sorted(spread.locate(pt) for pt in plane_points(ctx.base, pl))
+        assert labels.tolist() == want
+
+
+def test_sweep_traces_invariant_under_worker_count_q3(ctx3):
+    table = cover_table(ctx3)
+    one = _sweep(ctx3, 1, table, 4096)
+    assert _sweep(ctx3, 2, table, 4096) == one
+    assert set(one[3].values()) == {2 * cover_size(3)}
+
+
+@pytest.mark.parametrize("multipliers", ["equal", "zero"])
+def test_census_exact_under_hash_collisions(ctx2, ctx3, monkeypatch, multipliers):
+    """Covers sharing a hash are told apart by their labels: same reports."""
+    def report(ctx):
+        d = run_census(ctx).to_dict()
+        del d["runtime_seconds"]
+        return d
+
+    want = {q: report(ctx) for q, ctx in ((2, ctx2), (3, ctx3))}
+    value = 1 if multipliers == "equal" else 0
+    monkeypatch.setattr(census, "_HASH_MULTIPLIERS",
+                        np.full_like(census._HASH_MULTIPLIERS, value))
+    for q, ctx in ((2, ctx2), (3, ctx3)):
+        table = cover_table(ctx)
+        assert len(np.unique(table.hashes)) < len(table)
+        assert np.array_equal(table.lookup(table.rows), np.arange(len(table)))
+        assert report(ctx) == want[q]
+
+
+def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
+    # with equal multipliers the hash is the label sum: shift two labels
+    # of a cover apart by one each to keep the hash and leave the covers
+    monkeypatch.setattr(census, "_HASH_MULTIPLIERS",
+                        np.ones_like(census._HASH_MULTIPLIERS))
+    table = cover_table(ctx2)
+    for cover in table.rows:
+        row = cover.astype(np.int32)
+        row[0] -= 1
+        row[-1] += 1
+        if row[0] >= 0 and trace_key_bytes(row) not in cover_keys2:
+            break
+    else:
+        pytest.fail("no cover gives a non-cover row with the same hash")
+    assert census._row_hash(row[None]) == census._row_hash(cover[None])
+
+    rows = np.stack([cover.astype(np.int32), row])
+    assert table.lookup(rows)[1] == -1
+    hits, witnesses = table.tally(rows)
+    assert hits.sum() == 1 and witnesses == Counter({trace_key_bytes(row): 1})
+    tc = trace_is_cover_check(ctx2, table.traces(hits, witnesses), cover_keys2)
+    assert tc.matched is False and tc.multiplicity_ok is False
