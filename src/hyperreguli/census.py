@@ -37,16 +37,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covers import cover_size, enumerate_covers, total_count
-from .gf import MAX_Q, BaseField, FieldCtx, make_field
+from .covers import CoverSet, cover_size, enumerate_covers, total_count
+from .gf import MAX_Q, FieldCtx, make_field
 from .pg5 import (
     PIVOT_PATTERNS,
     count_planes,
     enumeration_chunks,
     planes_block_np,
-    projective_coeffs,
 )
-from .spread import Spread, locate_np
+from .spread import Spread, block_labels
 
 # Planes per chunk.  Larger chunks buy no speed: at q = 5, chunks of 2^16
 # planes took as long as 2^14 and raised the census's peak RSS from 78 to 142 MB.
@@ -123,65 +122,13 @@ class CensusReport:
         return asdict(self)
 
 
-def _points_weights(base: BaseField) -> np.ndarray:
-    """The (k*h, 3*h) GF(p) matrix taking basis digits to point digits.
-
-    Block (c, r) is the h x h matrix of multiplication by the coefficient
-    projective_coeffs[c][r] on GF(p) digit vectors: a = sum_i a_i t^i acts
-    as sum_i a_i T^i, with T the companion matrix of the base modulus.
-    """
-    p, h = base.p, base.h
-    T = np.zeros((h, h), dtype=np.int64)  # multiplication by t
-    T[1:, :-1] = np.eye(h - 1, dtype=np.int64)
-    T[:, -1] = [-c % p for c in base.modulus[:h]]
-    t_powers = [np.eye(h, dtype=np.int64)]
-    for _ in range(h - 1):
-        t_powers.append(T @ t_powers[-1] % p)
-    digits = np.arange(base.q)[:, None] // p ** np.arange(h) % p  # (q, h)
-    mats = np.einsum("ai,ixy->axy", digits, np.array(t_powers)) % p  # (q, h, h)
-    coeffs = np.array(projective_coeffs(base.q))  # (k, 3)
-    k = len(coeffs)
-    return mats[coeffs].transpose(0, 2, 1, 3).reshape(k * h, 3 * h).astype(np.uint16)
-
-
-def _block_points(ctx: FieldCtx, B: np.ndarray) -> np.ndarray:
-    """The k points of each plane, (n, k, 6) over GF(q), for bases B (n, 3, 6).
-
-    pts[n, c] = sum_r coeffs[c, r] * B[n, r] is GF(q)-linear in the basis,
-    so on GF(p) digit planes it is one integer matrix product, reduced mod p.
-    Before the reduction the entries are at most 3h(p-1)^2 <= 432, past
-    uint8 at p = 13, so the product runs in uint16.
-    """
-    p, h = ctx.p, ctx.base.h
-    n = B.shape[0]
-    powers = (p ** np.arange(h)).astype(np.uint16)
-    # digit planes (3h, 6n): row r*h + j is digit j of basis row r, coordinate-major
-    D = (B.transpose(1, 2, 0)[:, None].astype(np.uint16) // powers[:, None, None]) % p
-    W = _points_weights(ctx.base)
-    # numpy's integer `@` has no BLAS kernel and was about 7x slower than
-    # einsum's vectorised sum of products on these shapes
-    R = np.einsum("ij,jm->im", W, D.reshape(3 * h, 6 * n))
-    R -= R // p * p  # R % p; division by a scalar is vectorised, % is not (3x)
-    k = R.shape[0] // h
-    pts = R.reshape(k, h, 6, n)
-    if h > 1:
-        pts = np.einsum("cidm,i->cdm", pts, powers)
-    else:
-        pts = pts[:, 0]
-    return pts.transpose(2, 0, 1)
-
-
 def _classify_block(ctx: FieldCtx, B: np.ndarray):
     """Sorted located labels (n, k) and A/B/C masks for basis matrices B (n, 3, 6)."""
     q = ctx.q
     k = cover_size(q)
     n = B.shape[0]
 
-    # the points lie plane-minor in memory, so the labels come out that way;
-    # the row sort wants each plane's labels contiguous
-    codes = np.ascontiguousarray(locate_np(ctx, _block_points(ctx, B)))  # (n, k)
-    codes.sort(axis=1)
-
+    codes = block_labels(ctx, B)
     is_a = (codes == codes[:, :1]).all(axis=1)
     neq = codes[:, 1:] != codes[:, :-1]
     ndistinct = 1 + neq.sum(axis=1)
@@ -342,18 +289,21 @@ def run_census(
     jobs: int = 1,
     collect_traces: bool = True,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
+    cover_set: CoverSet | None = None,
 ) -> CensusReport:
     """Sweep every plane of PG(5,q) and report exact class counts.
 
     With collect_traces, every B-plane trace is checked against the covers.
     The reduction over chunks is associative, so jobs and chunk_size affect
-    runtime only; the report is identical for any split.
+    runtime only; the report is identical for any split.  The covers are
+    enumerated here unless cover_set, their enumeration over ctx, is given.
     """
     t0 = time.perf_counter()
     if spread is not None and spread.ctx.q3 != ctx.q3:
         raise ValueError("spread was built over a different field")
 
-    cover_set = enumerate_covers(ctx)
+    if cover_set is None:
+        cover_set = enumerate_covers(ctx)
     table = CoverTable(cover_set.by_key) if collect_traces else None
     na, nb, nc, traces = _sweep(ctx, jobs, table, chunk_size)
     total = na + nb + nc

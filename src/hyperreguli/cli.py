@@ -6,8 +6,9 @@ Every subcommand emits a report with the same envelope:
      data, runtime_seconds}
 
 as JSON or as an aligned text table.  The exit status is 0 only when every
-executed check passed, 1 on any mismatch, and 2 for an invalid
-configuration.  Reports are byte-stable across runs for a fixed
+executed check passed, 1 on any mismatch, 2 for an invalid configuration,
+and 3 for an infrastructure failure (a census worker process died), which
+prints no report.  Reports are byte-stable across runs for a fixed
 configuration and seed, apart from the runtime fields.
 """
 
@@ -18,6 +19,7 @@ import json
 import random
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 from . import census as census_mod
 from . import covers as covers_mod
@@ -111,7 +113,7 @@ def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
     _cover_count_checks(checks, q, cover_set)
     _check(checks, "covers_dedup_exact", True, cover_set.dedup_exact)
 
-    report = census_mod.run_census(ctx, spread, jobs=args.jobs)
+    report = census_mod.run_census(ctx, spread, jobs=args.jobs, cover_set=cover_set)
     _census_checks(checks, q, report)
     if report.trace_check.checked:
         _check(checks, "trace_matched", True, report.trace_check.matched)
@@ -278,6 +280,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:  # a RuntimeError, but no verdict on the math
+        print(f"infrastructure failure: {exc}", file=sys.stderr)
+        return 3
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

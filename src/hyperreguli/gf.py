@@ -12,8 +12,8 @@ whose integer encoding (as above) is smallest.  Overrides are accepted and
 checked for irreducibility by exhaustive root/factor search.
 
 Tables are sized for q <= 16 (GF(q^3) <= 4096 elements).  Scalar operations
-run off Python list tables; the numpy mirrors exposed as cached properties
-back the vectorized sweeps in the enumeration modules.
+run off Python list tables; the GF(q^3) numpy mirrors exposed as cached
+properties back the vectorized sweeps in the enumeration modules.
 """
 
 from __future__ import annotations
@@ -215,16 +215,6 @@ class BaseField:
     def nonzero(self) -> range:
         return range(1, self.q)
 
-    # -- numpy mirrors ----------------------------------------------------
-
-    @cached_property
-    def add_np(self) -> np.ndarray:
-        return np.array(self._add, dtype=np.uint8)
-
-    @cached_property
-    def mul_np(self) -> np.ndarray:
-        return np.array(self._mul, dtype=np.uint8)
-
 
 # ----------------------------------------------------------------------
 # The tower GF(p) < GF(q) < GF(q^3).
@@ -328,10 +318,11 @@ class FieldCtx:
 
     @cached_property
     def ext_mul_np(self) -> np.ndarray:
-        n = self.q3 - 1
-        logs = np.array([0] + self.log[1:], dtype=np.int64)
-        exps = np.array(self.exp, dtype=np.uint16)
-        table = exps[(logs[:, None] + logs[None, :]) % n]
+        # log a + log b < 2(q^3-1), so a doubled exp table needs no % (q^3-1)
+        # and the index sums fit uint16, like the table itself
+        logs = np.array([0] + self.log[1:], dtype=np.uint16)
+        exps2 = np.array(self.exp * 2, dtype=np.uint16)
+        table = exps2[logs[:, None] + logs[None, :]]
         table[0, :] = 0
         table[:, 0] = 0
         return table
@@ -341,7 +332,7 @@ class FieldCtx:
         q = self.q
         idx = np.arange(self.q3)
         d0, d1, d2 = idx % q, (idx // q) % q, idx // (q * q)
-        badd = self.base.add_np.astype(np.uint16)
+        badd = np.array(self.base._add, dtype=np.uint16)
         return (
             badd[d0[:, None], d0[None, :]]
             + q * badd[d1[:, None], d1[None, :]]

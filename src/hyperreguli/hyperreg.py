@@ -25,8 +25,10 @@ Scanning point triples (p1, p2, p3) with p3 drawn from q different third
 planes therefore visits every transversal.  (A single fixed third plane is
 not enough: all of its candidate triples can be collinear, e.g. the planes
 {(t, m*t^q)} over GF(8) meet J(1), J(2), J(3) in collinear points because
-1+2+3 = 0 there.)  A candidate span is accepted exactly when its points
-land on the cover's spread elements once each.  A brute-force sweep over
+1+2+3 = 0 there.)  The triples are taken in chunks as plane bases, which
+the census block kernel labels (spread.block_labels); a triple is accepted
+exactly when its points land on the cover's spread elements once each.  A
+dependent triple repeats a label, so it never passes.  A brute-force sweep over
 the full plane enumeration, filtering with rank-based meet dimensions only,
 provides an independent cross-check.
 """
@@ -38,6 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .census import DEFAULT_CHUNK_SIZE
 from .covers import Cover, cover_type1
 from .gf import FieldCtx
 from .pg5 import (
@@ -45,11 +48,10 @@ from .pg5 import (
     _plane_from_rref,
     enumerate_planes,
     meet_dim,
-    plane_from_points,
+    plane_from_rows,
     plane_points,
-    projective_coeffs,
 )
-from .spread import Spread, locate_np
+from .spread import Spread, block_labels
 
 
 @dataclass
@@ -138,39 +140,26 @@ def _transversals_brute(spread: Spread, hr: HyperRegulus) -> list[Plane]:
     return [found[k] for k in sorted(found)]
 
 
-def _transversals_span(spread: Spread, hr: HyperRegulus) -> list[Plane]:
+def _transversals_span(spread: Spread, hr: HyperRegulus,
+                       chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[Plane]:
     ctx = spread.ctx
     base = ctx.base
-    q = ctx.q
+    # the points of two planes of hr, and of q third planes (see above)
+    pts1, pts2, pts3 = (
+        np.array([pt for pl in planes for pt in plane_points(base, pl)], dtype=np.uint8)
+        for planes in (hr.planes[:1], hr.planes[1:2], hr.planes[2:ctx.q + 2]))
+    target = np.array(hr.cover.key)
 
-    pts1 = np.array(plane_points(base, hr.planes[0]), dtype=np.uint8)
-    pts2 = np.array(plane_points(base, hr.planes[1]), dtype=np.uint8)
-    coeffs = np.array(projective_coeffs(q), dtype=np.uint8)  # (k, 3)
-    add_np = base.add_np
-    mul_np = base.mul_np
-    target = np.array(hr.cover.key, dtype=np.int32)
-
-    # combos[i, j, l, c, :] = C[c,0]*P1[i] + C[c,1]*P2[j] + C[c,2]*P3[l]
-    t1 = mul_np[pts1[:, None, :], coeffs[:, 0][None, :, None]]  # (k_i, k_c, 6)
-    t2 = mul_np[pts2[:, None, :], coeffs[:, 1][None, :, None]]
-    s12 = add_np[t1[:, None, :, :], t2[None, :, :, :]]  # (k_i, k_j, k_c, 6)
-
+    # triple t = (i*k + j)*k3 + l stands for the basis (P1[i], P2[j], P3[l])
+    k, k3 = len(pts1), len(pts3)
+    total = k * k * k3
     found = {}
-    for third in hr.planes[2:q + 2]:  # q third planes guarantee a spanning triple
-        pts3 = np.array(plane_points(base, third), dtype=np.uint8)
-        t3 = mul_np[pts3[:, None, :], coeffs[:, 2][None, :, None]]
-        combos = add_np[s12[:, :, None, :, :], t3[None, None, :, :, :]]
-        codes = locate_np(ctx, combos)
-        codes.sort(axis=3)
-        hits = (codes == target).all(axis=3)  # (k_i, k_j, k_l)
-
-        for i, j, l in zip(*np.nonzero(hits)):
-            pl = plane_from_points(
-                base,
-                tuple(int(v) for v in pts1[i]),
-                tuple(int(v) for v in pts2[j]),
-                tuple(int(v) for v in pts3[l]),
-            )
+    for start in range(0, total, chunk_size):
+        ij, l = np.divmod(np.arange(start, min(start + chunk_size, total)), k3)
+        i, j = np.divmod(ij, k)
+        B = np.stack([pts1[i], pts2[j], pts3[l]], axis=1)
+        for rows in B[(block_labels(ctx, B) == target).all(axis=1)]:
+            pl = plane_from_rows(base, rows.tolist())
             found.setdefault(pl.key, pl)
     return [found[kk] for kk in sorted(found)]
 

@@ -144,6 +144,58 @@ def plane_points(base: BaseField, pl: Plane) -> list[tuple[int, ...]]:
     return pts
 
 
+def _points_weights(base: BaseField, digits: np.ndarray) -> np.ndarray:
+    """The (k*h, 3*h) GF(p) matrix taking basis digits to point digits.
+
+    Row c*h + x, column y*3 + r holds entry (x, y) of the h x h matrix of
+    multiplication by the coefficient projective_coeffs[c][r] on GF(p) digit
+    vectors (digits[a] lists those of a): a = sum_i a_i t^i acts as
+    sum_i a_i T^i, with T the companion matrix of the base modulus.
+    """
+    p, h = base.p, base.h
+    T = np.zeros((h, h), dtype=np.int64)  # multiplication by t
+    T[1:, :-1] = np.eye(h - 1, dtype=np.int64)
+    T[:, -1] = [-c % p for c in base.modulus[:h]]
+    t_powers = [np.eye(h, dtype=np.int64)]
+    for _ in range(h - 1):
+        t_powers.append(T @ t_powers[-1] % p)
+    mats = np.einsum("ai,ixy->axy", digits, np.array(t_powers)) % p  # (q, h, h)
+    coeffs = np.array(projective_coeffs(base.q))  # (k, 3)
+    k = len(coeffs)
+    return mats[coeffs].transpose(0, 2, 3, 1).reshape(k * h, 3 * h)
+
+
+def block_points(base: BaseField, B: np.ndarray) -> np.ndarray:
+    """The k points of each plane, (n, k, 6) over GF(q), for bases B (n, 3, 6).
+
+    pts[n, c] = sum_r coeffs[c, r] * B[n, r] is GF(q)-linear in the basis,
+    so on GF(p) digit planes it is one integer matrix product, reduced mod p.
+    The points come in coefficient order (as plane_points), not normalised.
+    Before the reduction the entries are at most 3h(p-1)^2, so the product
+    runs in uint8 except at p = 11 and 13 (bounds 300 and 432: uint16).
+    """
+    p, h = base.p, base.h
+    n = B.shape[0]
+    dtype = np.uint8 if 3 * h * (p - 1) ** 2 < 256 else np.uint16
+    digits = np.arange(base.q)[:, None] // p ** np.arange(h) % p  # (q, h)
+    # digit planes (h, 3, 6, n): [y, r] is digit y of basis row r, coordinate-major
+    Bt = B.transpose(1, 2, 0)
+    D = np.take(digits.T.astype(dtype), Bt, axis=1) if h > 1 else Bt[None].astype(dtype)
+    W = _points_weights(base, digits).astype(dtype)
+    # numpy's integer `@` has no BLAS kernel and was about 7x slower than
+    # einsum's vectorised sum of products on these shapes
+    R = np.einsum("ij,jm->im", W, D.reshape(3 * h, 6 * n))
+    T = R // p  # R %= p, in place: division by a scalar is vectorised, % is not
+    T *= p
+    R -= T
+    pts = R.reshape(-1, h, 6, n)
+    if h > 1:
+        pts = np.einsum("cidm,i->cdm", pts, (p ** np.arange(h)).astype(dtype))
+    else:
+        pts = pts[:, 0]
+    return pts.transpose(2, 0, 1)
+
+
 def incidence(base: BaseField, pt, pl: Plane) -> bool:
     """True iff pt lies in the row space of pl (reduction against the RREF)."""
     add, mul, neg = base._add, base._mul, base._neg

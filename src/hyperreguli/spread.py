@@ -20,6 +20,7 @@ from .pg5 import (
     Plane,
     _plane_from_rref,
     all_points,
+    block_points,
     incidence,
     normalize_point,
     num_points,
@@ -98,6 +99,16 @@ def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
         ctx.ext_mul_np[y, ctx.ext_inv_np[x]].astype(np.int32),
         ctx.q3,
     )
+
+
+def block_labels(ctx: FieldCtx, B: np.ndarray) -> np.ndarray:
+    """The located labels of the k points of each plane with basis in B
+    (n, 3, 6), sorted within each row: (n, k)."""
+    # the points lie plane-minor in memory, so the labels come out that way;
+    # the row sort wants each plane's labels contiguous
+    codes = np.ascontiguousarray(locate_np(ctx, block_points(ctx.base, B)))
+    codes.sort(axis=1)
+    return codes
 
 
 def build_spread(ctx: FieldCtx, check: bool = True) -> Spread:

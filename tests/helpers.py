@@ -93,7 +93,8 @@ def gather_points(base, B):
     through the GF(q) add and mul tables: no digit planes, no matrix product.
     """
     coeffs = np.array(projective_coeffs(base.q), dtype=np.uint8)
-    add_np, mul_np = base.add_np, base.mul_np
+    add_np = np.array(base._add, dtype=np.uint8)
+    mul_np = np.array(base._mul, dtype=np.uint8)
     pts = mul_np[coeffs[None, :, 0, None], B[:, None, 0, :]]
     pts = add_np[pts, mul_np[coeffs[None, :, 1, None], B[:, None, 1, :]]]
     return add_np[pts, mul_np[coeffs[None, :, 2, None], B[:, None, 2, :]]]

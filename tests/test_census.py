@@ -16,11 +16,12 @@ from hyperreguli.census import (
     type_b_count,
     type_c_count,
 )
-from hyperreguli.census import _block_points, _classify_block, _sweep
+from hyperreguli.census import _classify_block, _sweep
 from hyperreguli.covers import cover_size, cover_type1, enumerate_covers, total_count
 from hyperreguli.gf import factorize, make_field
 from hyperreguli.hyperreg import andre_switching_sets, transversal_count
 from hyperreguli.pg5 import (
+    block_points,
     count_planes,
     enumerate_planes,
     plane_from_points,
@@ -200,12 +201,13 @@ def test_trace_check_failure_paths_q2(ctx2, sweep2, cover_keys2):
     assert tc.matched and not tc.multiplicity_ok
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_block_points_match_gather_oracle(q):
-    """The digit-plane matrix product gives the table-gather points exactly."""
+    """The digit-plane matrix product gives the table-gather points exactly,
+    on both sides of the uint8 product (3h(p-1)^2 is 108 at q = 7, 300 at 11)."""
     ctx = field(q)
     B = seeded_blocks(q, random.Random(q))
-    assert np.array_equal(_block_points(ctx, B), gather_points(ctx.base, B))
+    assert np.array_equal(block_points(ctx.base, B), gather_points(ctx.base, B))
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 16])

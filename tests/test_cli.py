@@ -1,8 +1,13 @@
+import functools
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from hyperreguli import census as census_mod
+from hyperreguli import covers as covers_mod
 from hyperreguli.cli import main, parse_prime_power
 
 
@@ -154,3 +159,35 @@ def test_jobs_flag_runs(capsys):
     code, report = run_json(capsys, ["census", "--q", "2", "--jobs", "2"])
     assert code == 0
     assert report["data"]["count_b"] == 504
+
+
+def test_verify_enumerates_the_covers_once(capsys, monkeypatch):
+    """The census reuses the CoverSet that verify enumerated and audited."""
+    real = covers_mod.enumerate_covers
+    calls = []
+
+    def counting(ctx, check_dedup=False):
+        calls.append(check_dedup)
+        return real(ctx, check_dedup)
+
+    monkeypatch.setattr(covers_mod, "enumerate_covers", counting)
+    monkeypatch.setattr(census_mod, "enumerate_covers", counting)
+    code, report = run_json(capsys, ["verify", "--q", "2"])
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    assert calls == [True]
+
+
+def _crash_worker(chunk):
+    os._exit(1)
+
+
+def test_crashed_worker_is_an_infrastructure_failure(capsys, monkeypatch):
+    """A census worker that dies gives exit 3 and no report, not a mismatch."""
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(census_mod, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor, mp_context=fork))
+    monkeypatch.setattr(census_mod, "_pool_chunk", _crash_worker)
+    assert main(["census", "--q", "2", "--jobs", "2", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "infrastructure failure" in captured.err

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hyperreguli.gf import BaseField, make_field
@@ -226,3 +228,21 @@ def test_self_test_passes(ctx_by_q):
     for ctx in ctx_by_q.values():
         failures = [c for c in ctx.self_test() if not c["pass"]]
         assert not failures
+
+
+def test_ext_mul_table_peak_memory_q16():
+    """The q^3 x q^3 product table is built without int64 temporaries: at
+    q = 16 the traced peak stays within 2.5x the 32 MB table."""
+    ctx = make_field(2, 4)
+    tracemalloc.start()
+    try:
+        table = ctx.ext_mul_np
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (4096, 4096) and table.dtype == np.uint16
+    assert peak <= 2.5 * table.nbytes
+    rng = random.Random(16)
+    for _ in range(2000):
+        a, b = rng.randrange(4096), rng.randrange(4096)
+        assert table[a, b] == ctx.mul(a, b)

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 from hyperreguli.covers import cover_type1, cover_type2, enumerate_covers
+from hyperreguli.gf import make_field
 from hyperreguli.hyperreg import (
+    _transversals_span,
     andre_switching_sets,
     hyper_regulus,
     split_switching_classes,
@@ -12,6 +15,7 @@ from hyperreguli.hyperreg import (
     transversal_planes,
 )
 from hyperreguli.pg5 import plane_points
+from hyperreguli.spread import build_spread
 
 
 def keys(planes):
@@ -146,3 +150,38 @@ def test_andre_parameter_validation(ctx2, spread2):
         transversal_planes(spread2,
                            hyper_regulus(spread2, cover_type1(ctx2, 0, 1)),
                            method="magic")
+
+
+@pytest.mark.parametrize("cover_args", [(1, 0, 1), (2, 0, 1, 2)])
+def test_span_search_invariant_under_chunk_size_q3(ctx3, spread3, cover_args):
+    """Chunk sizes that do not divide the q*k^3 = 6591 triples find the same planes."""
+    kind, *params = cover_args
+    cover = (cover_type1 if kind == 1 else cover_type2)(ctx3, *params)
+    hr = hyper_regulus(spread3, cover)
+    want = keys(transversal_planes(spread3, hr))
+    assert len(want) == transversal_count(3)
+    for chunk_size in (1, 7, 1000):
+        assert keys(_transversals_span(spread3, hr, chunk_size=chunk_size)) == want
+
+
+def test_span_search_exact_q7():
+    """One kind-2 cover at q = 7: 114 transversals, each meeting exactly the
+    cover's spread elements, split 57 + 57, in bounded memory (the search
+    once built a k^4 x 6 candidate array: several hundred MB here)."""
+    ctx = make_field(7)
+    spread = build_spread(ctx, check=False)
+    cover = cover_type2(ctx, 3, 100, 4)
+    hr = hyper_regulus(spread, cover)
+    tracemalloc.start()
+    try:
+        planes = transversal_planes(spread, hr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(planes) == transversal_count(7) == 114
+    for pl in planes:
+        labels = sorted(spread.locate(pt) for pt in plane_points(ctx.base, pl))
+        assert labels == list(cover.key)
+    g1, g2 = split_switching_classes(ctx, planes)
+    assert len(g1) == len(g2) == 57

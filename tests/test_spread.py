@@ -55,7 +55,7 @@ def test_locate_matches_brute_force(q, ctx_by_q, spread_by_q):
     pts = np.array(list(all_points(ctx.base)), dtype=np.uint8)
     assert locate_np(ctx, pts).tolist() == labels
     # q - 1 is a non-unit scalar for q > 2 (GF(2) has no other nonzero one)
-    scaled = ctx.base.mul_np[q - 1][pts]
+    scaled = np.array(ctx.base._mul[q - 1], dtype=np.uint8)[pts]
     assert locate_np(ctx, scaled).tolist() == labels
 
 
