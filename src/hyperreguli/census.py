@@ -170,8 +170,8 @@ class CoverTable:
     cover's, so hash collisions cost time, never exactness.
     """
 
-    def __init__(self, keys):
-        rows = np.array(list(keys), dtype=np.uint16)
+    def __init__(self, keys: np.ndarray):
+        rows = np.asarray(keys, dtype=np.uint16)  # (n, q^2+q+1) sorted label rows
         hashes = _row_hash(rows)
         order = np.argsort(hashes, kind="stable")
         self.hashes = hashes[order]
@@ -304,7 +304,7 @@ def run_census(
 
     if cover_set is None:
         cover_set = enumerate_covers(ctx)
-    table = CoverTable(cover_set.by_key) if collect_traces else None
+    table = CoverTable(cover_set.keys) if collect_traces else None
     na, nb, nc, traces = _sweep(ctx, jobs, table, chunk_size)
     total = na + nb + nc
     if total != count_planes(ctx.q):
@@ -315,7 +315,7 @@ def run_census(
         identity = False  # cover enumeration itself disagrees with its count
 
     if traces is not None:
-        cover_keys = {trace_key_bytes(c) for c in cover_set.by_key}
+        cover_keys = {trace_key_bytes(row) for row in cover_set.keys}
         tc = trace_is_cover_check(ctx, traces=traces, cover_keys=cover_keys)
     else:
         tc = TraceCheck(checked=False)

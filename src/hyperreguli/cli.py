@@ -83,13 +83,18 @@ def _label_list(ctx: FieldCtx, labels) -> list:
 
 
 def _sample_covers(cover_set, sample: int, seed: int):
-    """Deterministic sample containing both kinds when both exist."""
-    kind1 = [c for c in cover_set.by_key.values() if c.kind == 1]
-    kind2 = [c for c in cover_set.by_key.values() if c.kind == 2]
+    """Deterministic sample containing both kinds when both exist.
+
+    Rows are sampled per kind (kind 1 comes first), and only the sampled
+    covers are built.
+    """
+    covers = cover_set.covers
+    n_kind1 = int((cover_set.params[:, 0] == 1).sum())
+    kind1, kind2 = range(n_kind1), range(n_kind1, len(covers))
     rng = random.Random(seed)
     n1 = min(len(kind1), max(1, sample // 2))
     n2 = min(len(kind2), sample - n1)
-    return rng.sample(kind1, n1) + rng.sample(kind2, n2)
+    return [covers[i] for i in rng.sample(kind1, n1) + rng.sample(kind2, n2)]
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +126,7 @@ def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
 
     expected_tv = hyperreg_mod.transversal_count(q)
     if q <= 3:
-        targets = list(cover_set.by_key.values())
+        targets = list(cover_set.covers)
     else:
         targets = _sample_covers(cover_set, args.sample or DEFAULT_SAMPLE, args.seed)
     bad = 0
@@ -158,7 +163,7 @@ def cmd_covers(ctx: FieldCtx, args) -> tuple[list, dict]:
         "kind2": cover_set.count_kind2,
     }
     if args.list:
-        data["covers"] = [_label_list(ctx, c.key) for c in cover_set.by_key.values()]
+        data["covers"] = [_label_list(ctx, c.key) for c in cover_set.covers]
     return checks, data
 
 

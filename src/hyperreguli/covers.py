@@ -14,8 +14,17 @@ points, which the test suite verifies exhaustively.
 
 Swapping a and b inverts f without changing the point set, so the ordered
 kind-2 parameter grid covers each point set exactly twice.  Enumeration
-iterates a < b to halve it, and the optional full-grid audit confirms that
-key-level deduplication removes exactly those swap pairs.
+iterates a < b to halve it.  The optional audit sweeps the other half: it
+checks that the a < b keys are pairwise distinct, and that for every a > b
+the key of (a, b, f), recomputed from the tables, equals the stored key of
+the swap (b, a, 1/f).  Together these say that every key comes from exactly
+two triples of the full grid, and that the two are a swap pair: any other
+triple is either of the a < b half, whose keys are distinct, or the swap of
+one, which reproduces that triple's own key.
+
+The enumeration holds every key as a row of one (N, q^2+q+1) uint16 array,
+next to an (N, 4) array of the parameters (kind, a, b, f); a Cover object is
+built only when CoverSet.covers is indexed.
 
 Counting both families: q^3(q-1) covers of kind 1, q^3(q^3-1)(q-1)/2 of
 kind 2, and q^3(q-1)(q^3+1)/2 in total.
@@ -23,6 +32,7 @@ kind 2, and q^3(q-1)(q^3+1)/2 in total.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,103 +113,166 @@ def cover_type2(ctx: FieldCtx, a: int, b: int, f: int) -> Cover:
     return Cover(kind=2, a=a, b=b, f=f, key=key)
 
 
+class CoverRows(Sequence):
+    """Read-only sequence of a CoverSet's covers, one per key row.
+
+    Its length is free; a Cover object is built only when indexed.
+    """
+
+    def __init__(self, keys: np.ndarray, params: np.ndarray):
+        self._keys = keys
+        self._params = params
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        kind, a, b, f = self._params[i].tolist()
+        return Cover(kind=kind, a=a, b=b if kind == 2 else None, f=f,
+                     key=tuple(self._keys[i].tolist()))
+
+
 @dataclass
 class CoverSet:
-    """All covers of CG(3,q), deduplicated by canonical key."""
+    """All covers of CG(3,q), one row each: kind 1 by (a, f), then kind 2 by (a < b, f).
+
+    keys[i] is the sorted label row of cover i and params[i] its (kind, a, b, f),
+    with b = -1 for kind 1.  The counts are of distinct keys.
+    """
 
     q: int
-    covers: tuple[Cover, ...]
-    by_key: dict[tuple[int, ...], Cover]
+    keys: np.ndarray  # (N, q^2+q+1) uint16
+    params: np.ndarray  # (N, 4) int32
     count_kind1: int
     count_kind2: int
     total: int
     dedup_exact: bool | None = None  # set by the full-grid audit
 
+    @property
+    def covers(self) -> CoverRows:
+        return CoverRows(self.keys, self.params)
+
+
+def _level_keys(vals: np.ndarray, q: int, kind: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cover keys of the level sets f = 1..q-1 of each row of vals, by (row, f).
+
+    A row holds the norm value of the defining expression at every x of
+    GF(q^3), with 0 at the x that no cover of the row contains (a, and the
+    pole b for kind 2).  Returns the (rows * (q-1), q^2+q+1) keys and a mask
+    of the rows whose level sets have the cover sizes; the keys of the other
+    rows are meaningless.
+    """
+    q3 = vals.shape[1]
+    k = cover_size(q)
+    order = np.argsort(vals, axis=1, kind="stable")  # level sets, each ascending
+    sizes = [kind, k + 1 - kind] + [k] * (q - 2)  # of the levels 0, 1, ..., q-1
+    pattern = np.repeat(np.arange(q, dtype=vals.dtype), sizes)
+    ok = (np.take_along_axis(vals, order, axis=1) == pattern).all(axis=1)
+    rows = order[:, kind:].astype(np.uint16)
+    if kind == 2:  # infinity completes the level set f = 1
+        rows = np.insert(rows, k - 1, q3, axis=1)
+    return rows.reshape(-1, k), ok
+
+
+def _size_error(vals_row: np.ndarray, q: int, kind: int, a: int, b: int | None) -> RuntimeError:
+    """The table bug behind a row of norm values whose level sets are not covers."""
+    sizes = np.bincount(vals_row, minlength=q)
+    for f in range(1, q):
+        n = int(sizes[f]) + (kind == 2 and f == 1)
+        if n != cover_size(q):
+            return RuntimeError(f"cover {kind}:{a},{b},{f} has {n} points")
+    return RuntimeError(f"norm values of the covers {kind}:{a},{b} leave GF({q})")
+
+
+def _distinct_counts(keys: np.ndarray, n1: int) -> tuple[int, int, int]:
+    """Distinct keys among the rows [:n1], the rows [n1:] and all rows.
+
+    Rows are compared whole, as raw bytes, after one sort.
+    """
+    rows = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+    order = np.argsort(rows)
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    group = np.cumsum(first) - 1  # distinct-key id of each sorted row
+    total = int(group[-1]) + 1
+    in_kind1 = order < n1
+    counts = []
+    for rows_of_kind in (in_kind1, ~in_kind1):
+        hit = np.zeros(total, dtype=bool)
+        hit[group[rows_of_kind]] = True
+        counts.append(int(hit.sum()))
+    return counts[0], counts[1], total
+
 
 def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
     """Enumerate every cover once: kind 1 by (a, f), kind 2 by (a < b, f).
 
-    With check_dedup=True the full ordered kind-2 grid is also swept and the
-    audit confirms each key arises from exactly two parameter triples that
-    are (a,b,f) <-> (b,a,1/f) swaps of each other.
+    With check_dedup=True the a > b half of the ordered kind-2 grid is swept
+    too, and the audit confirms that each key arises from exactly two
+    parameter triples that are (a,b,f) <-> (b,a,1/f) swaps of each other.
     """
     q, q3 = ctx.q, ctx.q3
+    k = cover_size(q)
     norm_np = ctx.norm_np
-    neg_np = ctx.ext_neg_np
-    add_np = ctx.ext_add_np
     mul_np = ctx.ext_mul_np
     inv_np = ctx.ext_inv_np
-    xs = np.arange(q3, dtype=np.int64)
+    xs = np.arange(q3)
+    diffs = ctx.ext_add_np[xs[None, :], ctx.ext_neg_np[:, None]]  # diffs[a, x] = x - a
 
-    covers: list[Cover] = []
-    by_key: dict[tuple[int, ...], Cover] = {}
+    def pole_keys(a: int, bs: slice):
+        """Poles, norm rows, keys and size mask of the covers N((x - a)/(x - b)) = f,
+        b in xs[bs]."""
+        b = xs[bs]
+        vals = norm_np[mul_np[diffs[a], inv_np[diffs[bs]]]]
+        vals[np.arange(len(b)), b] = 0  # pole: not a member of any cover
+        return (b, vals, *_level_keys(vals, q, 2))
 
-    size = cover_size(q)
+    n1 = q3 * (q - 1)
+    pair_a, pair_b = np.triu_indices(q3, 1)  # a < b, in the order swept
+    keys = np.empty((n1 + len(pair_a) * (q - 1), k), dtype=np.uint16)
 
-    def emit(cover: Cover) -> None:
-        if len(cover.key) != size:
-            raise RuntimeError(f"cover {cover.kind}:{cover.a},{cover.b},{cover.f} "
-                               f"has {len(cover.key)} points")  # table bug
-        by_key.setdefault(cover.key, cover)
-        covers.append(cover)
+    vals = norm_np[diffs]
+    rows, ok = _level_keys(vals, q, 1)
+    if not ok.all():
+        a = int(np.argmin(ok))
+        raise _size_error(vals[a], q, 1, a, None)  # table bug
+    keys[:n1] = rows
 
-    diffs = np.empty((q3, q3), dtype=np.uint16)  # diffs[a] = x - a over all x
-    for a in range(q3):
-        diffs[a] = add_np[xs, neg_np[a]]
+    start = n1
+    for a in range(q3 - 1):
+        b, vals, rows, ok = pole_keys(a, slice(a + 1, q3))
+        if not ok.all():
+            r = int(np.argmin(ok))
+            raise _size_error(vals[r], q, 2, a, int(b[r]))  # table bug
+        keys[start:start + len(rows)] = rows
+        start += len(rows)
 
-    for a in range(q3):
-        vals = norm_np[diffs[a]]
-        for f in range(1, q):
-            key = tuple(int(x) for x in xs[vals == f])
-            emit(Cover(kind=1, a=a, b=None, f=f, key=key))
-    count_kind1 = len({c.key for c in covers})
+    fs = np.arange(1, q)
+    params = np.empty((len(keys), 4), dtype=np.int32)
+    params[:n1] = np.column_stack([np.full(n1, 1), np.repeat(xs, q - 1),
+                                   np.full(n1, -1), np.tile(fs, q3)])
+    params[n1:] = np.column_stack([np.full(len(keys) - n1, 2), np.repeat(pair_a, q - 1),
+                                   np.repeat(pair_b, q - 1), np.tile(fs, len(pair_a))])
 
-    def kind2_keys(a: int, b: int):
-        """Keys of the q-1 covers sharing the pole pair (a, b), by f."""
-        vals = norm_np[mul_np[diffs[a], inv_np[diffs[b]]]]
-        vals[b] = 0  # pole: not a member of any cover
-        out = {}
-        for f in range(1, q):
-            members = [int(x) for x in xs[vals == f]]
-            if f == 1:
-                members.append(q3)
-            out[f] = tuple(members)
-        return out
-
-    n_before = len(covers)
-    for a in range(q3):
-        for b in range(a + 1, q3):
-            for f, key in kind2_keys(a, b).items():
-                emit(Cover(kind=2, a=a, b=b, f=f, key=key))
-    count_kind2 = len({c.key for c in covers[n_before:]})
-
-    result = CoverSet(
-        q=q,
-        covers=tuple(covers),
-        by_key=by_key,
-        count_kind1=count_kind1,
-        count_kind2=count_kind2,
-        total=len(by_key),
-    )
+    count_kind1, count_kind2, total = _distinct_counts(keys, n1)
+    result = CoverSet(q=q, keys=keys, params=params, count_kind1=count_kind1,
+                      count_kind2=count_kind2, total=total)
 
     if check_dedup:
         base_inv = ctx.base._inv
-        seen: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-        for a in range(q3):
-            for b in range(q3):
-                if a == b:
-                    continue
-                for f, key in kind2_keys(a, b).items():
-                    seen.setdefault(key, []).append((a, b, f))
-        exact = len(seen) == count_kind2
-        for key, params in seen.items():
-            if len(params) != 2:
-                exact = False
+        swap_f = np.array([base_inv[f] for f in fs])
+        exact = count_kind2 == len(keys) - n1  # the a < b keys are pairwise distinct
+        for a in range(1, q3):
+            if not exact:
                 break
-            (a1, b1, f1), (a2, b2, f2) = params
-            if (a1, b1, f1) != (b2, a2, base_inv[f2]):
-                exact = False
-                break
+            b, _, rows, ok = pole_keys(a, slice(0, a))
+            # stored row of the swap (b, a, 1/f): pair (b, a) in sweep order, then f
+            pair = b * q3 - b * (b + 1) // 2 + (a - b - 1)
+            swap_rows = n1 + pair[:, None] * (q - 1) + (swap_f[None, :] - 1)
+            exact = bool(ok.all() and np.array_equal(rows, keys[swap_rows.ravel()]))
         result.dedup_exact = exact
 
     return result

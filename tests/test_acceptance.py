@@ -113,7 +113,7 @@ def test_criterion_4_transversal_counts(ctx_by_q, spread_by_q):
     ok = True
     # q=2: all covers, span and brute agree on key sets
     ctx, spread = ctx_by_q[2], spread_by_q[2]
-    for cov in enumerate_covers(ctx).by_key.values():
+    for cov in enumerate_covers(ctx).covers:
         hr = hyper_regulus(spread, cov)
         span = transversal_planes(spread, hr, "span")
         brute = transversal_planes(spread, hr, "brute")
@@ -121,15 +121,15 @@ def test_criterion_4_transversal_counts(ctx_by_q, spread_by_q):
         ok &= [p.key for p in span] == [p.key for p in brute]
     # q=3: all 756 covers
     ctx, spread = ctx_by_q[3], spread_by_q[3]
-    for cov in enumerate_covers(ctx).by_key.values():
+    for cov in enumerate_covers(ctx).covers:
         hr = hyper_regulus(spread, cov)
         ok &= len(transversal_planes(spread, hr)) == 26
     # q=4: seeded sample of >= 20 covers, both kinds
     ctx, spread = ctx_by_q[4], spread_by_q[4]
     cs = enumerate_covers(ctx)
     rng = random.Random(2024)
-    kind1 = [c for c in cs.by_key.values() if c.kind == 1]
-    kind2 = [c for c in cs.by_key.values() if c.kind == 2]
+    kind1 = [c for c in cs.covers if c.kind == 1]
+    kind2 = [c for c in cs.covers if c.kind == 2]
     for cov in rng.sample(kind1, 10) + rng.sample(kind2, 10):
         hr = hyper_regulus(spread, cov)
         ok &= len(transversal_planes(spread, hr)) == 42

@@ -39,7 +39,7 @@ def field(q):
 
 
 def cover_table(ctx):
-    return CoverTable(enumerate_covers(ctx).by_key)
+    return CoverTable(enumerate_covers(ctx).keys)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def sweep2(ctx2):
 
 @pytest.fixture(scope="module")
 def cover_keys2(ctx2):
-    return {trace_key_bytes(k) for k in enumerate_covers(ctx2).by_key}
+    return {trace_key_bytes(k) for k in enumerate_covers(ctx2).keys}
 
 
 def test_classify_spread_element(spread2):

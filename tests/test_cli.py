@@ -1,14 +1,16 @@
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from hyperreguli import census as census_mod
 from hyperreguli import covers as covers_mod
-from hyperreguli.cli import main, parse_prime_power
+from hyperreguli.cli import DEFAULT_SAMPLE, _sample_covers, main, parse_prime_power
 
 
 def run_json(capsys, argv):
@@ -138,6 +140,39 @@ def test_json_reports_are_byte_stable(capsys):
     second = capsys.readouterr().out
     a, b = json.loads(first), json.loads(second)
     assert json.dumps(strip_runtimes(a)) == json.dumps(strip_runtimes(b))
+
+
+# sha256 of json.dumps(strip_runtimes(report)).  These reports are pinned
+# byte for byte: any reordering or relabelling of the covers fails here.
+GOLDEN_DIGESTS = {
+    ("covers", "--q", "3", "--list"):
+        "2c20274b20d295840bb5fc89ba8de8843674eeb90b89767c864d69217b4ee918",
+    ("verify", "--q", "3"):
+        "def5065e0ef7fb2c63e83c81515d07ba271534684918d78954843e66e7374d45",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=" ".join)
+def test_json_reports_match_golden_digests(capsys, argv):
+    code, report = run_json(capsys, list(argv))
+    assert code == 0
+    text = json.dumps(strip_runtimes(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sample_covers_matches_filter_then_sample(ctx4, seed):
+    """Sampling row indices per kind picks what sampling the filtered lists did."""
+    cover_set = covers_mod.enumerate_covers(ctx4)
+    kind1 = [c for c in cover_set.covers if c.kind == 1]
+    kind2 = [c for c in cover_set.covers if c.kind == 2]
+    rng = random.Random(seed)
+    n1 = min(len(kind1), max(1, DEFAULT_SAMPLE // 2))
+    n2 = min(len(kind2), DEFAULT_SAMPLE - n1)
+    want = rng.sample(kind1, n1) + rng.sample(kind2, n2)
+    got = _sample_covers(cover_set, DEFAULT_SAMPLE, seed)
+    assert [(c.kind, c.a, c.b, c.f) for c in got] == [(c.kind, c.a, c.b, c.f) for c in want]
+    assert got == want
 
 
 def test_text_format_table(capsys):

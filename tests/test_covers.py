@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from hyperreguli.covers import (
     kind2_count,
     total_count,
 )
+from hyperreguli.gf import make_field
 
 from helpers import PolyFieldOracle
 
@@ -104,7 +106,7 @@ def test_enumeration_counts(q, ctx_by_q):
 
 def test_q2_covers_are_exactly_the_seven_subsets(ctx2):
     cs = enumerate_covers(ctx2)
-    assert set(cs.by_key) == set(combinations(range(9), 7))
+    assert {c.key for c in cs.covers} == set(combinations(range(9), 7))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -137,7 +139,7 @@ def test_full_grid_dedups_to_exact_swap_pairs(q, ctx_by_q):
         assert (a2, b2, f2) == (b1, a1, ctx.base.inv(f1))
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_enumeration_matches_scalar_constructors(q, ctx_by_q):
     ctx = ctx_by_q[q]
     for cov in enumerate_covers(ctx).covers:
@@ -173,3 +175,73 @@ def test_infinity_sorts_last_in_keys(ctx3):
     cov = cover_type2(ctx3, 0, 1, 1)
     assert cov.key[-1] == 27
     assert all(m < 27 for m in cov.key[:-1])
+
+
+def test_audit_fails_on_a_wrong_swap_inverse_q4(ctx4, monkeypatch):
+    """With 1/f replaced by f, no a > b key matches the stored key of its swap."""
+    assert enumerate_covers(ctx4, check_dedup=True).dedup_exact is True
+    assert ctx4.base._inv != list(range(4))  # GF(4)* inversion swaps 2 and 3
+    monkeypatch.setattr(ctx4.base, "_inv", list(range(4)))
+    assert enumerate_covers(ctx4, check_dedup=True).dedup_exact is False
+
+
+@pytest.mark.parametrize("table, kind", [("norm_np", 1), ("ext_inv_np", 2)])
+def test_table_bug_raises_naming_the_cover(table, kind):
+    ctx = make_field(3)
+    bad = getattr(ctx, table).copy()
+    bad[1] = 2 if table == "norm_np" else 0  # N(1) = 1; 1/1 = 1
+    ctx.__dict__[table] = bad
+    with pytest.raises(RuntimeError, match=rf"cover {kind}:0,(None|1),[12] has \d+ points"):
+        enumerate_covers(ctx)
+
+
+def test_cover_rows_view(ctx3):
+    cs = enumerate_covers(ctx3)
+    view = cs.covers
+    assert len(view) == len(cs.keys) == len(cs.params) == total_count(3)
+    last = view[-1]
+    assert (last.kind, last.a, last.b, last.f) == (2, 25, 26, 2)
+    assert last == cover_type2(ctx3, 25, 26, 2)
+    assert view[0] == cover_type1(ctx3, 0, 1)
+    assert view[1:3] == [view[1], view[2]]
+    with pytest.raises(IndexError):
+        view[len(view)]
+    with pytest.raises(TypeError):
+        view[0] = view[1]
+
+
+@pytest.fixture(scope="module")
+def covers7():
+    """The audited q = 7 enumeration (labels exceed 255) and its traced peak."""
+    ctx = make_field(7)
+    tracemalloc.start()
+    try:
+        cs = enumerate_covers(ctx, check_dedup=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ctx, cs, peak
+
+
+def test_enumeration_q7_counts_and_audit(covers7):
+    _, cs, peak = covers7
+    assert (cs.total, cs.count_kind1, cs.count_kind2) == \
+        (total_count(7), kind1_count(7), kind2_count(7))
+    assert cs.dedup_exact is True
+    assert cs.keys.shape == (total_count(7), cover_size(7))
+    assert peak < 256 * 2**20  # the keys take 40 MB; about 100 MB are traced in all
+
+
+def test_enumeration_q7_sample_matches_scalar_constructors(covers7):
+    ctx, cs, _ = covers7
+    rng = random.Random(7)
+    n1 = kind1_count(7)
+    rows = rng.sample(range(n1), 100) + rng.sample(range(n1, len(cs.covers)), 100)
+    for i in rows:
+        cov = cs.covers[i]
+        if cov.kind == 1:
+            rebuilt = cover_type1(ctx, cov.a, cov.f)
+        else:
+            rebuilt = cover_type2(ctx, cov.a, cov.b, cov.f)
+        assert rebuilt == cov
+    assert {cs.covers[i].kind for i in rows} == {1, 2}

@@ -29,7 +29,7 @@ def test_hyper_regulus_q2_type1_is_nonzero_graphs(ctx2, spread2):
 
 
 def test_all_hyper_reguli_disjoint_by_point_sets_q2(ctx2, spread2):
-    for cov in enumerate_covers(ctx2).by_key.values():
+    for cov in enumerate_covers(ctx2).covers:
         hr = hyper_regulus(spread2, cov)
         point_sets = [set(plane_points(ctx2.base, pl)) for pl in hr.planes]
         for s, t in combinations(point_sets, 2):
@@ -104,7 +104,7 @@ def test_transversals_q3_both_kinds(ctx3, spread3):
 def test_span_and_brute_agree_on_sampled_covers_q3(ctx3, spread3):
     cs = enumerate_covers(ctx3)
     rng = random.Random(33)
-    sample = rng.sample(list(cs.by_key.values()), 2)
+    sample = rng.sample(list(cs.covers), 2)
     for cov in sample:
         hr = hyper_regulus(spread3, cov)
         assert keys(transversal_planes(spread3, hr, "span")) == \
@@ -135,8 +135,8 @@ def test_transversal_counts_sampled_q4_q5(ctx_by_q, spread_by_q):
     for q, n in ((4, 20), (5, 20)):
         ctx, spread = ctx_by_q[q], spread_by_q[q]
         cs = enumerate_covers(ctx)
-        kind1 = [c for c in cs.by_key.values() if c.kind == 1]
-        kind2 = [c for c in cs.by_key.values() if c.kind == 2]
+        kind1 = [c for c in cs.covers if c.kind == 1]
+        kind2 = [c for c in cs.covers if c.kind == 2]
         sample = rng.sample(kind1, n // 2) + rng.sample(kind2, n - n // 2)
         for cov in sample:
             hr = hyper_regulus(spread, cov)
