@@ -17,20 +17,34 @@ solutions of t^(q-1) = (n-a)/m, and similarly for the other pairings.
 The constructor re-verifies the whole meet matrix before returning.
 
 The transversal search finds ALL planes meeting every plane of a
-hyper-regulus in a point.  A transversal pi meets two fixed planes of the
-family in distinct points p1, p2; the line through them carries only q+1
-points, while pi meets every one of the q^2+q+1 family planes, so among any
-q further planes at least one is met off that line and the triple spans pi.
-Scanning point triples (p1, p2, p3) with p3 drawn from q different third
-planes therefore visits every transversal.  (A single fixed third plane is
-not enough: all of its candidate triples can be collinear, e.g. the planes
-{(t, m*t^q)} over GF(8) meet J(1), J(2), J(3) in collinear points because
-1+2+3 = 0 there.)  The triples are taken in chunks as plane bases, which
-the census block kernel labels (spread.block_labels); a triple is accepted
-exactly when its points land on the cover's spread elements once each.  A
-dependent triple repeats a label, so it never passes.  A brute-force sweep over
-the full plane enumeration, filtering with rank-based meet dimensions only,
-provides an independent cross-check.
+hyper-regulus in a point, in two stages on the census block kernel.  Let
+P1, P2 be the first two planes of the hyper-regulus.  A transversal pi
+meets them in points p1, p2, so it contains the line p1p2, and each of its
+points lies on a cover element.
+
+Stage 1, the line filter: of the k^2 pairs (p1, p2) in P1 x P2 (k =
+q^2+q+1), keep those whose line has all q+1 points on cover elements.  The
+points p1 + b*p2 (b in GF(q)) are the (1, b, 0) columns of the block kernel
+on the basis (p1, p2, 0); the last point, p2, is on P2.  The condition is
+necessary, so every transversal keeps its own pair.
+
+Stage 2, the third point: the line meets P1 and P2 in one point each, so it
+lies in no spread element and its q+1 points lie on q+1 distinct ones, two
+of them P1 and P2.  It therefore meets at most q-1 of the q further planes
+P3 in hr.planes[2:q+2] and misses at least one.  A transversal through the
+line meets such a P3 in a point p3 off the line, and (p1, p2, p3) spans it.
+So each surviving pair is spanned with the k points of the first candidate
+its line misses, and a triple is accepted exactly when its located labels
+(spread.block_labels) equal the cover key.  A dependent triple repeats a
+label, so it never passes; every transversal is found and nothing else is.
+The third plane is chosen per pair because no fixed one works: the planes
+{(t, m*t^q)} over GF(8) meet J(1), J(2), J(3) in collinear points, because
+1+2+3 = 0 there, so with P1, P2 = J(1), J(2) the plane J(3) is met by the
+line of every such transversal.  The work is k^2 lines and k triples per
+surviving pair; in the covers checked at q = 3..9 exactly 2k pairs survive,
+one per transversal.  A brute-force sweep over the full plane enumeration,
+filtering with rank-based meet dimensions only, provides an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -46,12 +60,13 @@ from .gf import FieldCtx
 from .pg5 import (
     Plane,
     _plane_from_rref,
+    block_points,
     enumerate_planes,
     meet_dim,
     plane_from_rows,
     plane_points,
 )
-from .spread import Spread, block_labels
+from .spread import Spread, block_labels, locate_np
 
 
 @dataclass
@@ -120,9 +135,10 @@ def transversal_count(q: int) -> int:
 def transversal_planes(spread: Spread, hr: HyperRegulus, method: str = "span") -> list[Plane]:
     """All planes meeting every plane of hr in exactly one point, sorted by key.
 
-    method="span" scans point triples on three fixed planes of hr (exact and
-    fast); method="brute" sweeps the full plane enumeration with rank-based
-    meet checks and exists to cross-validate the span search.
+    method="span" spans the point pairs of two planes of hr whose line lies
+    on the cover with the points of a third plane (exact and fast);
+    method="brute" sweeps the full plane enumeration with rank-based meet
+    checks and exists to cross-validate the span search.
     """
     if method == "span":
         return _transversals_span(spread, hr)
@@ -143,21 +159,35 @@ def _transversals_brute(spread: Spread, hr: HyperRegulus) -> list[Plane]:
 def _transversals_span(spread: Spread, hr: HyperRegulus,
                        chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[Plane]:
     ctx = spread.ctx
-    base = ctx.base
-    # the points of two planes of hr, and of q third planes (see above)
-    pts1, pts2, pts3 = (
-        np.array([pt for pl in planes for pt in plane_points(base, pl)], dtype=np.uint8)
-        for planes in (hr.planes[:1], hr.planes[1:2], hr.planes[2:ctx.q + 2]))
+    base, q = ctx.base, ctx.q
+    pts1, pts2 = (np.array(plane_points(base, pl), dtype=np.uint8) for pl in hr.planes[:2])
+    # the points of the q candidate third planes (see above), (q, k, 6)
+    pts3 = np.array([plane_points(base, pl) for pl in hr.planes[2:q + 2]], dtype=np.uint8)
     target = np.array(hr.cover.key)
+    in_cover = np.zeros(ctx.q3 + 1, dtype=bool)
+    in_cover[target] = True
+    line_cols = 1 + q + q * np.arange(q)  # coefficients (1, b, 0): p1 + b*p2
 
-    # triple t = (i*k + j)*k3 + l stands for the basis (P1[i], P2[j], P3[l])
-    k, k3 = len(pts1), len(pts3)
-    total = k * k * k3
+    # stage 1: pair t = i*k + j stands for the line through P1[i] and P2[j]
+    k = len(pts1)
+    kept = []
+    for start in range(0, k * k, chunk_size):
+        i, j = np.divmod(np.arange(start, min(start + chunk_size, k * k)), k)
+        B = np.zeros((len(i), 3, 6), dtype=np.uint8)
+        B[:, 0], B[:, 1] = pts1[i], pts2[j]
+        labels = locate_np(ctx, block_points(base, B)[:, line_cols])
+        keep = in_cover[labels].all(axis=1)
+        missed = (labels[keep, :, None] != target[2:q + 2]).all(axis=1)
+        kept.append((i[keep], j[keep], missed.argmax(axis=1)))
+    i, j, third = (np.concatenate(a) for a in zip(*kept))
+
+    # stage 2: triple t = s*k + l stands for (P1[i[s]], P2[j[s]], point l of
+    # the first candidate third plane that line s misses)
+    total = len(i) * k
     found = {}
     for start in range(0, total, chunk_size):
-        ij, l = np.divmod(np.arange(start, min(start + chunk_size, total)), k3)
-        i, j = np.divmod(ij, k)
-        B = np.stack([pts1[i], pts2[j], pts3[l]], axis=1)
+        s, l = np.divmod(np.arange(start, min(start + chunk_size, total)), k)
+        B = np.stack([pts1[i[s]], pts2[j[s]], pts3[third[s], l]], axis=1)
         for rows in B[(block_labels(ctx, B) == target).all(axis=1)]:
             pl = plane_from_rows(base, rows.tolist())
             found.setdefault(pl.key, pl)

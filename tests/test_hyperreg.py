@@ -154,7 +154,8 @@ def test_andre_parameter_validation(ctx2, spread2):
 
 @pytest.mark.parametrize("cover_args", [(1, 0, 1), (2, 0, 1, 2)])
 def test_span_search_invariant_under_chunk_size_q3(ctx3, spread3, cover_args):
-    """Chunk sizes that do not divide the q*k^3 = 6591 triples find the same planes."""
+    """Chunk sizes that do not divide the k^2 = 169 lines of stage 1 or the
+    2k*k = 338 triples of stage 2 find the same planes."""
     kind, *params = cover_args
     cover = (cover_type1 if kind == 1 else cover_type2)(ctx3, *params)
     hr = hyper_regulus(spread3, cover)
@@ -166,8 +167,9 @@ def test_span_search_invariant_under_chunk_size_q3(ctx3, spread3, cover_args):
 
 def test_span_search_exact_q7():
     """One kind-2 cover at q = 7: 114 transversals, each meeting exactly the
-    cover's spread elements, split 57 + 57, in bounded memory (the search
-    once built a k^4 x 6 candidate array: several hundred MB here)."""
+    cover's spread elements, split 57 + 57, in bounded memory (the line
+    filter holds k^2 = 3249 lines of q points; a scan of all q*k^3 point
+    triples in chunks peaked near 29 MiB at this q)."""
     ctx = make_field(7)
     spread = build_spread(ctx, check=False)
     cover = cover_type2(ctx, 3, 100, 4)
@@ -178,10 +180,34 @@ def test_span_search_exact_q7():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20
     assert len(planes) == transversal_count(7) == 114
     for pl in planes:
         labels = sorted(spread.locate(pt) for pt in plane_points(ctx.base, pl))
         assert labels == list(cover.key)
     g1, g2 = split_switching_classes(ctx, planes)
     assert len(g1) == len(g2) == 57
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_span_search_matches_andre_switching_sets(q):
+    """At h > 1 too, the span search finds exactly the union of the explicit
+    switching sets of kind-1 covers (a constructive route that shares no
+    search code), and 2k planes on exactly the cover's elements for kind 2."""
+    p, h = {7: (7, 1), 8: (2, 3), 9: (3, 2)}[q]
+    ctx = make_field(p, h)
+    spread = build_spread(ctx, check=False)
+    rng = random.Random(q)
+    for a, f in ((0, 1), (rng.randrange(1, ctx.q3), rng.randrange(2, q))):
+        pair = andre_switching_sets(ctx, spread, a, f)
+        tv = transversal_planes(spread, pair.hyper_regulus)
+        assert keys(tv) == sorted(keys(pair.y_planes) + keys(pair.z_planes))
+    if q == 7:
+        return  # test_span_search_exact_q7 covers a kind-2 cover at q = 7
+    a, b = rng.sample(range(ctx.q3), 2)
+    cover = cover_type2(ctx, a, b, rng.randrange(1, q))
+    planes = transversal_planes(spread, hyper_regulus(spread, cover))
+    assert len(planes) == transversal_count(q)
+    for pl in planes:
+        labels = sorted(spread.locate(pt) for pt in plane_points(ctx.base, pl))
+        assert labels == list(cover.key)
