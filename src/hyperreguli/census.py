@@ -125,23 +125,14 @@ class CensusReport:
 def _classify_block(ctx: FieldCtx, B: np.ndarray):
     """Sorted located labels (n, k) and A/B/C masks for basis matrices B (n, 3, 6)."""
     q = ctx.q
-    k = cover_size(q)
-    n = B.shape[0]
-
     codes = block_labels(ctx, B)
-    is_a = (codes == codes[:, :1]).all(axis=1)
-    neq = codes[:, 1:] != codes[:, :-1]
-    ndistinct = 1 + neq.sum(axis=1)
-    is_b = ndistinct == k
-
-    # longest run of equal sorted labels = largest meet multiplicity
-    run = np.zeros(n, dtype=np.int32)
-    max_run = np.ones(n, dtype=np.int32)
-    eq = ~neq
-    for col in range(k - 1):
-        run = (run + 1) * eq[:, col]
-        np.maximum(max_run, run + 1, out=max_run)
-    is_c = (~is_a) & (~is_b) & (ndistinct == q * q + 1) & (max_run == q + 1)
+    ndistinct = 1 + (codes[:, 1:] != codes[:, :-1]).sum(axis=1)
+    is_a = ndistinct == 1
+    is_b = ndistinct == cover_size(q)
+    # With q^2+1 distinct labels among k the runs' excess over 1 sums to q,
+    # so a run of q+1 (a label equal to the one q places on) leaves every
+    # other label single: exactly the C pattern.
+    is_c = (ndistinct == q * q + 1) & (codes[:, q:] == codes[:, :-q]).any(axis=1)
 
     classified = is_a | is_b | is_c
     if not classified.all():
@@ -172,7 +163,11 @@ class CoverTable:
 
     def __init__(self, keys: np.ndarray):
         rows = np.asarray(keys, dtype=np.uint16)  # (n, q^2+q+1) sorted label rows
-        hashes = _row_hash(rows)
+        # in row blocks: _row_hash widens its input to uint64
+        hashes = np.empty(len(rows), dtype=np.uint64)
+        for start in range(0, len(rows), DEFAULT_CHUNK_SIZE):
+            block = slice(start, start + DEFAULT_CHUNK_SIZE)
+            hashes[block] = _row_hash(rows[block])
         order = np.argsort(hashes, kind="stable")
         self.hashes = hashes[order]
         self.rows = rows[order]

@@ -13,7 +13,9 @@ checked for irreducibility by exhaustive root/factor search.
 
 Tables are sized for q <= 16 (GF(q^3) <= 4096 elements).  Scalar operations
 run off Python list tables; the GF(q^3) numpy mirrors exposed as cached
-properties back the vectorized sweeps in the enumeration modules.
+properties back the vectorized sweeps in the enumeration modules.  The
+largest, ratio_np (y/x for every pair, the spread's locate table), has
+(q^3)^2 uint16 entries: 33.5 MB at q = 16.
 """
 
 from __future__ import annotations
@@ -326,6 +328,22 @@ class FieldCtx:
         table[0, :] = 0
         table[:, 0] = 0
         return table
+
+    @cached_property
+    def ratio_np(self) -> np.ndarray:
+        """Flat (q^3)^2 uint16 table: entry x*q^3 + y is y/x, and q^3 where x = 0.
+
+        q^3 is the infinity label, so this is the spread's locate table.
+        log y - log x + (q^3-1) lies in [0, 2(q^3-1)), so a doubled exp table
+        needs no % (q^3-1) and the index sums fit uint16, like the table.
+        """
+        q3, n = self.q3, self.q3 - 1
+        logs = np.array([0] + self.log[1:], dtype=np.uint16)
+        exps2 = np.array(self.exp * 2, dtype=np.uint16)
+        table = exps2[(n - logs)[:, None] + logs[None, :]]
+        table[:, 0] = 0
+        table[0, :] = q3
+        return table.reshape(-1)
 
     @cached_property
     def ext_add_np(self) -> np.ndarray:

@@ -83,12 +83,17 @@ class SwitchingPair:
 
 
 def hyper_regulus(spread: Spread, cover: Cover) -> HyperRegulus:
-    """Relabel a cover into its q^2+q+1 spread planes; disjointness re-asserted."""
+    """Relabel a cover into its q^2+q+1 spread planes; disjointness re-asserted.
+
+    Every point of the plane for label m must locate to m, and the labels
+    must be distinct: locate is a function on points, so no point then lies
+    on two of the planes.
+    """
     planes = tuple(spread.element(m) for m in cover.key)
-    base = spread.ctx.base
-    for a, b in combinations(planes, 2):
-        if meet_dim(base, a, b) != -1:
-            raise RuntimeError("hyper-regulus planes are not pairwise disjoint")
+    B = np.array([pl.basis for pl in planes], dtype=np.uint8)
+    on_own = (block_labels(spread.ctx, B) == np.array(cover.key)[:, None]).all()
+    if not on_own or len(set(cover.key)) != len(cover.key):
+        raise RuntimeError("hyper-regulus planes are not pairwise disjoint")
     return HyperRegulus(cover=cover, planes=planes)
 
 

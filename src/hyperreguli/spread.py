@@ -90,15 +90,19 @@ class Spread:
 def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
     """Spread.locate over the last axis of an array of nonzero 6-vectors.
 
-    The vectors need not be normalised: y/x is unchanged by scaling.
+    The vectors need not be normalised: y/x is unchanged by scaling.  Each
+    vector's six GF(q) coordinates give its flat index x*q^3 + y into
+    FieldCtx.ratio_np in one weighted sum, and one gather there gives its
+    uint16 label (q^3 where x = 0).  The index is below q^6: uint16 up to
+    q = 5, uint32 from q = 7.
     """
-    c = np.moveaxis(v.astype(np.uint16), -1, 0)  # indices < q^3 <= 4096
-    x, y = ctx.from_coords(c[:3]), ctx.from_coords(c[3:])
-    return np.where(
-        x != 0,
-        ctx.ext_mul_np[y, ctx.ext_inv_np[x]].astype(np.int32),
-        ctx.q3,
-    )
+    q, q3 = ctx.q, ctx.q3
+    dtype = np.uint16 if q**6 <= 1 << 16 else np.uint32
+    # x = c0 + c1 q + c2 q^2 and y = c3 + c4 q + c5 q^2; coordinates are
+    # below q, so a cast from any integer dtype is exact
+    weights = np.array([q3, q3 * q, q3 * q * q, 1, q, q * q], dtype=dtype)
+    index = np.einsum("...d,d->...", v, weights, dtype=dtype, casting="unsafe")
+    return ctx.ratio_np[index]
 
 
 def block_labels(ctx: FieldCtx, B: np.ndarray) -> np.ndarray:

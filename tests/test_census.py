@@ -272,3 +272,43 @@ def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
     assert hits.sum() == 1 and witnesses == Counter({trace_key_bytes(row): 1})
     tc = trace_is_cover_check(ctx2, table.traces(hits, witnesses), cover_keys2)
     assert tc.matched is False and tc.multiplicity_ok is False
+
+
+def test_cover_table_hashes_in_row_blocks(ctx3, monkeypatch):
+    """Hashing the keys block by block gives the whole array's hashes."""
+    keys = enumerate_covers(ctx3).keys
+    monkeypatch.setattr(census, "DEFAULT_CHUNK_SIZE", 7)
+    table = CoverTable(keys)
+    assert np.array_equal(table.hashes, np.sort(census._row_hash(keys)))
+    assert np.array_equal(table.rows[table.lookup(keys)], keys)
+
+
+# q = 3, k = 13: sorted label rows as block_labels would return them
+MASK_ROWS = {
+    "A": [5] * 13,
+    "B": list(range(13)),
+    "C": [0, 1, 2, 2, 2, 2, 3, 4, 5, 6, 7, 8, 9],  # q+1 = 4 equal, q^2 = 9 single
+}
+BAD_ROWS = {
+    # q^2+1 distinct labels, the excess q = 3 split over runs of 3 and 2
+    "split excess": [0, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9],
+    # a run of q+1 and a second repeated label: q^2 distinct
+    "run plus pair": [0, 1, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(MASK_ROWS))
+def test_masks_on_synthetic_label_rows(tag, spread3, monkeypatch):
+    row = np.array([MASK_ROWS[tag]], dtype=np.uint16)
+    monkeypatch.setattr(census, "block_labels", lambda ctx, B: row)
+    cls = classify_plane(spread3, spread3.element(0))
+    want = {"A": (5,), "B": tuple(range(13)), "C": (2,)}[tag]
+    assert (cls.tag, cls.trace) == (tag, want)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+def test_masks_reject_inconsistent_label_rows(name, ctx3, monkeypatch):
+    rows = np.array([MASK_ROWS["B"], BAD_ROWS[name], MASK_ROWS["C"]], dtype=np.uint16)
+    monkeypatch.setattr(census, "block_labels", lambda ctx, B: rows)
+    with pytest.raises(RuntimeError, match="inconsistent intersection tally"):
+        _classify_block(ctx3, np.zeros((3, 3, 6), dtype=np.uint8))

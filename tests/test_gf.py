@@ -246,3 +246,34 @@ def test_ext_mul_table_peak_memory_q16():
     for _ in range(2000):
         a, b = rng.randrange(4096), rng.randrange(4096)
         assert table[a, b] == ctx.mul(a, b)
+
+
+@pytest.mark.parametrize("ph", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_ratio_table_exhaustive(ph):
+    """ratio_np[x*q^3 + y] = y/x, and the infinity label q^3 on x = 0."""
+    ctx = make_field(*ph)
+    q3 = ctx.q3
+    table = ctx.ratio_np
+    assert table.shape == (q3 * q3,) and table.dtype == np.uint16
+    grid = table.reshape(q3, q3)
+    assert (grid[0] == q3).all()
+    want = [[ctx.div(y, x) for y in range(q3)] for x in range(1, q3)]
+    assert grid[1:].tolist() == want
+
+
+def test_ratio_table_peak_memory_q16():
+    """The flat q^6 ratio table is built without int64 temporaries: at
+    q = 16 the traced peak stays within 2.5x the 33.5 MB table."""
+    ctx = make_field(2, 4)
+    tracemalloc.start()
+    try:
+        table = ctx.ratio_np
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (4096 * 4096,) and table.dtype == np.uint16
+    assert peak <= 2.5 * table.nbytes
+    rng = random.Random(16)
+    for _ in range(2000):
+        x, y = rng.randrange(4096), rng.randrange(4096)
+        assert table[x * 4096 + y] == (4096 if x == 0 else ctx.div(y, x))

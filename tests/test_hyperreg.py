@@ -15,7 +15,7 @@ from hyperreguli.hyperreg import (
     transversal_planes,
 )
 from hyperreguli.pg5 import plane_points
-from hyperreguli.spread import build_spread
+from hyperreguli.spread import Spread, build_spread
 
 
 def keys(planes):
@@ -34,6 +34,16 @@ def test_all_hyper_reguli_disjoint_by_point_sets_q2(ctx2, spread2):
         point_sets = [set(plane_points(ctx2.base, pl)) for pl in hr.planes]
         for s, t in combinations(point_sets, 2):
             assert not s & t
+
+
+def test_hyper_regulus_rejects_swapped_element(ctx3, spread3):
+    """A spread whose element for one cover label is another cover plane:
+    the labels stay distinct, but two of the planes coincide."""
+    cover = cover_type1(ctx3, 0, 1)
+    planes = list(spread3.planes)
+    planes[cover.key[0]] = planes[cover.key[1]]
+    with pytest.raises(RuntimeError, match="not pairwise disjoint"):
+        hyper_regulus(Spread(ctx3, tuple(planes)), cover)
 
 
 def test_switching_sets_sizes(ctx2, spread2, ctx3, spread3):

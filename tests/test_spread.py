@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hyperreguli.gf import make_field
 from hyperreguli.pg5 import all_points, incidence, meet_dim, plane_points
 from hyperreguli.spread import (
     build_spread,
@@ -56,6 +57,20 @@ def test_locate_matches_brute_force(q, ctx_by_q, spread_by_q):
     assert locate_np(ctx, pts).tolist() == labels
     # q - 1 is a non-unit scalar for q > 2 (GF(2) has no other nonzero one)
     scaled = np.array(ctx.base._mul[q - 1], dtype=np.uint8)[pts]
+    assert locate_np(ctx, scaled).tolist() == labels
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_locate_np_matches_locate_every_point(q):
+    """Both flat-index widths: uint16 up to q = 5, uint32 from q = 7
+    (q^6 = 117649 would wrap in uint16)."""
+    ctx = make_field(q)
+    spread = build_spread(ctx, check=False)
+    pts = np.array(list(all_points(ctx.base)), dtype=np.uint8)
+    labels = [spread.locate(pt) for pt in pts.tolist()]
+    got = locate_np(ctx, pts)
+    assert got.dtype == np.uint16 and got.tolist() == labels
+    scaled = np.array(ctx.base._mul[ctx.base.generator], dtype=np.uint8)[pts]
     assert locate_np(ctx, scaled).tolist() == labels
 
 
