@@ -22,6 +22,12 @@ two triples of the full grid, and that the two are a swap pair: any other
 triple is either of the a < b half, whose keys are distinct, or the swap of
 one, which reproduces that triple's own key.
 
+The rows of norm values need GF(q) tables only.  Row a of kind 1 is N(x - a)
+over every x, with x - a from a q x q subtraction table, digit by digit.  N
+is multiplicative (gf.norm_multiplicative in FieldCtx.self_test), so the
+kind-2 row of (a, b) is N(x - a)/N(x - b), a GF(q) quotient of two kind-1
+rows.  The scalar constructors divide in GF(q^3) first: two routes to test.
+
 The enumeration holds every key as a row of one (N, q^2+q+1) uint16 array,
 next to an (N, 4) array of the parameters (kind, a, b, f); a Cover object is
 built only when CoverSet.covers is indexed.
@@ -216,17 +222,26 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
     """
     q, q3 = ctx.q, ctx.q3
     k = cover_size(q)
-    norm_np = ctx.norm_np
-    mul_np = ctx.ext_mul_np
-    inv_np = ctx.ext_inv_np
+    base = ctx.base
     xs = np.arange(q3)
-    diffs = ctx.ext_add_np[xs[None, :], ctx.ext_neg_np[:, None]]  # diffs[a, x] = x - a
+    # diffs[a, x] = x - a, one GF(q) subtraction per digit of the index
+    bsub = np.array(base._add, dtype=np.uint16)[:, base._neg]  # bsub[u, v] = u - v
+    diffs = np.zeros((q3, q3), dtype=np.uint16)
+    for i in range(3):
+        digit = xs // q**i % q
+        diffs += (bsub * q**i)[digit[None, :], digit[:, None]]
+    norms = ctx.norm_np[diffs]  # norms[a, x] = N(x - a), the kind-1 rows
+    # bdiv[u, v] = u/v in GF(q), column 0 a placeholder; in the log domain,
+    # so it shares no table with the audit's 1/f (base._inv)
+    logs = np.array([0] + base.log[1:])
+    bdiv = np.array(base.exp * 2, dtype=np.uint16)[q - 1 + logs[:, None] - logs[None, :]]
+    bdiv[0] = 0
 
     def pole_keys(a: int, bs: slice):
         """Poles, norm rows, keys and size mask of the covers N((x - a)/(x - b)) = f,
         b in xs[bs]."""
         b = xs[bs]
-        vals = norm_np[mul_np[diffs[a], inv_np[diffs[bs]]]]
+        vals = bdiv[norms[a], norms[bs]]  # N is multiplicative
         vals[np.arange(len(b)), b] = 0  # pole: not a member of any cover
         return (b, vals, *_level_keys(vals, q, 2))
 
@@ -234,11 +249,10 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
     pair_a, pair_b = np.triu_indices(q3, 1)  # a < b, in the order swept
     keys = np.empty((n1 + len(pair_a) * (q - 1), k), dtype=np.uint16)
 
-    vals = norm_np[diffs]
-    rows, ok = _level_keys(vals, q, 1)
+    rows, ok = _level_keys(norms, q, 1)
     if not ok.all():
         a = int(np.argmin(ok))
-        raise _size_error(vals[a], q, 1, a, None)  # table bug
+        raise _size_error(norms[a], q, 1, a, None)  # table bug
     keys[:n1] = rows
 
     start = n1
@@ -262,8 +276,7 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
                       count_kind2=count_kind2, total=total)
 
     if check_dedup:
-        base_inv = ctx.base._inv
-        swap_f = np.array([base_inv[f] for f in fs])
+        swap_f = np.array([base._inv[f] for f in fs])
         exact = count_kind2 == len(keys) - n1  # the a < b keys are pairwise distinct
         for a in range(1, q3):
             if not exact:

@@ -12,10 +12,11 @@ whose integer encoding (as above) is smallest.  Overrides are accepted and
 checked for irreducibility by exhaustive root/factor search.
 
 Tables are sized for q <= 16 (GF(q^3) <= 4096 elements).  Scalar operations
-run off Python list tables; the GF(q^3) numpy mirrors exposed as cached
-properties back the vectorized sweeps in the enumeration modules.  The
-largest, ratio_np (y/x for every pair, the spread's locate table), has
-(q^3)^2 uint16 entries: 33.5 MB at q = 16.
+run off Python list tables.  Two cached numpy tables back the vectorized
+sweeps: ratio_np (y/x for every pair, (q^3)^2 uint16 entries, 33.5 MB at
+q = 16) is the spread's locate table, read by spread.locate_np for the
+census and the span search; norm_np (the norm of every element of GF(q^3))
+gives the cover rows of covers.enumerate_covers.
 """
 
 from __future__ import annotations
@@ -211,12 +212,6 @@ class BaseField:
             raise ZeroDivisionError("negative power of zero")
         return self.exp[(self.log[a] * e) % (self.q - 1)]
 
-    def elements(self) -> range:
-        return range(self.q)
-
-    def nonzero(self) -> range:
-        return range(1, self.q)
-
 
 # ----------------------------------------------------------------------
 # The tower GF(p) < GF(q) < GF(q^3).
@@ -310,24 +305,7 @@ class FieldCtx:
             return x
         return self.frob_tables[i - 1][x]
 
-    def elements(self) -> range:
-        return range(self.q3)
-
-    def nonzero(self) -> range:
-        return range(1, self.q3)
-
     # -- numpy mirrors (vectorized sweeps) -----------------------------------
-
-    @cached_property
-    def ext_mul_np(self) -> np.ndarray:
-        # log a + log b < 2(q^3-1), so a doubled exp table needs no % (q^3-1)
-        # and the index sums fit uint16, like the table itself
-        logs = np.array([0] + self.log[1:], dtype=np.uint16)
-        exps2 = np.array(self.exp * 2, dtype=np.uint16)
-        table = exps2[logs[:, None] + logs[None, :]]
-        table[0, :] = 0
-        table[:, 0] = 0
-        return table
 
     @cached_property
     def ratio_np(self) -> np.ndarray:
@@ -344,27 +322,6 @@ class FieldCtx:
         table[:, 0] = 0
         table[0, :] = q3
         return table.reshape(-1)
-
-    @cached_property
-    def ext_add_np(self) -> np.ndarray:
-        q = self.q
-        idx = np.arange(self.q3)
-        d0, d1, d2 = idx % q, (idx // q) % q, idx // (q * q)
-        badd = np.array(self.base._add, dtype=np.uint16)
-        return (
-            badd[d0[:, None], d0[None, :]]
-            + q * badd[d1[:, None], d1[None, :]]
-            + q * q * badd[d2[:, None], d2[None, :]]
-        )
-
-    @cached_property
-    def ext_neg_np(self) -> np.ndarray:
-        return np.array([self.neg(a) for a in range(self.q3)], dtype=np.uint16)
-
-    @cached_property
-    def ext_inv_np(self) -> np.ndarray:
-        # entry 0 is a placeholder; callers mask x == 0 before indexing through it
-        return np.array([0] + [self.inv(a) for a in range(1, self.q3)], dtype=np.uint16)
 
     @cached_property
     def norm_np(self) -> np.ndarray:

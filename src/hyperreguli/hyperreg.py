@@ -14,7 +14,8 @@ explicit model: since t -> t^q is GF(q)-linear, the graphs
 are planes; solving m*t^q = (n-a)*t shows Y_m meets J(n) exactly when
 N(n-a) = f, in the single projective point given by one GF(q)* class of
 solutions of t^(q-1) = (n-a)/m, and similarly for the other pairings.
-The constructor re-verifies the whole meet matrix before returning.
+The constructor re-verifies the whole meet matrix before returning: the
+meets with the hyper-regulus through located labels, the others by rank.
 
 The transversal search finds ALL planes meeting every plane of a
 hyper-regulus in a point, in two stages on the census block kernel.  Let
@@ -120,16 +121,20 @@ def andre_switching_sets(ctx: FieldCtx, spread: Spread, a: int, f: int) -> Switc
     ys = tuple(_graph_plane(ctx, a, m, 1) for m in ms)
     zs = tuple(_graph_plane(ctx, a, m, 2) for m in ms)
 
+    # a plane meets each of the k hyper-regulus planes in one point exactly
+    # when its k points locate to the k cover labels
+    B = np.array([pl.basis for pl in ys + zs], dtype=np.uint8)
+    if not (block_labels(ctx, B) == np.array(cover.key)).all():
+        raise RuntimeError("switching-set planes do not meet each hyper-regulus plane in a point")
     base = ctx.base
     for fam in (ys, zs):
         for p1, p2 in combinations(fam, 2):
             if meet_dim(base, p1, p2) != -1:
                 raise RuntimeError("switching-set planes are not pairwise disjoint")
-    for fam1, fam2 in ((ys, zs), (ys, hr.planes), (zs, hr.planes)):
-        for p1 in fam1:
-            for p2 in fam2:
-                if meet_dim(base, p1, p2) != 0:
-                    raise RuntimeError("cross-set planes do not meet in a single point")
+    for p1 in ys:
+        for p2 in zs:
+            if meet_dim(base, p1, p2) != 0:
+                raise RuntimeError("cross-set planes do not meet in a single point")
     return SwitchingPair(hyper_regulus=hr, y_planes=ys, z_planes=zs)
 
 

@@ -185,12 +185,17 @@ def test_audit_fails_on_a_wrong_swap_inverse_q4(ctx4, monkeypatch):
     assert enumerate_covers(ctx4, check_dedup=True).dedup_exact is False
 
 
-@pytest.mark.parametrize("table, kind", [("norm_np", 1), ("ext_inv_np", 2)])
+@pytest.mark.parametrize("table, kind", [("norm_np", 1), ("exp", 2)])
 def test_table_bug_raises_naming_the_cover(table, kind):
+    """One wrong entry in the norm table, which every row reads, or in the
+    GF(q) exp table, which only the kind-2 norm quotients read."""
     ctx = make_field(3)
-    bad = getattr(ctx, table).copy()
-    bad[1] = 2 if table == "norm_np" else 0  # N(1) = 1; 1/1 = 1
-    ctx.__dict__[table] = bad
+    if table == "norm_np":
+        bad = ctx.norm_np.copy()
+        bad[1] = 2  # N(1) = 1
+        ctx.__dict__["norm_np"] = bad
+    else:
+        ctx.base.exp[1] = 1  # GF(3)* is generated by 2
     with pytest.raises(RuntimeError, match=rf"cover {kind}:0,(None|1),[12] has \d+ points"):
         enumerate_covers(ctx)
 

@@ -230,24 +230,6 @@ def test_self_test_passes(ctx_by_q):
         assert not failures
 
 
-def test_ext_mul_table_peak_memory_q16():
-    """The q^3 x q^3 product table is built without int64 temporaries: at
-    q = 16 the traced peak stays within 2.5x the 32 MB table."""
-    ctx = make_field(2, 4)
-    tracemalloc.start()
-    try:
-        table = ctx.ext_mul_np
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (4096, 4096) and table.dtype == np.uint16
-    assert peak <= 2.5 * table.nbytes
-    rng = random.Random(16)
-    for _ in range(2000):
-        a, b = rng.randrange(4096), rng.randrange(4096)
-        assert table[a, b] == ctx.mul(a, b)
-
-
 @pytest.mark.parametrize("ph", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_ratio_table_exhaustive(ph):
     """ratio_np[x*q^3 + y] = y/x, and the infinity label q^3 on x = 0."""

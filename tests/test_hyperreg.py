@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from hyperreguli import hyperreg
 from hyperreguli.covers import cover_type1, cover_type2, enumerate_covers
 from hyperreguli.gf import make_field
 from hyperreguli.hyperreg import (
@@ -51,6 +52,27 @@ def test_switching_sets_sizes(ctx2, spread2, ctx3, spread3):
     assert len(sp2.y_planes) == len(sp2.z_planes) == 7
     sp3 = andre_switching_sets(ctx3, spread3, 2, 2)
     assert len(sp3.y_planes) == len(sp3.z_planes) == 13
+
+
+@pytest.mark.parametrize("wrong", ["spread element", "graph of the wrong norm"])
+def test_switching_sets_reject_a_plane_off_the_hyper_regulus(ctx3, spread3, monkeypatch, wrong):
+    """A Y plane that misses cover elements fails the hyper-regulus meet check.
+
+    Both wrong planes are disjoint from every Z plane too, so only the
+    located-labels check names the hyper-regulus."""
+    f = 1
+    first = next(m for m in range(1, ctx3.q3) if ctx3.norm_table[m] == f)
+    off = next(n for n in range(1, ctx3.q3) if ctx3.norm_table[n] != f)  # J(off) is off the cover
+    graph = hyperreg._graph_plane
+
+    def one_wrong_y(ctx, a, m, power):
+        if power == 1 and m == first:
+            return spread3.element(off) if wrong == "spread element" else graph(ctx, a, off, 1)
+        return graph(ctx, a, m, power)
+
+    monkeypatch.setattr(hyperreg, "_graph_plane", one_wrong_y)
+    with pytest.raises(RuntimeError, match="hyper-regulus plane"):
+        andre_switching_sets(ctx3, spread3, 0, f)
 
 
 def test_switching_property_by_point_sets_q2(ctx2, spread2):
