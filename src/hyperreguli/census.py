@@ -19,9 +19,12 @@ meets; each such trace must be a cover and each cover must occur exactly
 A plane is classified without any rank computations: each of its q^2+q+1
 points lies in exactly one spread element, located arithmetically, so the
 multiset of located labels decides the class (all equal: A; all distinct:
-B; one label q+1 times and the rest once: C).  The points of a block of
-planes come from one integer matrix product over GF(p), and each B-plane
-trace is looked up exactly in a table of the covers.  The sweep is an
+B; one label q+1 times and the rest once: C).  spread.block_labels locates
+the points of a block of planes: at p = 2 their flat coordinate indices are
+XORs of multiples of the basis rows' indices, since GF(2^h) addition is XOR
+of the coordinate digits, and at odd p the points come from one integer
+matrix product over GF(p).  Each B-plane trace is looked up exactly in a
+table of the covers.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
 worker count produces the identical report.  classify_plane runs the same
 block kernel on a single plane.
@@ -176,12 +179,13 @@ class CoverTable:
         return len(self.hashes)
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Table index of each row's cover, or -1 where the row is no cover."""
+        """Table index of each row's cover (int32: at most 1.3e8 covers at
+        q = 16), or -1 where the row is no cover."""
         h = _row_hash(rows)
         pending = np.argsort(h)  # sorted queries make the binary searches local
         h = h[pending]
         cand = np.searchsorted(self.hashes, h)
-        out = np.full(len(rows), -1, dtype=np.int64)
+        out = np.full(len(rows), -1, dtype=np.int32)
         last = len(self) - 1
         while pending.size:  # one pass per cover sharing a row's hash
             same = (cand <= last) & (self.hashes[np.minimum(cand, last)] == h)
@@ -192,11 +196,11 @@ class CoverTable:
         return out
 
     def tally(self, rows: np.ndarray) -> tuple[np.ndarray, Counter]:
-        """Per-cover counts of the rows, and a Counter of the rows that are no cover."""
+        """The table index of each row that is a cover (one entry per row,
+        not per cover), and a Counter of the rows that are no cover."""
         idx = self.lookup(rows)
-        hits = np.bincount(idx[idx >= 0], minlength=len(self))
         witnesses = Counter(trace_key_bytes(r) for r in rows[idx < 0])
-        return hits, witnesses
+        return idx[idx >= 0], witnesses
 
     def traces(self, hits: np.ndarray, witnesses: Counter) -> Counter:
         """The trace multiset: every cover hit, by key, plus the witnesses."""
@@ -211,6 +215,8 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None,
     """Classify one enumeration chunk; returns (nA, nB, nC, hits, witnesses).
 
     hits and witnesses are the chunk's CoverTable.tally, None without a table.
+    hits holds one int32 per B plane that is a cover, so a pool worker ships
+    at most 4 bytes per plane of the chunk, not a covers-sized count array.
     """
     B = planes_block_np(ctx.q, PIVOT_PATTERNS[pattern_idx], start, stop)
     codes, is_a, is_b, is_c = _classify_block(ctx, B)
@@ -269,7 +275,7 @@ def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
             nb += cb
             nc += cc
             if table is not None:
-                hits += chunk_hits
+                np.add.at(hits, chunk_hits, 1)
                 witnesses.update(chunk_witnesses)
     finally:
         if pool is not None:

@@ -87,30 +87,87 @@ class Spread:
         return ctx.div(y, x)
 
 
-def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
-    """Spread.locate over the last axis of an array of nonzero 6-vectors.
-
-    The vectors need not be normalised: y/x is unchanged by scaling.  Each
-    vector's six GF(q) coordinates give its flat index x*q^3 + y into
-    FieldCtx.ratio_np in one weighted sum, and one gather there gives its
-    uint16 label (q^3 where x = 0).  The index is below q^6: uint16 up to
-    q = 5, uint32 from q = 7.
-    """
+def _flat_index(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
+    """Flat index x*q^3 + y into FieldCtx.ratio_np of each 6-vector on the
+    last axis of v, in one weighted sum.  The index is below q^6: uint16 up
+    to q = 5, uint32 from q = 7."""
     q, q3 = ctx.q, ctx.q3
     dtype = np.uint16 if q**6 <= 1 << 16 else np.uint32
     # x = c0 + c1 q + c2 q^2 and y = c3 + c4 q + c5 q^2; coordinates are
     # below q, so a cast from any integer dtype is exact
     weights = np.array([q3, q3 * q, q3 * q * q, 1, q, q * q], dtype=dtype)
-    index = np.einsum("...d,d->...", v, weights, dtype=dtype, casting="unsafe")
-    return ctx.ratio_np[index]
+    return np.einsum("...d,d->...", v, weights, dtype=dtype, casting="unsafe")
+
+
+def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
+    """Spread.locate over the last axis of an array of nonzero 6-vectors.
+
+    The vectors need not be normalised: y/x is unchanged by scaling.  One
+    gather at each vector's flat index in FieldCtx.ratio_np gives its uint16
+    label (q^3 where x = 0).
+    """
+    return ctx.ratio_np[_flat_index(ctx, v)]
+
+
+def _char2_point_indices(ctx: FieldCtx, B: np.ndarray) -> np.ndarray:
+    """Flat indices (k, n) of the k points of each plane with basis in B
+    (n, 3, 6), in coefficient order (as block_points), at p = 2.
+
+    A flat index packs the six GF(q) coordinates, q = 2^h, as h-bit fields,
+    and addition in GF(q) is XOR of the digits, so the index is XOR-linear
+    in the vector.  Multiplication by t is GF(2)-linear on each field: shift
+    its low h-1 bits up by one and fold its top bit back in times the low
+    coefficients of the base modulus (t^h = m_0 + m_1 t + ..., signs vanish
+    at p = 2).  Doubling
+    then gives each row's q multiples, M[e] = sum of t^i * row over the bits
+    i of e, and the points (0,0,1), (0,1,c), (1,b,c) are XORs of those.
+    """
+    q, h = ctx.q, ctx.h
+    rows = _flat_index(ctx, B.transpose(1, 0, 2))  # (3, n)
+    dtype = rows.dtype
+    fields = sum(1 << (h * j) for j in range(6))  # bit 0 of each field
+    low = dtype.type(fields * ((1 << (h - 1)) - 1))
+    top = dtype.type(fields << (h - 1))
+    fold = dtype.type(sum(c << i for i, c in enumerate(ctx.base.modulus[:h])))
+
+    n = rows.shape[1]
+    M = np.empty((2, q, n), dtype=dtype)  # multiples of rows 2 and 3
+    M[:, 0] = 0
+    M[:, 1] = rows[1:]
+    power = M[:, 1]  # t^i * row
+    for i in range(1, h):
+        carry = power & top
+        carry >>= h - 1
+        carry *= fold
+        power = power & low
+        power <<= 1
+        power ^= carry
+        np.bitwise_xor(M[:, : 1 << i], power[:, None], out=M[:, 1 << i : 2 << i])
+
+    idx = np.empty((1 + q + q * q, n), dtype=dtype)
+    idx[0] = M[1, 1]
+    np.bitwise_xor(M[0, 1], M[1], out=idx[1 : 1 + q])
+    np.bitwise_xor((rows[0] ^ M[0])[:, None], M[1][None],
+                   out=idx[1 + q :].reshape(q, q, n))
+    return idx
 
 
 def block_labels(ctx: FieldCtx, B: np.ndarray) -> np.ndarray:
     """The located labels of the k points of each plane with basis in B
-    (n, 3, 6), sorted within each row: (n, k)."""
-    # the points lie plane-minor in memory, so the labels come out that way;
-    # the row sort wants each plane's labels contiguous
-    codes = np.ascontiguousarray(locate_np(ctx, block_points(ctx.base, B)))
+    (n, 3, 6), sorted within each row: (n, k).
+
+    At p = 2 the point indices are XORs of basis-row multiples
+    (_char2_point_indices), with no GF(p) products; at odd p the points come
+    from block_points' GF(p) product.  Either way one gather in
+    FieldCtx.ratio_np locates them.
+    """
+    if ctx.p == 2:
+        labels = ctx.ratio_np[_char2_point_indices(ctx, B)].T
+    else:
+        labels = locate_np(ctx, block_points(ctx.base, B))
+    # the labels lie plane-minor in memory; the row sort wants each plane's
+    # labels contiguous
+    codes = np.ascontiguousarray(labels)
     codes.sort(axis=1)
     return codes
 

@@ -28,7 +28,7 @@ from hyperreguli.pg5 import (
     plane_from_rows,
     plane_points,
 )
-from hyperreguli.spread import build_spread
+from hyperreguli.spread import block_labels, build_spread, locate_np
 
 from helpers import classify_by_meets, gather_points, seeded_blocks
 
@@ -210,6 +210,22 @@ def test_block_points_match_gather_oracle(q):
     assert np.array_equal(block_points(ctx.base, B), gather_points(ctx.base, B))
 
 
+@pytest.mark.parametrize("q, base_modulus", [
+    (2, None), (4, None), (8, None), (8, (1, 0, 1, 1)), (16, None), (16, (1, 0, 0, 1, 1)),
+])
+def test_char2_block_labels_match_gather_oracle(q, base_modulus):
+    """At p = 2 block_labels XORs multiples of the basis rows' flat indices
+    instead of multiplying: its labels are the row-sorted located labels of
+    the table-gather points, under the default base modulus and under
+    x^3+x^2+1 (q = 8) and x^4+x^3+1 (q = 16), whose multiplication by t
+    folds the top bit back in differently."""
+    ctx = make_field(2, q.bit_length() - 1, base_modulus=base_modulus)
+    B = seeded_blocks(q, random.Random(q))
+    want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
+    got = block_labels(ctx, B)
+    assert got.dtype == np.uint16 and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 16])
 def test_classify_block_labels_at_large_q(q):
     """Located labels where q^3 > 256 (uint8 indices wrap) and, at q = 13,
@@ -269,8 +285,10 @@ def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
     rows = np.stack([cover.astype(np.int32), row])
     assert table.lookup(rows)[1] == -1
     hits, witnesses = table.tally(rows)
-    assert hits.sum() == 1 and witnesses == Counter({trace_key_bytes(row): 1})
-    tc = trace_is_cover_check(ctx2, table.traces(hits, witnesses), cover_keys2)
+    assert table.rows[hits].tolist() == [cover.tolist()]
+    assert witnesses == Counter({trace_key_bytes(row): 1})
+    counts = np.bincount(hits, minlength=len(table))
+    tc = trace_is_cover_check(ctx2, table.traces(counts, witnesses), cover_keys2)
     assert tc.matched is False and tc.multiplicity_ok is False
 
 

@@ -164,27 +164,30 @@ def test_json_reports_match_golden_digests(capsys, argv):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
 
 
-def test_committed_verify_q7_report_passes():
-    """results/verify-q7.json, the runtime-stripped report of the exhaustive
-    `verify --q 7 --jobs 2` run, passes every check at the closed forms."""
-    report = json.loads((RESULTS / "verify-q7.json").read_text())
-    assert report["q"] == 7 and report["subcommand"] == "verify"
+@pytest.mark.parametrize("q", [7, 8])
+def test_committed_verify_report_passes(q):
+    """results/verify-q<q>.json, the runtime-stripped report of the exhaustive
+    `verify --q <q> --jobs 2` run, passes every check at the closed forms."""
+    report = json.loads((RESULTS / f"verify-q{q}.json").read_text())
+    assert report["q"] == q and report["subcommand"] == "verify"
     assert "runtime_seconds" not in json.dumps(report)
     assert report["checks"] and all(c["pass"] for c in report["checks"])
     census = report["data"]["census"]
     assert (census["count_a"], census["count_b"], census["count_c"], census["total"]) == (
-        census_mod.type_a_count(7), census_mod.type_b_count(7),
-        census_mod.type_c_count(7), count_planes(7))
-    assert census["covers_total"] == covers_mod.total_count(7)
+        census_mod.type_a_count(q), census_mod.type_b_count(q),
+        census_mod.type_c_count(q), count_planes(q))
+    assert census["covers_total"] == covers_mod.total_count(q)
 
 
 @pytest.mark.skipif(os.environ.get("HYPERREGULI_SLOW") != "1",
-                    reason="about 3 minutes with 2 jobs; set HYPERREGULI_SLOW=1")
-def test_verify_q7_reproduces_committed_report(capsys):
-    code, report = run_json(capsys, ["verify", "--q", "7", "--jobs", "2"])
+                    reason="about 4.5 minutes for q = 7 and 8 with 2 jobs; "
+                           "set HYPERREGULI_SLOW=1")
+@pytest.mark.parametrize("q", [7, 8])
+def test_verify_reproduces_committed_report(capsys, q):
+    code, report = run_json(capsys, ["verify", "--q", str(q), "--jobs", "2"])
     assert code == 0
     text = json.dumps(strip_runtimes(report), indent=2) + "\n"
-    committed = (RESULTS / "verify-q7.json").read_bytes()
+    committed = (RESULTS / f"verify-q{q}.json").read_bytes()
     assert hashlib.sha256(text.encode()).hexdigest() == hashlib.sha256(committed).hexdigest()
 
 
