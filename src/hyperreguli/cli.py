@@ -225,20 +225,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=int, required=True, help="prime power, q <= 16")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
-    common.add_argument("--sample", type=int, default=None,
-                        help="sample size for expensive sweeps")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--base-modulus", default=None,
                         help="comma-separated coefficients, low degree first")
     common.add_argument("--cubic-modulus", default=None,
                         help="comma-separated coefficients, low degree first")
 
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="census worker processes")
+
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("verify", parents=[common],
-                   help="run the full verification pipeline")
-    sub.add_parser("census", parents=[common],
+    p_ver = sub.add_parser("verify", parents=[common, jobs],
+                           help="run the full verification pipeline")
+    p_ver.add_argument("--sample", type=int, default=None,
+                       help="covers sampled for the transversal check at q > 3 "
+                            f"(default {DEFAULT_SAMPLE})")
+    p_ver.add_argument("--seed", type=int, default=0, help="sampling seed")
+    sub.add_parser("census", parents=[common, jobs],
                    help="classify every plane of PG(5,q)")
     p_cov = sub.add_parser("covers", parents=[common],
                            help="enumerate the covers of CG(3,q)")
@@ -276,9 +279,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
-        if args.sample is not None and args.sample < 1:
+        if getattr(args, "sample", None) is not None and args.sample < 1:
             raise ValueError("--sample must be >= 1")
         ctx = _make_ctx(args)
         checks, data = COMMANDS[args.subcommand](ctx, args)

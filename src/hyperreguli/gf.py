@@ -7,9 +7,13 @@ same way over GF(q): index = d0 + d1*q + d2*q^2 with digits d_i in [0, q).
 Under this encoding the subfield GF(q) of GF(q^3) is exactly the indices
 0 .. q-1, so base-field values can be used directly as extension values.
 
-Both moduli are monic irreducibles chosen deterministically: the candidate
-whose integer encoding (as above) is smallest.  Overrides are accepted and
-checked for irreducibility by exhaustive root/factor search.
+Both levels are built by one set of routines over a coefficient field F
+(GF(p) for GF(q), GF(q) for GF(q^3)): product mod the modulus, the
+irreducibility test, the modulus search and the exp/log tables.  Both moduli
+are monic irreducibles chosen deterministically: the candidate whose integer
+encoding (as above) is smallest.  Overrides are accepted and checked for
+irreducibility by one routine, exhaustive trial division by every monic
+polynomial over F of degree at most half the modulus's.
 
 Tables are sized for q <= 16 (GF(q^3) <= 4096 elements).  Scalar operations
 run off Python list tables.  Two cached numpy tables back the vectorized
@@ -57,41 +61,9 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Polynomials over GF(p), coefficients as ints mod p, low degree first.
+# Routines over a coefficient field F, passed as its (add, mul, neg)
+# tables.  Polynomials are coefficient lists, low degree first.
 # ----------------------------------------------------------------------
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod_p(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num / den over GF(p); den must be monic."""
-    num = list(num)
-    dd = len(den) - 1
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            for j in range(dd + 1):
-                num[k - dd + j] = (num[k - dd + j] - c * den[j]) % p
-    return _poly_trim(num[:dd])
-
-
-def _poly_is_irreducible_p(coeffs: list[int], p: int) -> bool:
-    """Exhaustive trial division by every monic divisor of degree <= deg/2."""
-    deg = len(coeffs) - 1
-    if deg < 1 or coeffs[-1] != 1:
-        return False
-    if any(c % p != c for c in coeffs):
-        return False
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            den = _digits(code, p, d) + [1]
-            if not _poly_mod_p(coeffs, den, p):
-                return False
-    return True
-
 
 def _digits(n: int, base: int, width: int) -> list[int]:
     out = []
@@ -108,20 +80,142 @@ def _undigits(digs, base: int) -> int:
     return n
 
 
-def _smallest_irreducible_p(p: int, deg: int) -> tuple[int, ...]:
-    for code in range(p**deg):
-        coeffs = _digits(code, p, deg) + [1]
-        if _poly_is_irreducible_p(coeffs, p):
+def _prime_field(p: int):
+    """GF(p) as its (add, mul, neg) tables of integers mod p."""
+    els = range(p)
+    return ([[(a + b) % p for b in els] for a in els],
+            [[a * b % p for b in els] for a in els],
+            [-a % p for a in els])
+
+
+def _poly_rem(F, num, den) -> list[int]:
+    """Remainder of num / den over F, as deg(den) coefficients; den must be monic."""
+    add, mul, neg = F
+    num = list(num)
+    dd = len(den) - 1
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = num[k]
+        if c:
+            row = mul[neg[c]]
+            for j in range(dd + 1):
+                num[k - dd + j] = add[num[k - dd + j]][row[den[j]]]
+    return num[:dd]
+
+
+def _index_mul(F, modulus):
+    """Product on integer indices of F[t]/(modulus), digits over F."""
+    add, mul, _ = F
+    s, deg = len(add), len(modulus) - 1
+    digits = [_digits(x, s, deg) for x in range(s**deg)]
+
+    def product(a: int, b: int) -> int:
+        db = digits[b]
+        conv = [0] * (2 * deg - 1)
+        for i, ai in enumerate(digits[a]):
+            if ai:
+                row = mul[ai]
+                for j, bj in enumerate(db):
+                    conv[i + j] = add[conv[i + j]][row[bj]]
+        return _undigits(_poly_rem(F, conv, modulus), s)
+
+    return product
+
+
+def _is_irreducible(F, coeffs, deg: int) -> bool:
+    """Monic of degree deg over F with no monic divisor of degree 1 .. deg/2,
+    by exhaustive trial division."""
+    s = len(F[0])
+    if len(coeffs) != deg + 1 or coeffs[-1] != 1:
+        return False
+    if any(not 0 <= c < s for c in coeffs):
+        return False
+    return all(
+        any(_poly_rem(F, coeffs, _digits(code, s, d) + [1]))
+        for d in range(1, deg // 2 + 1)
+        for code in range(s**d)
+    )
+
+
+def _smallest_irreducible(F, deg: int) -> tuple[int, ...]:
+    s = len(F[0])
+    for code in range(s**deg):
+        coeffs = _digits(code, s, deg) + [1]
+        if _is_irreducible(F, coeffs, deg):
             return tuple(coeffs)
-    raise RuntimeError(f"no irreducible of degree {deg} over GF({p})")  # unreachable
+    raise RuntimeError(f"no irreducible of degree {deg} over GF({s})")  # unreachable
+
+
+def _exp_log(size: int, mul) -> tuple[int, list[int], list[int]]:
+    """The smallest primitive element of a field of `size` elements with
+    product `mul` on indices, and its exp and log tables."""
+    n = size - 1
+
+    def power(a: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            e >>= 1
+        return r
+
+    primes = list(factorize(n))
+    gen = next(g for g in range(1, size) if all(power(g, n // ell) != 1 for ell in primes))
+    exp = [0] * n
+    log = [-1] * size
+    x = 1
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x = mul(x, gen)
+    if x != 1 or -1 in log[1:]:
+        raise RuntimeError(f"GF({size}) exp/log construction failed")  # signals a table bug
+    return gen, exp, log
+
+
+class _ExpLogOps:
+    """inv, div and pow from a field's exp and log tables.
+
+    exp lists g^0 .. g^(n-1) for a primitive g, so n = len(exp) is the order
+    of the multiplicative group; log[0] is never read.
+    """
+
+    _name: str  # the field, in error messages
+    exp: list[int]
+    log: list[int]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError(f"inverse of zero in {self._name}")
+        n = len(self.exp)
+        return self.exp[(n - self.log[a]) % n]
+
+    def div(self, a: int, b: int) -> int:
+        if b == 0:
+            raise ZeroDivisionError(f"division by zero in {self._name}")
+        if a == 0:
+            return 0
+        n = len(self.exp)
+        return self.exp[(self.log[a] - self.log[b]) % n]
+
+    def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            if e > 0:
+                return 0
+            if e == 0:
+                return 1
+            raise ZeroDivisionError("negative power of zero")
+        return self.exp[(self.log[a] * e) % len(self.exp)]
 
 
 # ----------------------------------------------------------------------
 # GF(q) with full lookup tables.
 # ----------------------------------------------------------------------
 
-class BaseField:
+class BaseField(_ExpLogOps):
     """GF(q), q = p^h, with complete add/mul/neg/inv and exp/log tables."""
+
+    _name = "GF(q)"
 
     def __init__(self, p: int, h: int, modulus: tuple[int, ...]):
         self.p = p
@@ -130,54 +224,16 @@ class BaseField:
         self.modulus = modulus
         q = self.q
 
-        def mul_poly(a: int, b: int) -> int:
-            da, db = _digits(a, p, h), _digits(b, p, h)
-            conv = [0] * (2 * h - 1)
-            for i, ai in enumerate(da):
-                if ai:
-                    for j, bj in enumerate(db):
-                        conv[i + j] = (conv[i + j] + ai * bj) % p
-            return _undigits(_poly_mod_p(conv, list(modulus), p) + [0] * h, p)
-
         self._add = [
             [_undigits([(x + y) % p for x, y in zip(_digits(a, p, h), _digits(b, p, h))], p)
              for b in range(q)]
             for a in range(q)
         ]
         self._neg = [self._add[a].index(0) for a in range(q)]
-        self._mul = [[mul_poly(a, b) for b in range(q)] for a in range(q)]
-
-        self.generator = self._find_generator()
-        self.exp = [0] * (q - 1)
-        self.log = [-1] * q
-        x = 1
-        for i in range(q - 1):
-            self.exp[i] = x
-            self.log[x] = i
-            x = self._mul[x][self.generator]
-        if x != 1 or -1 in self.log[1:]:
-            raise RuntimeError("exp/log construction failed")  # signals a table bug
-
-        self._inv = [0] * q
-        for a in range(1, q):
-            self._inv[a] = self.exp[(q - 1 - self.log[a]) % (q - 1)]
-
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        primes = list(factorize(n))
-        for g in range(1, self.q):
-            if all(self._pow_raw(g, n // ell) != 1 for ell in primes):
-                return g
-        raise RuntimeError("no generator found")  # unreachable for a field
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul[r][a]
-            a = self._mul[a][a]
-            e >>= 1
-        return r
+        product = _index_mul(_prime_field(p), modulus)
+        self._mul = [[product(a, b) for b in range(q)] for a in range(q)]
+        self.generator, self.exp, self.log = _exp_log(q, lambda a, b: self._mul[a][b])
+        self._inv = [0] + [self.inv(a) for a in range(1, q)]
 
     # -- scalar ops ------------------------------------------------------
 
@@ -193,38 +249,21 @@ class BaseField:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF(q)")
-        return self._inv[a]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(q)")
-        return self._mul[a][self._inv[b]]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e > 0:
-                return 0
-            if e == 0:
-                return 1
-            raise ZeroDivisionError("negative power of zero")
-        return self.exp[(self.log[a] * e) % (self.q - 1)]
-
 
 # ----------------------------------------------------------------------
 # The tower GF(p) < GF(q) < GF(q^3).
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FieldCtx:
+class FieldCtx(_ExpLogOps):
     """Arithmetic context for GF(q) and GF(q^3) with norm and Frobenius maps.
 
     Extension elements are indices in [0, q^3); indices below q are exactly
     the base subfield.  All operations are pure; instances are immutable and
     safe to share between threads and processes.
     """
+
+    _name = "GF(q^3)"
 
     p: int
     h: int
@@ -271,29 +310,6 @@ class FieldCtx:
             return 0
         n = self.q3 - 1
         return self.exp[(self.log[a] + self.log[b]) % n]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF(q^3)")
-        n = self.q3 - 1
-        return self.exp[(n - self.log[a]) % n]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(q^3)")
-        if a == 0:
-            return 0
-        n = self.q3 - 1
-        return self.exp[(self.log[a] - self.log[b]) % n]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e > 0:
-                return 0
-            if e == 0:
-                return 1
-            raise ZeroDivisionError("negative power of zero")
-        return self.exp[(self.log[a] * e) % (self.q3 - 1)]
 
     def norm(self, x: int) -> int:
         """The norm x^(q^2+q+1) down to GF(q), returned as a base-field index."""
@@ -375,54 +391,6 @@ class FieldCtx:
         )
 
 
-def _ext_mul_poly(base: BaseField, cubic: tuple[int, ...], a: int, b: int) -> int:
-    """Product in GF(q)[t]/(cubic) on integer indices; table-construction helper."""
-    q = base.q
-    da = (a % q, (a // q) % q, a // (q * q))
-    db = (b % q, (b // q) % q, b // (q * q))
-    conv = [0] * 5
-    for i in range(3):
-        if da[i]:
-            row = base._mul[da[i]]
-            for j in range(3):
-                if db[j]:
-                    conv[i + j] = base._add[conv[i + j]][row[db[j]]]
-    for k in (4, 3):
-        c = conv[k]
-        if c:
-            conv[k] = 0
-            row = base._mul[c]
-            for j in range(3):
-                conv[k - 3 + j] = base._add[conv[k - 3 + j]][base._neg[row[cubic[j]]]]
-    return conv[0] + q * conv[1] + q * q * conv[2]
-
-
-def _smallest_irreducible_cubic(base: BaseField) -> tuple[int, ...]:
-    for code in range(base.q**3):
-        c0, c1, c2 = code % base.q, (code // base.q) % base.q, code // (base.q**2)
-        cand = (c0, c1, c2, 1)
-        if _cubic_is_irreducible(base, cand):
-            return cand
-    raise RuntimeError(f"no irreducible cubic over GF({base.q})")  # unreachable
-
-
-def _cubic_is_irreducible(base: BaseField, coeffs: tuple[int, ...]) -> bool:
-    """A cubic is irreducible over GF(q) iff it has no root there."""
-    if len(coeffs) != 4 or coeffs[3] != 1:
-        return False
-    if any(not (0 <= c < base.q) for c in coeffs):
-        return False
-    for u in range(base.q):
-        acc = 0
-        upow = 1
-        for c in coeffs:
-            acc = base._add[acc][base._mul[c][upow]]
-            upow = base._mul[upow][u]
-        if acc == 0:
-            return False
-    return True
-
-
 def make_field(
     p: int,
     h: int = 1,
@@ -443,52 +411,30 @@ def make_field(
     if q > MAX_Q:
         raise ValueError(f"q = {q} exceeds the table capacity q <= {MAX_Q}")
 
+    prime = _prime_field(p)
     if base_modulus is None:
-        base_mod = _smallest_irreducible_p(p, h)
+        base_mod = _smallest_irreducible(prime, h)
     else:
         base_mod = tuple(int(c) for c in base_modulus)
-        if len(base_mod) != h + 1 or not _poly_is_irreducible_p(list(base_mod), p):
+        if not _is_irreducible(prime, base_mod, h):
             raise ValueError(
                 f"base modulus {base_mod} is not a monic irreducible of degree {h} over GF({p})"
             )
     base = BaseField(p, h, base_mod)
 
+    F = (base._add, base._mul, base._neg)
     if cubic_modulus is None:
-        cubic = _smallest_irreducible_cubic(base)
+        cubic = _smallest_irreducible(F, 3)
     else:
         cubic = tuple(int(c) for c in cubic_modulus)
-        if not _cubic_is_irreducible(base, cubic):
+        if not _is_irreducible(F, cubic, 3):
             raise ValueError(
                 f"cubic modulus {cubic} is not a monic irreducible cubic over GF({q})"
             )
 
     q3 = q**3
     n = q3 - 1
-    primes = list(factorize(n))
-
-    def pow_poly(a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = _ext_mul_poly(base, cubic, r, a)
-            a = _ext_mul_poly(base, cubic, a, a)
-            e >>= 1
-        return r
-
-    gen = next(
-        g for g in range(1, q3)
-        if all(pow_poly(g, n // ell) != 1 for ell in primes)
-    )
-
-    exp = [0] * n
-    log = [-1] * q3
-    x = 1
-    for i in range(n):
-        exp[i] = x
-        log[x] = i
-        x = _ext_mul_poly(base, cubic, x, gen)
-    if x != 1 or -1 in log[1:]:
-        raise RuntimeError("GF(q^3) exp/log construction failed")  # table bug
+    _, exp, log = _exp_log(q3, _index_mul(F, cubic))
 
     e_norm = q * q + q + 1
     norm_table = [0] * q3

@@ -65,7 +65,6 @@ class Spread:
     def __init__(self, ctx: FieldCtx, planes: tuple[Plane, ...]):
         self.ctx = ctx
         self.planes = planes
-        self.infinity = ctx.q3
         self._label_of_key = {pl.key: m for m, pl in enumerate(planes)}
 
     def element(self, m: int) -> Plane:

@@ -70,6 +70,19 @@ def test_verify_rejects_bad_flags(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["covers", "--q", "2", "--seed", "1"],
+    ["census", "--q", "2", "--sample", "3"],
+    ["switching", "--q", "2", "--a", "0", "--f", "1", "--jobs", "2"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    """--jobs belongs to verify and census, --sample and --seed to verify."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_with_modulus_override(capsys):
     code, report = run_json(capsys, ["verify", "--q", "2", "--cubic-modulus", "1,0,1,1"])
     assert code == 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -5,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hyperreguli.gf import BaseField, make_field
+from hyperreguli.gf import BaseField, factorize, make_field
 
 from helpers import PolyFieldOracle
 
@@ -259,3 +261,86 @@ def test_ratio_table_peak_memory_q16():
     for _ in range(2000):
         x, y = rng.randrange(4096), rng.randrange(4096)
         assert table[x * 4096 + y] == (4096 if x == 0 else ctx.div(y, x))
+
+
+def _table_digest(ctx) -> str:
+    """sha256 of every table make_field builds, at both levels of the tower."""
+    b = ctx.base
+    tables = [b.modulus, ctx.cubic_modulus, b.generator, b.exp, b.log,
+              b._add, b._mul, b._neg, b._inv,
+              ctx.exp, ctx.log, ctx.norm_table, list(ctx.frob_tables)]
+    return hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+
+
+# Pinned on the table builder that kept two copies of each job, one per
+# level: element indices, and so every label, key and report, must not move.
+TABLE_DIGESTS = {
+    ((2, 1), None, None):
+        "780914bb0228701525603c57a4f3df7e5ea1cd9d1bdf7b7a89576c033da0fdb5",
+    ((3, 1), None, None):
+        "d0e8a91f675e3a5b6ec68d705fea4caac670419c6ad534ca7ff1ffc3bedd6631",
+    ((2, 2), None, None):
+        "83fabc90cc88a3434f5fc49699abd6d07145c6eaf615173b141c79e4aa4d65bd",
+    ((5, 1), None, None):
+        "8758238726c6482bdaa11254af1806f6c3f5be81fd152b203b3e64b884895b3c",
+    ((7, 1), None, None):
+        "5db28288e0b8c535b5f31fe866991412b651dfed310e16b1ea54cd1b65ea281d",
+    ((2, 3), None, None):
+        "2992e9436b7fa0ca08ead383daa814af6c958f2f753893e93e52f69db94e8e0c",
+    ((3, 2), None, None):
+        "02baf3fd1f33caca11cea3b8fa24ced752a197486f591358172ecf595a13b5a5",
+    ((11, 1), None, None):
+        "eb882fae8f52d653be2c1c2ef2a94e68edb02a37f907070558f9bad6e6f6ee26",
+    ((13, 1), None, None):
+        "a36c4e15c27c182d4d8e251ec66908b4ca0d0f4d146829e3ed714a85ea5688ff",
+    ((2, 4), None, None):
+        "3e780df7129a7e31cdf98a2ee568d69fb7bb9c396225c8e9510375d98271617f",
+    ((2, 3), (1, 0, 1, 1), None):
+        "626aaffa4a96e06e5a85a511bb8d2da94bafbe629d0be01fa08eda613af8ac8a",
+    ((3, 1), None, (2, 2, 0, 1)):
+        "6e0ab55a5e88ec49830a19db42c06489d4403a65f457b193ed1b7783f6909f3e",
+}
+
+
+@pytest.mark.parametrize("ph, base_modulus, cubic_modulus", list(TABLE_DIGESTS),
+                         ids=lambda v: "-".join(map(str, v)) if v else "default")
+def test_field_tables_match_golden_digests(ph, base_modulus, cubic_modulus):
+    ctx = make_field(*ph, base_modulus=base_modulus, cubic_modulus=cubic_modulus)
+    assert _table_digest(ctx) == TABLE_DIGESTS[ph, base_modulus, cubic_modulus]
+
+
+def _mobius(n: int) -> int:
+    fac = factorize(n)
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
+
+
+def _gauss_count(s: int, d: int) -> int:
+    """Number of monic irreducibles of degree d over a field of s elements."""
+    return sum(_mobius(e) * s ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+
+
+def _accepts(**kwargs) -> bool:
+    try:
+        make_field(**kwargs)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p, h, count", [(2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 3)])
+def test_base_modulus_sweep_accepts_gauss_count(p, h, count):
+    accepted = sum(
+        _accepts(p=p, h=h, base_modulus=[(code // p**i) % p for i in range(h)] + [1])
+        for code in range(p**h)
+    )
+    assert accepted == count == _gauss_count(p, h)
+
+
+@pytest.mark.parametrize("q, count", [(2, 2), (3, 8), (4, 20), (5, 40)])
+def test_cubic_modulus_sweep_accepts_gauss_count(q, count):
+    ((p, h),) = factorize(q).items()
+    accepted = sum(
+        _accepts(p=p, h=h, cubic_modulus=(code % q, (code // q) % q, code // (q * q), 1))
+        for code in range(q**3)
+    )
+    assert accepted == count == _gauss_count(q, 3) == (q**3 - q) // 3
