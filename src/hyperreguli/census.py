@@ -14,7 +14,11 @@ against the sweep, and verifies that the B count equals the number of
 covers times 2(q^2+q+1).  With trace collection (the default) it also
 records, for every B plane, the sorted labels of the spread elements it
 meets; each such trace must be a cover and each cover must occur exactly
-2(q^2+q+1) times.
+2(q^2+q+1) times.  The sweep counts the traces equal to each key row and
+keeps the others as witnesses, so with distinct keys that holds exactly
+when no witness is left and every count is 2(q^2+q+1).  The main process
+keeps one copy of the keys (CoverSet.keys, shared by the forked pool
+workers) and no Python object per cover.
 
 A plane is classified without any rank computations: each of its q^2+q+1
 points lies in exactly one spread element, located arithmetically, so the
@@ -23,25 +27,24 @@ B; one label q+1 times and the rest once: C).  spread.block_labels locates
 the points of a block of planes: at p = 2 their flat coordinate indices are
 XORs of multiples of the basis rows' indices, since GF(2^h) addition is XOR
 of the coordinate digits, and at odd p the points come from one integer
-matrix product over GF(p).  Each B-plane trace is looked up exactly in a
-table of the covers.  The sweep is an
-order-independent reduction over enumeration chunks, so any chunk split or
-worker count produces the identical report.  classify_plane runs the same
-block kernel on a single plane.
+matrix product over GF(p).  The sweep is an order-independent reduction
+over enumeration chunks, so any chunk split or worker count produces the
+identical report.  classify_plane runs the same block kernel on a single plane.
 """
 
 from __future__ import annotations
 
-import random
+import multiprocessing
 import time
 from collections import Counter
+from collections.abc import Mapping, Set
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covers import CoverSet, cover_size, enumerate_covers, total_count
-from .gf import MAX_Q, FieldCtx, make_field
+from .covers import CoverSet, cover_size, enumerate_covers, row_hash, total_count
+from .gf import FieldCtx, make_field
 from .pg5 import (
     PIVOT_PATTERNS,
     count_planes,
@@ -53,17 +56,6 @@ from .spread import Spread, block_labels
 # Planes per chunk.  Larger chunks buy no speed: at q = 5, chunks of 2^16
 # planes took as long as 2^14 and raised the census's peak RSS from 78 to 142 MB.
 DEFAULT_CHUNK_SIZE = 1 << 14
-
-
-def _odd_multipliers(n: int, seed: int) -> np.ndarray:
-    """n seeded odd 64-bit integers (stdlib random: numpy.random would add
-    about 15 ms to every import of the package)."""
-    rng = random.Random(seed)
-    return np.array([rng.getrandbits(64) | 1 for _ in range(n)], dtype=np.uint64)
-
-
-# Multipliers of the trace-row hash, one per label column.
-_HASH_MULTIPLIERS = _odd_multipliers(cover_size(MAX_Q), 1973)
 
 
 def type_a_count(q: int) -> int:
@@ -151,63 +143,81 @@ def trace_key_bytes(labels) -> bytes:
     return np.asarray(labels, dtype="<u2").tobytes()
 
 
-def _row_hash(rows: np.ndarray) -> np.ndarray:
-    """64-bit hash of each label row (wrapping sum of label times multiplier)."""
-    return np.einsum("ij,j->i", rows.astype(np.uint64), _HASH_MULTIPLIERS[: rows.shape[1]])
+class CoverTable(Set):
+    """The cover keys of a CoverSet, as a set of key bytes, with exact lookup
+    of sorted label rows: a row's hash is binary-searched among the cover
+    hashes, and the row matches a cover only when all its labels equal the
+    cover's key row, so hash collisions cost time, never exactness."""
 
-
-class CoverTable:
-    """Exact lookup of sorted label rows among the cover keys.
-
-    Rows are found by hash with a binary search over the sorted cover
-    hashes; a row matches a cover only when all its labels equal the
-    cover's, so hash collisions cost time, never exactness.
-    """
-
-    def __init__(self, keys: np.ndarray):
-        rows = np.asarray(keys, dtype=np.uint16)  # (n, q^2+q+1) sorted label rows
-        # in row blocks: _row_hash widens its input to uint64
-        hashes = np.empty(len(rows), dtype=np.uint64)
-        for start in range(0, len(rows), DEFAULT_CHUNK_SIZE):
-            block = slice(start, start + DEFAULT_CHUNK_SIZE)
-            hashes[block] = _row_hash(rows[block])
-        order = np.argsort(hashes, kind="stable")
-        self.hashes = hashes[order]
-        self.rows = rows[order]
+    def __init__(self, cover_set: CoverSet):
+        self.keys, self.hashes, self.order = cover_set.keys, cover_set.hashes, cover_set.order
+        self.total = cover_set.total  # distinct keys
 
     def __len__(self) -> int:
-        return len(self.hashes)
+        return self.total
+
+    def __contains__(self, key) -> bool:
+        return self.find(key) >= 0
+
+    def __iter__(self):  # the key rows that lookup finds at their own index
+        return map(trace_key_bytes, self.keys[self.lookup(self.keys) == np.arange(len(self.keys))])
+
+    @classmethod
+    def _from_iterable(cls, it) -> set:
+        return set(it)
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Table index of each row's cover (int32: at most 1.3e8 covers at
-        q = 16), or -1 where the row is no cover."""
-        h = _row_hash(rows)
-        pending = np.argsort(h)  # sorted queries make the binary searches local
-        h = h[pending]
-        cand = np.searchsorted(self.hashes, h)
-        out = np.full(len(rows), -1, dtype=np.int32)
-        last = len(self) - 1
-        while pending.size:  # one pass per cover sharing a row's hash
+        """Key row index of each row's cover (int32), or -1 where the row is no cover."""
+        h = row_hash(rows)
+        by_hash = np.argsort(h)  # sorted queries make the binary searches local
+        last = len(self.keys) - 1
+        cand = np.empty(len(h), dtype=np.intp)
+        cand[by_hash] = np.minimum(np.searchsorted(self.hashes, h[by_hash]), last)
+        idx = self.order[cand]
+        hit = (self.hashes[cand] == h) & ~(self.keys.take(idx, axis=0) != rows).any(axis=1)
+        out = np.where(hit, idx, np.int32(-1))
+        pending = np.flatnonzero(~hit)
+        cand, h = cand[pending] + 1, h[pending]
+        while pending.size:  # a miss may share its hash with further covers
             same = (cand <= last) & (self.hashes[np.minimum(cand, last)] == h)
             pending, cand, h = pending[same], cand[same], h[same]
-            hit = (self.rows[cand] == rows[pending]).all(axis=1)
-            out[pending[hit]] = cand[hit]
+            idx = self.order[cand]
+            hit = (self.keys[idx] == rows[pending]).all(axis=1)
+            out[pending[hit]] = idx[hit]
             pending, cand, h = pending[~hit], cand[~hit] + 1, h[~hit]
         return out
 
+    def find(self, key) -> int:
+        """Key row index of the cover with key bytes key, or -1."""
+        ok = isinstance(key, bytes) and len(key) == 2 * self.keys.shape[1]
+        return int(self.lookup(np.frombuffer(key, dtype="<u2")[None])[0]) if ok else -1
+
     def tally(self, rows: np.ndarray) -> tuple[np.ndarray, Counter]:
-        """The table index of each row that is a cover (one entry per row,
+        """The key row index of each row that is a cover (one entry per row,
         not per cover), and a Counter of the rows that are no cover."""
         idx = self.lookup(rows)
         witnesses = Counter(trace_key_bytes(r) for r in rows[idx < 0])
         return idx[idx >= 0], witnesses
 
-    def traces(self, hits: np.ndarray, witnesses: Counter) -> Counter:
-        """The trace multiset: every cover hit, by key, plus the witnesses."""
-        traces = Counter({trace_key_bytes(self.rows[i]): int(hits[i])
-                          for i in np.flatnonzero(hits)})
-        traces.update(witnesses)
-        return traces
+
+class TraceCounts(Mapping):
+    """The B-plane traces, key bytes to count: hits per key row, then witnesses."""
+
+    def __init__(self, table: CoverTable, hits: np.ndarray, witnesses: Counter):
+        self.table, self.hits, self.witnesses = table, hits, witnesses
+
+    def __getitem__(self, key) -> int:
+        i = self.table.find(key)
+        if count := int(self.hits[i]) if i >= 0 else self.witnesses[key]:
+            return count
+        raise KeyError(key)
+
+    def __iter__(self):
+        yield from map(trace_key_bytes, self.table.keys[np.flatnonzero(self.hits)])
+        yield from self.witnesses
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.hits)) + len(self.witnesses)
 
 
 def _census_chunk(ctx: FieldCtx, table: CoverTable | None,
@@ -237,31 +247,32 @@ def _pool_chunk(chunk):
 
 
 def trace_is_cover_check(
-    ctx: FieldCtx, traces: Counter, cover_keys: set[bytes]
+    ctx: FieldCtx, traces: TraceCounts, cover_keys: CoverTable
 ) -> TraceCheck:
-    """Compare collected B-plane traces against the cover keys."""
-    two_k = 2 * cover_size(ctx.q)
-    matched = set(traces) <= cover_keys
-    multiplicity_ok = set(traces) == cover_keys and all(
-        c == two_k for c in traces.values()
-    )
+    """Compare collected B-plane traces against the cover keys (see the module docstring)."""
+    matched = not traces.witnesses
+    distinct = len(cover_keys) == len(traces.hits)
+    multiplicity_ok = matched and distinct and bool((traces.hits == 2 * cover_size(ctx.q)).all())
     return TraceCheck(checked=True, matched=matched, multiplicity_ok=multiplicity_ok)
 
 
 def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
-    """Classify every plane; returns (nA, nB, nC, trace Counter or None).
+    """Classify every plane; returns (nA, nB, nC, hits, witnesses).
 
-    The traces are tallied against table; without one none are collected.
+    hits[i] counts the traces equal to key row i of table (None without one), witnesses the rest.
     """
     chunks = enumeration_chunks(ctx.q, chunk_size)
     na = nb = nc = 0
-    hits = np.zeros(len(table), dtype=np.int64) if table is not None else None
+    hits = np.zeros(len(table.keys), dtype=np.int64) if table is not None else None
     witnesses = Counter()
 
     pool = None
     if jobs > 1:
+        # fork: the workers share the table copy-on-write; forkserver (Python
+        # 3.14's default on Linux) and spawn would pickle it into each of them
         pool = ProcessPoolExecutor(
             max_workers=jobs,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
             initargs=(ctx.p, ctx.h, ctx.base.modulus, ctx.cubic_modulus, table),
         )
@@ -280,8 +291,7 @@ def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
     finally:
         if pool is not None:
             pool.shutdown()
-    traces = table.traces(hits, witnesses) if table is not None else None
-    return na, nb, nc, traces
+    return na, nb, nc, hits, witnesses
 
 
 def run_census(
@@ -305,8 +315,8 @@ def run_census(
 
     if cover_set is None:
         cover_set = enumerate_covers(ctx)
-    table = CoverTable(cover_set.keys) if collect_traces else None
-    na, nb, nc, traces = _sweep(ctx, jobs, table, chunk_size)
+    table = CoverTable(cover_set) if collect_traces else None
+    na, nb, nc, hits, witnesses = _sweep(ctx, jobs, table, chunk_size)
     total = na + nb + nc
     if total != count_planes(ctx.q):
         raise RuntimeError("census did not visit every plane exactly once")
@@ -315,9 +325,9 @@ def run_census(
     if cover_set.total != total_count(ctx.q):
         identity = False  # cover enumeration itself disagrees with its count
 
-    if traces is not None:
-        cover_keys = {trace_key_bytes(row) for row in cover_set.keys}
-        tc = trace_is_cover_check(ctx, traces=traces, cover_keys=cover_keys)
+    if table is not None:
+        tc = trace_is_cover_check(ctx, traces=TraceCounts(table, hits, witnesses),
+                                  cover_keys=table)
     else:
         tc = TraceCheck(checked=False)
 

@@ -30,7 +30,8 @@ rows.  The scalar constructors divide in GF(q^3) first: two routes to test.
 
 The enumeration holds every key as a row of one (N, q^2+q+1) uint16 array,
 next to an (N, 4) array of the parameters (kind, a, b, f); a Cover object is
-built only when CoverSet.covers is indexed.
+built only when CoverSet.covers is indexed.  The rows' order by row_hash
+serves where a sorted copy of the keys would.
 
 Counting both families: q^3(q-1) covers of kind 1, q^3(q^3-1)(q-1)/2 of
 kind 2, and q^3(q-1)(q^3+1)/2 in total.
@@ -38,13 +39,14 @@ kind 2, and q^3(q-1)(q^3+1)/2 in total.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .gf import FieldCtx
+from .gf import MAX_Q, FieldCtx
 
 
 def kind1_count(q: int) -> int:
@@ -61,6 +63,18 @@ def total_count(q: int) -> int:
 
 def cover_size(q: int) -> int:
     return q * q + q + 1
+
+
+# Multipliers of the key-row hash, one seeded odd integer per label column
+# (stdlib random: numpy.random would add about 15 ms to every import).
+_HASH_MULTIPLIERS = np.array([rng.getrandbits(64) | 1 for rng in [random.Random(1973)]
+                              for _ in range(cover_size(MAX_Q))], dtype=np.uint64)
+_HASH_BLOCK = 1 << 14  # key rows hashed at a time
+
+
+def row_hash(rows: np.ndarray) -> np.ndarray:
+    """64-bit hash of each label row (wrapping sum of label times multiplier)."""
+    return np.einsum("ij,j->i", rows.astype(np.uint64), _HASH_MULTIPLIERS[: rows.shape[1]])
 
 
 @dataclass(frozen=True)
@@ -151,6 +165,8 @@ class CoverSet:
     q: int
     keys: np.ndarray  # (N, q^2+q+1) uint16
     params: np.ndarray  # (N, 4) int32
+    hashes: np.ndarray  # (N,) uint64, ascending
+    order: np.ndarray  # (N,) int32, keys[order] in the order of hashes
     count_kind1: int
     count_kind2: int
     total: int
@@ -173,9 +189,11 @@ def _level_keys(vals: np.ndarray, q: int, kind: int) -> tuple[np.ndarray, np.nda
     q3 = vals.shape[1]
     k = cover_size(q)
     order = np.argsort(vals, axis=1, kind="stable")  # level sets, each ascending
-    sizes = [kind, k + 1 - kind] + [k] * (q - 2)  # of the levels 0, 1, ..., q-1
-    pattern = np.repeat(np.arange(q, dtype=vals.dtype), sizes)
-    ok = (np.take_along_axis(vals, order, axis=1) == pattern).all(axis=1)
+    sizes = np.array([kind, k + 1 - kind] + [k] * (q - 2))  # of the levels 0, 1, ..., q-1
+    ends = np.cumsum(sizes)
+    # sorted, the values match the levels iff each level's block starts and ends on it
+    probe = np.concatenate([ends - sizes, ends - 1])
+    ok = (np.take_along_axis(vals, order[:, probe], axis=1) == np.r_[:q, :q]).all(axis=1)
     rows = order[:, kind:].astype(np.uint16)
     if kind == 2:  # infinity completes the level set f = 1
         rows = np.insert(rows, k - 1, q3, axis=1)
@@ -192,25 +210,23 @@ def _size_error(vals_row: np.ndarray, q: int, kind: int, a: int, b: int | None) 
     return RuntimeError(f"norm values of the covers {kind}:{a},{b} leave GF({q})")
 
 
-def _distinct_counts(keys: np.ndarray, n1: int) -> tuple[int, int, int]:
+def _distinct_counts(keys: np.ndarray, n1: int, hashes: np.ndarray,
+                     order: np.ndarray) -> tuple[int, int, int]:
     """Distinct keys among the rows [:n1], the rows [n1:] and all rows.
 
-    Rows are compared whole, as raw bytes, after one sort.
+    hashes[i] is the row_hash of keys[order[i]], ascending.  A row whose hash
+    no other row of the count has is a key of its own; only rows sharing a
+    hash are sorted and compared whole, as raw bytes.
     """
-    rows = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
-    order = np.argsort(rows)
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    group = np.cumsum(first) - 1  # distinct-key id of each sorted row
-    total = int(group[-1]) + 1
+    def distinct(kept) -> int:  # kept selects rows in hash order
+        h = hashes[kept]
+        new = h[1:] != h[:-1]
+        tied = ~(np.r_[True, new] & np.r_[new, True])  # another row has its hash
+        rows = np.sort(keys[order[kept][tied]].view(f"V{keys[0].nbytes}").ravel())
+        return int((~tied).sum()) + min(len(rows), 1) + int((rows[1:] != rows[:-1]).sum())
+
     in_kind1 = order < n1
-    counts = []
-    for rows_of_kind in (in_kind1, ~in_kind1):
-        hit = np.zeros(total, dtype=bool)
-        hit[group[rows_of_kind]] = True
-        counts.append(int(hit.sum()))
-    return counts[0], counts[1], total
+    return distinct(in_kind1), distinct(~in_kind1), distinct(slice(None))
 
 
 def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
@@ -271,9 +287,13 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
     params[n1:] = np.column_stack([np.full(len(keys) - n1, 2), np.repeat(pair_a, q - 1),
                                    np.repeat(pair_b, q - 1), np.tile(fs, len(pair_a))])
 
-    count_kind1, count_kind2, total = _distinct_counts(keys, n1)
-    result = CoverSet(q=q, keys=keys, params=params, count_kind1=count_kind1,
-                      count_kind2=count_kind2, total=total)
+    hashes = np.concatenate([row_hash(keys[i:i + _HASH_BLOCK])  # row_hash widens to uint64
+                             for i in range(0, len(keys), _HASH_BLOCK)])
+    order = np.argsort(hashes).astype(np.int32)
+    hashes = hashes[order]
+    count_kind1, count_kind2, total = _distinct_counts(keys, n1, hashes, order)
+    result = CoverSet(q=q, keys=keys, params=params, hashes=hashes, order=order,
+                      count_kind1=count_kind1, count_kind2=count_kind2, total=total)
 
     if check_dedup:
         swap_f = np.array([base._inv[f] for f in fs])

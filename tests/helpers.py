@@ -137,3 +137,24 @@ def random_recombination(base, rows, rng, steps: int = 8):
             s = rng.randrange(base.q)
             rows[i] = [base._add[x][base._mul[s][y]] for x, y in zip(rows[i], rows[j])]
     return rows
+
+
+def trace_counter(keys, hits, witnesses) -> Counter:
+    """The B-plane trace multiset as a Counter of key bytes: hits[i] times
+    key row i, plus the witnesses (traces that are no cover)."""
+    traces = Counter()
+    for row, n in zip(keys, hits):
+        if n:
+            traces[np.asarray(row, dtype="<u2").tobytes()] += int(n)
+    traces.update(witnesses)
+    return traces
+
+
+def trace_check_oracle(q, traces: Counter, cover_keys: set) -> tuple[bool, bool]:
+    """(matched, multiplicity_ok) of a trace Counter against a set of cover
+    key bytes, by set comparison: every trace is a cover, and the traces are
+    exactly the covers, each 2(q^2+q+1) times."""
+    two_k = 2 * (q * q + q + 1)
+    matched = set(traces) <= cover_keys
+    return matched, set(traces) == cover_keys and all(c == two_k for c in traces.values())
+

@@ -1,13 +1,16 @@
+import dataclasses
+import pickle
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hyperreguli import census
+from hyperreguli import census, covers
 from hyperreguli.census import (
     DEFAULT_CHUNK_SIZE,
     CoverTable,
+    TraceCounts,
     classify_plane,
     run_census,
     trace_is_cover_check,
@@ -17,7 +20,7 @@ from hyperreguli.census import (
     type_c_count,
 )
 from hyperreguli.census import _classify_block, _sweep
-from hyperreguli.covers import cover_size, cover_type1, enumerate_covers, total_count
+from hyperreguli.covers import cover_size, cover_type1, enumerate_covers, row_hash, total_count
 from hyperreguli.gf import factorize, make_field
 from hyperreguli.hyperreg import andre_switching_sets, transversal_count
 from hyperreguli.pg5 import (
@@ -30,7 +33,13 @@ from hyperreguli.pg5 import (
 )
 from hyperreguli.spread import block_labels, build_spread, locate_np
 
-from helpers import classify_by_meets, gather_points, seeded_blocks
+from helpers import (
+    classify_by_meets,
+    gather_points,
+    seeded_blocks,
+    trace_check_oracle,
+    trace_counter,
+)
 
 
 def field(q):
@@ -39,13 +48,24 @@ def field(q):
 
 
 def cover_table(ctx):
-    return CoverTable(enumerate_covers(ctx).keys)
+    return CoverTable(enumerate_covers(ctx))
 
 
 @pytest.fixture(scope="module")
-def sweep2(ctx2):
-    """(nA, nB, nC, B-plane trace multiset) of the sweep run_census uses, q = 2."""
-    return _sweep(ctx2, 1, cover_table(ctx2), DEFAULT_CHUNK_SIZE)
+def table2(ctx2):
+    return cover_table(ctx2)
+
+
+@pytest.fixture(scope="module")
+def sweep2(ctx2, table2):
+    """(nA, nB, nC, hits per key row, witnesses) of the sweep run_census uses, q = 2."""
+    return _sweep(ctx2, 1, table2, DEFAULT_CHUNK_SIZE)
+
+
+def array_verdict(ctx, table, hits, witnesses):
+    tc = trace_is_cover_check(ctx, TraceCounts(table, hits, witnesses), table)
+    assert tc.checked
+    return tc.matched, tc.multiplicity_ok
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +110,7 @@ def test_census_counts(q, expected, ctx_by_q, spread_by_q):
     assert report.trace_check.matched and report.trace_check.multiplicity_ok
 
 
-def test_census_agrees_with_reference_classifier_q2(spread2, sweep2):
+def test_census_agrees_with_reference_classifier_q2(spread2, table2, sweep2):
     tags = Counter()
     traces = Counter()
     for pl in enumerate_planes(spread2.ctx.base):
@@ -98,9 +118,10 @@ def test_census_agrees_with_reference_classifier_q2(spread2, sweep2):
         tags[cls.tag] += 1
         if cls.tag == "B":
             traces[trace_key_bytes(cls.trace)] += 1
-    na, nb, nc, census_traces = sweep2
+    na, nb, nc, hits, witnesses = sweep2
     assert (tags["A"], tags["B"], tags["C"]) == (na, nb, nc)
-    assert traces == census_traces
+    assert TraceCounts(table2, hits, witnesses) == traces
+    assert trace_counter(table2.keys, hits, witnesses) == traces
 
 
 @pytest.mark.parametrize("q,sample", [(2, None), (3, 10000), (4, 10000)])
@@ -169,36 +190,101 @@ def test_closed_forms():
         assert b == total_count(q) * 2 * cover_size(q)
 
 
-def test_trace_check_standalone_q2(ctx2, sweep2, cover_keys2):
-    tc = trace_is_cover_check(ctx2, sweep2[3], cover_keys2)
-    assert tc.checked and tc.matched and tc.multiplicity_ok
+def test_trace_check_standalone_q2(ctx2, table2, sweep2, cover_keys2):
+    assert array_verdict(ctx2, table2, *sweep2[3:]) == (True, True)
+    assert trace_check_oracle(2, trace_counter(table2.keys, *sweep2[3:]), cover_keys2) == \
+        (True, True)
 
 
-def test_trace_multiplicities_are_constant_q2(sweep2, cover_keys2):
-    traces = sweep2[3]
+def test_trace_multiplicities_are_constant_q2(table2, sweep2, cover_keys2):
+    traces = TraceCounts(table2, *sweep2[3:])
     assert set(traces) == cover_keys2
     assert set(traces.values()) == {14}
+    assert len(traces) == len(table2) == len(cover_keys2)
+    assert set(table2) == cover_keys2
+    # what the benchmark's trace hook computes: a plain set, never a view
+    matched = set(traces) & table2
+    assert type(matched) is set and matched == cover_keys2
 
 
-def test_trace_check_failure_paths_q2(ctx2, sweep2, cover_keys2):
-    k = cover_size(2)
+def test_trace_views_answer_lookups_q2(table2, sweep2, cover_keys2):
+    traces = TraceCounts(table2, sweep2[3], Counter({b"\0" * 14: 3}))
     some_cover = min(cover_keys2)
+    assert some_cover in table2 and traces[some_cover] == 14
+    assert traces[b"\0" * 14] == 3 and b"\0" * 14 not in table2
+    for absent in (b"\1" * 14, b"\0" * 13, "not bytes", 7):
+        assert absent not in table2 and absent not in traces
+        with pytest.raises(KeyError):
+            traces[absent]
 
-    not_a_cover = Counter(sweep2[3])
-    not_a_cover[trace_key_bytes([0] * k)] += 1  # repeated labels: never a cover
-    tc = trace_is_cover_check(ctx2, not_a_cover, cover_keys2)
-    assert not tc.matched and not tc.multiplicity_ok
+
+def test_trace_check_failure_paths_q2(ctx2, table2, sweep2, cover_keys2):
+    """The array verdict on a non-cover trace, a count off by one, a missing
+    cover and a repeated key row; the first three agree with the oracle."""
+    k = cover_size(2)
+    hits, witnesses = sweep2[3:]
+    i = int(table2.lookup(table2.keys[:1])[0])
+
+    def both(hits, witnesses):
+        got = array_verdict(ctx2, table2, hits, witnesses)
+        assert got == trace_check_oracle(2, trace_counter(table2.keys, hits, witnesses),
+                                         cover_keys2)
+        return got
+
+    not_a_cover = witnesses + Counter({trace_key_bytes([0] * k): 1})  # repeated labels
+    assert both(hits, not_a_cover) == (False, False)
 
     for delta in (1, -1):
-        off_by_one = Counter(sweep2[3])
-        off_by_one[some_cover] += delta
-        tc = trace_is_cover_check(ctx2, off_by_one, cover_keys2)
-        assert tc.matched and not tc.multiplicity_ok
+        off_by_one = hits.copy()
+        off_by_one[i] += delta
+        assert both(off_by_one, witnesses) == (True, False)
 
-    missing = Counter(sweep2[3])
-    del missing[some_cover]
-    tc = trace_is_cover_check(ctx2, missing, cover_keys2)
-    assert tc.matched and not tc.multiplicity_ok
+    missing = hits.copy()
+    missing[i] = 0
+    assert both(missing, witnesses) == (True, False)
+
+    # a cover listed twice: the sweep counts its traces on one of its rows
+    cover_set = enumerate_covers(ctx2)
+    keys = np.concatenate([cover_set.keys, cover_set.keys[:1]])
+    order = np.argsort(row_hash(keys)).astype(np.int32)
+    twice = CoverTable(dataclasses.replace(cover_set, keys=keys, order=order,
+                                           hashes=row_hash(keys[order])))
+    assert len(twice) == len(table2) and len(twice.keys) == len(table2.keys) + 1
+    assert set(twice) == cover_keys2
+    na, nb, nc, hits, witnesses = _sweep(ctx2, 1, twice, DEFAULT_CHUNK_SIZE)
+    assert sorted(hits[[0, -1]]) == [0, 2 * k]
+    assert array_verdict(ctx2, twice, hits, witnesses) == (True, False)
+    # even with every row counted 2k, the repeated key fails the check
+    assert array_verdict(ctx2, twice, np.full(len(hits), 2 * k), witnesses) == (True, False)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_array_verdict_matches_oracle_under_perturbations(q, ctx_by_q):
+    """Seeded random edits of a passing sweep: counts shifted or zeroed,
+    non-cover traces added; the array verdict always equals the oracle's."""
+    ctx = ctx_by_q[q]
+    table = cover_table(ctx)
+    _, _, _, hits, witnesses = _sweep(ctx, 1, table, DEFAULT_CHUNK_SIZE)
+    cover_keys = {trace_key_bytes(r) for r in table.keys}
+    k, n = cover_size(q), len(table.keys)
+    rng = random.Random(1000 + q)
+    seen = Counter()
+    for _ in range(60):
+        h, w = hits.copy(), Counter(witnesses)
+        for _ in range(rng.randrange(3)):
+            edit = rng.randrange(3)
+            if edit == 0:
+                h[rng.randrange(n)] += rng.choice([-2, -1, 1, 2])
+            elif edit == 1:
+                h[rng.randrange(n)] = 0
+            else:
+                row = sorted(rng.choices(range(ctx.q3 + 1), k=k))  # may repeat labels
+                if trace_key_bytes(row) not in cover_keys:
+                    w[trace_key_bytes(row)] += rng.randrange(1, 3)
+        want = trace_check_oracle(q, trace_counter(table.keys, h, w), cover_keys)
+        assert array_verdict(ctx, table, h, w) == want
+        seen[want] += 1
+    assert set(seen) == {(True, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
@@ -243,8 +329,24 @@ def test_classify_block_labels_at_large_q(q):
 def test_sweep_traces_invariant_under_worker_count_q3(ctx3):
     table = cover_table(ctx3)
     one = _sweep(ctx3, 1, table, 4096)
-    assert _sweep(ctx3, 2, table, 4096) == one
-    assert set(one[3].values()) == {2 * cover_size(3)}
+    two = _sweep(ctx3, 2, table, 4096)
+    assert two[:3] == one[:3] and two[4] == one[4] == Counter()
+    assert np.array_equal(two[3], one[3])
+    assert set(one[3].tolist()) == {2 * cover_size(3)}
+
+
+def test_census_pool_shares_the_table_without_pickling(ctx3, monkeypatch):
+    """The pool forks, so its workers inherit the table: a table that
+    cannot be pickled still gives the passing q = 3 census."""
+    def refuse(self):
+        raise pickle.PicklingError("CoverTable must not be pickled")
+
+    monkeypatch.setattr(CoverTable, "__reduce__", refuse)
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(cover_table(ctx3))
+    report = run_census(ctx3, jobs=2)
+    assert (report.count_a, report.count_b, report.count_c) == (28, 19656, 14196)
+    assert report.trace_check.matched and report.trace_check.multiplicity_ok
 
 
 @pytest.mark.parametrize("multipliers", ["equal", "zero"])
@@ -257,22 +359,22 @@ def test_census_exact_under_hash_collisions(ctx2, ctx3, monkeypatch, multipliers
 
     want = {q: report(ctx) for q, ctx in ((2, ctx2), (3, ctx3))}
     value = 1 if multipliers == "equal" else 0
-    monkeypatch.setattr(census, "_HASH_MULTIPLIERS",
-                        np.full_like(census._HASH_MULTIPLIERS, value))
+    monkeypatch.setattr(covers, "_HASH_MULTIPLIERS",
+                        np.full_like(covers._HASH_MULTIPLIERS, value))
     for q, ctx in ((2, ctx2), (3, ctx3)):
         table = cover_table(ctx)
-        assert len(np.unique(table.hashes)) < len(table)
-        assert np.array_equal(table.lookup(table.rows), np.arange(len(table)))
+        assert len(np.unique(table.hashes)) < len(table.keys)
+        assert np.array_equal(table.lookup(table.keys), np.arange(len(table.keys)))
         assert report(ctx) == want[q]
 
 
 def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
     # with equal multipliers the hash is the label sum: shift two labels
     # of a cover apart by one each to keep the hash and leave the covers
-    monkeypatch.setattr(census, "_HASH_MULTIPLIERS",
-                        np.ones_like(census._HASH_MULTIPLIERS))
+    monkeypatch.setattr(covers, "_HASH_MULTIPLIERS",
+                        np.ones_like(covers._HASH_MULTIPLIERS))
     table = cover_table(ctx2)
-    for cover in table.rows:
+    for cover in table.keys:
         row = cover.astype(np.int32)
         row[0] -= 1
         row[-1] += 1
@@ -280,25 +382,30 @@ def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
             break
     else:
         pytest.fail("no cover gives a non-cover row with the same hash")
-    assert census._row_hash(row[None]) == census._row_hash(cover[None])
+    assert row_hash(row[None]) == row_hash(cover[None])
 
     rows = np.stack([cover.astype(np.int32), row])
     assert table.lookup(rows)[1] == -1
     hits, witnesses = table.tally(rows)
-    assert table.rows[hits].tolist() == [cover.tolist()]
+    assert table.keys[hits].tolist() == [cover.tolist()]
     assert witnesses == Counter({trace_key_bytes(row): 1})
-    counts = np.bincount(hits, minlength=len(table))
-    tc = trace_is_cover_check(ctx2, table.traces(counts, witnesses), cover_keys2)
+    counts = np.bincount(hits, minlength=len(table.keys))
+    tc = trace_is_cover_check(ctx2, TraceCounts(table, counts, witnesses), table)
     assert tc.matched is False and tc.multiplicity_ok is False
 
 
 def test_cover_table_hashes_in_row_blocks(ctx3, monkeypatch):
-    """Hashing the keys block by block gives the whole array's hashes."""
-    keys = enumerate_covers(ctx3).keys
-    monkeypatch.setattr(census, "DEFAULT_CHUNK_SIZE", 7)
-    table = CoverTable(keys)
-    assert np.array_equal(table.hashes, np.sort(census._row_hash(keys)))
-    assert np.array_equal(table.rows[table.lookup(keys)], keys)
+    """Hashing the keys block by block gives the whole array's hashes, in
+    the order of the table's permutation."""
+    monkeypatch.setattr(covers, "_HASH_BLOCK", 7)
+    cover_set = enumerate_covers(ctx3)
+    keys = cover_set.keys
+    table = CoverTable(cover_set)
+    assert table.keys is keys  # no copy
+    assert np.array_equal(table.hashes, np.sort(row_hash(keys)))
+    assert np.array_equal(table.hashes, row_hash(keys[table.order]))
+    assert table.order.dtype == np.int32
+    assert np.array_equal(table.lookup(keys), np.arange(len(keys)))
 
 
 # q = 3, k = 13: sorted label rows as block_labels would return them

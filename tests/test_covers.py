@@ -2,9 +2,13 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from hyperreguli import covers
 from hyperreguli.covers import (
+    _distinct_counts,
+    _level_keys,
     cover_size,
     cover_type1,
     cover_type2,
@@ -198,6 +202,60 @@ def test_table_bug_raises_naming_the_cover(table, kind):
         ctx.base.exp[1] = 1  # GF(3)* is generated by 2
     with pytest.raises(RuntimeError, match=rf"cover {kind}:0,(None|1),[12] has \d+ points"):
         enumerate_covers(ctx)
+
+
+@pytest.mark.parametrize("multipliers", ["equal", "zero"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_dedup_exact_under_hash_collisions(q, multipliers, ctx_by_q, monkeypatch):
+    """Keys sharing a hash are told apart by their bytes: same counts, same audit."""
+    value = 1 if multipliers == "equal" else 0
+    monkeypatch.setattr(covers, "_HASH_MULTIPLIERS",
+                        np.full_like(covers._HASH_MULTIPLIERS, value))
+    cs = enumerate_covers(ctx_by_q[q], check_dedup=True)
+    assert len(np.unique(cs.hashes)) < len(cs.keys)
+    assert (cs.count_kind1, cs.count_kind2, cs.total) == \
+        (kind1_count(q), kind2_count(q), total_count(q))
+    assert cs.dedup_exact is True
+
+
+@pytest.mark.parametrize("multipliers", ["seeded", "zero"])
+def test_injected_duplicate_key_counts_one_fewer(ctx3, monkeypatch, multipliers):
+    """A key row overwritten by a copy of another row loses one distinct key,
+    also when every row shares one hash."""
+    if multipliers == "zero":
+        monkeypatch.setattr(covers, "_HASH_MULTIPLIERS", np.zeros_like(covers._HASH_MULTIPLIERS))
+    cs = enumerate_covers(ctx3)
+    n1, counts = kind1_count(3), (kind1_count(3), kind2_count(3), total_count(3))
+    assert (cs.count_kind1, cs.count_kind2, cs.total) == counts
+    for dst, src, want in [
+        (-1, -2, (counts[0], counts[1] - 1, counts[2] - 1)),  # two equal kind-2 rows
+        (1, 0, (counts[0] - 1, counts[1], counts[2] - 1)),  # two equal kind-1 rows
+        (n1, 0, (counts[0], counts[1], counts[2] - 1)),  # a kind-1 key among the kind-2 rows
+    ]:
+        keys = cs.keys.copy()
+        keys[dst] = keys[src]
+        order = np.argsort(covers.row_hash(keys)).astype(np.int32)
+        assert _distinct_counts(keys, n1, covers.row_hash(keys[order]), order) == want
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_level_size_probes_match_the_full_pattern(kind):
+    """The 2q-position probe of the sorted values accepts a row exactly when
+    the row's sorted values are the level pattern, on rows with entries moved
+    between levels, out of range or swapped."""
+    q, q3, k = 3, 27, cover_size(3)
+    sizes = [kind, k + 1 - kind] + [k] * (q - 2)
+    pattern = np.repeat(np.arange(q), sizes)
+    rng = np.random.default_rng(kind)
+    vals = np.tile(pattern, (400, 1))
+    for row in vals[1:]:
+        rng.shuffle(row)
+        for _ in range(rng.integers(0, 3)):
+            row[rng.integers(q3)] = rng.integers(q + 1)  # q itself is out of range
+    _, ok = _level_keys(vals, q, kind)
+    want = (np.sort(vals, axis=1) == pattern).all(axis=1)
+    assert np.array_equal(ok, want)
+    assert want[0] and 0 < want.sum() < len(vals)
 
 
 def test_cover_rows_view(ctx3):
