@@ -27,9 +27,14 @@ B; one label q+1 times and the rest once: C).  spread.block_labels locates
 the points of a block of planes: at p = 2 their flat coordinate indices are
 XORs of multiples of the basis rows' indices, since GF(2^h) addition is XOR
 of the coordinate digits, and at odd p the points come from one integer
-matrix product over GF(p).  The sweep is an order-independent reduction
-over enumeration chunks, so any chunk split or worker count produces the
-identical report.  classify_plane runs the same block kernel on a single plane.
+matrix product over GF(p).  A chunk holds planes of one pivot pattern, so at
+odd p the product runs on the pattern's free columns only (at most 3 of the
+6) and the pivot columns add one fixed index per point.  The sweep, and each
+pool worker, allocates the chunk's bases and the kernel's arrays once
+(_ChunkWork) and reuses them for every chunk.  The sweep is an
+order-independent reduction over enumeration chunks, so any chunk split or
+worker count produces the identical report.  classify_plane runs the same
+block kernel on a single plane, with all six columns.
 """
 
 from __future__ import annotations
@@ -49,9 +54,10 @@ from .pg5 import (
     PIVOT_PATTERNS,
     count_planes,
     enumeration_chunks,
+    free_columns,
     planes_block_np,
 )
-from .spread import Spread, block_labels
+from .spread import LabelWork, Spread, block_labels
 
 # Planes per chunk.  Larger chunks buy no speed: at q = 5, chunks of 2^16
 # planes took as long as 2^14 and raised the census's peak RSS from 78 to 142 MB.
@@ -117,17 +123,22 @@ class CensusReport:
         return asdict(self)
 
 
-def _classify_block(ctx: FieldCtx, B: np.ndarray):
-    """Sorted located labels (n, k) and A/B/C masks for basis matrices B (n, 3, 6)."""
+def _classify_block(ctx: FieldCtx, B: np.ndarray, *block):
+    """Sorted located labels (n, k) and A/B/C masks for basis matrices B
+    (n, 3, 6); block is block_labels' optional (work, pattern)."""
     q = ctx.q
-    codes = block_labels(ctx, B)
-    ndistinct = 1 + (codes[:, 1:] != codes[:, :-1]).sum(axis=1)
-    is_a = ndistinct == 1
-    is_b = ndistinct == cover_size(q)
-    # With q^2+1 distinct labels among k the runs' excess over 1 sums to q,
-    # so a run of q+1 (a label equal to the one q places on) leaves every
-    # other label single: exactly the C pattern.
-    is_c = (ndistinct == q * q + 1) & (codes[:, q:] == codes[:, :-q]).any(axis=1)
+    codes = block_labels(ctx, B, *block)
+    # repeats per row, from one equality mask (einsum sums these short rows
+    # about twice as fast as count_nonzero(axis=1))
+    repeats = np.einsum("ij->i", (codes[:, 1:] == codes[:, :-1]).view(np.uint8), dtype=np.uint16)
+    is_a = repeats == cover_size(q) - 1
+    is_b = repeats == 0
+    # With q^2+1 distinct labels among k (q repeats) the runs' excess over 1
+    # sums to q, so a run of q+1 (a label equal to the one q places on)
+    # leaves every other label single: exactly the C pattern.
+    is_c = np.zeros_like(is_b)
+    rows = np.flatnonzero(repeats == q)
+    is_c[rows] = (codes[rows, q:] == codes[rows, :-q]).any(axis=1)
 
     classified = is_a | is_b | is_c
     if not classified.all():
@@ -141,6 +152,13 @@ def _classify_block(ctx: FieldCtx, B: np.ndarray):
 def trace_key_bytes(labels) -> bytes:
     """Canonical byte form of a sorted label tuple, shared with cover keys."""
     return np.asarray(labels, dtype="<u2").tobytes()
+
+
+# Rows per block of CoverTable.lookup.  A block's temporaries (hashes, the
+# candidate key rows and their comparison) then stay a fraction of a census
+# chunk's label rows; at 2^14 rows, those of a q = 5 chunk's trace tally made
+# the C allocator give its heap top back and fault it in again every chunk.
+_LOOKUP_ROWS = 1 << 11
 
 
 class CoverTable(Set):
@@ -167,14 +185,29 @@ class CoverTable(Set):
         return set(it)
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Key row index of each row's cover (int32), or -1 where the row is no cover."""
+        """Key row index of each row's cover (int32), or -1 where the row is no cover.
+
+        The rows are looked up _LOOKUP_ROWS at a time, so the temporaries
+        stay small next to a census chunk's arrays.
+        """
+        out = np.empty(len(rows), dtype=np.int32)
+        for start in range(0, len(rows), _LOOKUP_ROWS):
+            block = slice(start, start + _LOOKUP_ROWS)
+            out[block] = self._lookup_block(rows[block])
+        return out
+
+    def _lookup_block(self, rows: np.ndarray) -> np.ndarray:
         h = row_hash(rows)
         by_hash = np.argsort(h)  # sorted queries make the binary searches local
         last = len(self.keys) - 1
         cand = np.empty(len(h), dtype=np.intp)
         cand[by_hash] = np.minimum(np.searchsorted(self.hashes, h[by_hash]), last)
         idx = self.order[cand]
-        hit = (self.hashes[cand] == h) & ~(self.keys.take(idx, axis=0) != rows).any(axis=1)
+        same_hash = self.hashes[cand] == h
+        found = self.keys.take(idx, axis=0)
+        if same_hash.all() and np.array_equal(found, rows):  # every row a cover
+            return idx
+        hit = same_hash & ~(found != rows).any(axis=1)
         out = np.where(hit, idx, np.int32(-1))
         pending = np.flatnonzero(~hit)
         cand, h = cand[pending] + 1, h[pending]
@@ -220,7 +253,16 @@ class TraceCounts(Mapping):
         return int(np.count_nonzero(self.hits)) + len(self.witnesses)
 
 
-def _census_chunk(ctx: FieldCtx, table: CoverTable | None,
+class _ChunkWork:
+    """The arrays a census sweep reuses for each chunk of up to n planes: the
+    chunk's bases and block_labels' work, for at most 3 free columns."""
+
+    def __init__(self, ctx: FieldCtx, n: int):
+        self.planes = np.empty((n, 3, 6), dtype=np.uint8)
+        self.labels = LabelWork(ctx, n, max(len(free_columns(pt)) for pt in PIVOT_PATTERNS))
+
+
+def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
                   pattern_idx: int, start: int, stop: int):
     """Classify one enumeration chunk; returns (nA, nB, nC, hits, witnesses).
 
@@ -228,18 +270,20 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None,
     hits holds one int32 per B plane that is a cover, so a pool worker ships
     at most 4 bytes per plane of the chunk, not a covers-sized count array.
     """
-    B = planes_block_np(ctx.q, PIVOT_PATTERNS[pattern_idx], start, stop)
-    codes, is_a, is_b, is_c = _classify_block(ctx, B)
+    pattern = PIVOT_PATTERNS[pattern_idx]
+    B = planes_block_np(ctx.q, pattern, start, stop, out=work.planes)
+    codes, is_a, is_b, is_c = _classify_block(ctx, B, work.labels, pattern)
     hits, witnesses = table.tally(codes[is_b]) if table is not None else (None, None)
     return int(is_a.sum()), int(is_b.sum()), int(is_c.sum()), hits, witnesses
 
 
-_worker = None  # (ctx, table) of a census pool worker, set by _init_worker
+_worker = None  # (ctx, table, work) of a census pool worker, set by _init_worker
 
 
-def _init_worker(p, h, base_mod, cubic_mod, table):
+def _init_worker(p, h, base_mod, cubic_mod, table, chunk_planes):
     global _worker
-    _worker = (make_field(p, h, base_modulus=base_mod, cubic_modulus=cubic_mod), table)
+    ctx = make_field(p, h, base_modulus=base_mod, cubic_modulus=cubic_mod)
+    _worker = (ctx, table, _ChunkWork(ctx, chunk_planes))
 
 
 def _pool_chunk(chunk):
@@ -262,6 +306,7 @@ def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
     hits[i] counts the traces equal to key row i of table (None without one), witnesses the rest.
     """
     chunks = enumeration_chunks(ctx.q, chunk_size)
+    chunk_planes = max(stop - start for _, start, stop in chunks)
     na = nb = nc = 0
     hits = np.zeros(len(table.keys), dtype=np.int64) if table is not None else None
     witnesses = Counter()
@@ -274,11 +319,12 @@ def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
             max_workers=jobs,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(ctx.p, ctx.h, ctx.base.modulus, ctx.cubic_modulus, table),
+            initargs=(ctx.p, ctx.h, ctx.base.modulus, ctx.cubic_modulus, table, chunk_planes),
         )
     try:
         if pool is None:
-            results = (_census_chunk(ctx, table, *c) for c in chunks)
+            work = _ChunkWork(ctx, chunk_planes)
+            results = (_census_chunk(ctx, table, work, *c) for c in chunks)
         else:
             results = pool.map(_pool_chunk, chunks)
         for ca, cb, cc, chunk_hits, chunk_witnesses in results:

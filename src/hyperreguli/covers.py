@@ -69,12 +69,15 @@ def cover_size(q: int) -> int:
 # (stdlib random: numpy.random would add about 15 ms to every import).
 _HASH_MULTIPLIERS = np.array([rng.getrandbits(64) | 1 for rng in [random.Random(1973)]
                               for _ in range(cover_size(MAX_Q))], dtype=np.uint64)
-_HASH_BLOCK = 1 << 14  # key rows hashed at a time
 
 
 def row_hash(rows: np.ndarray) -> np.ndarray:
-    """64-bit hash of each label row (wrapping sum of label times multiplier)."""
-    return np.einsum("ij,j->i", rows.astype(np.uint64), _HASH_MULTIPLIERS[: rows.shape[1]])
+    """64-bit hash of each label row (wrapping sum of label times multiplier).
+
+    einsum widens the labels to uint64 a buffer at a time, with no uint64
+    copy of the rows."""
+    return np.einsum("ij,j->i", rows, _HASH_MULTIPLIERS[: rows.shape[1]],
+                     dtype=np.uint64, casting="unsafe")
 
 
 @dataclass(frozen=True)
@@ -282,13 +285,14 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
 
     fs = np.arange(1, q)
     params = np.empty((len(keys), 4), dtype=np.int32)
-    params[:n1] = np.column_stack([np.full(n1, 1), np.repeat(xs, q - 1),
-                                   np.full(n1, -1), np.tile(fs, q3)])
-    params[n1:] = np.column_stack([np.full(len(keys) - n1, 2), np.repeat(pair_a, q - 1),
-                                   np.repeat(pair_b, q - 1), np.tile(fs, len(pair_a))])
+    # (kind, a, b, f) written into the int32 columns: kind 1 by (a, f), kind 2 by (a < b, f)
+    kind1 = params[:n1].reshape(q3, q - 1, 4)
+    kind2 = params[n1:].reshape(len(pair_a), q - 1, 4)
+    kind1[..., 0], kind1[..., 1], kind1[..., 2] = 1, xs[:, None], -1
+    kind2[..., 0], kind2[..., 1], kind2[..., 2] = 2, pair_a[:, None], pair_b[:, None]
+    kind1[..., 3] = kind2[..., 3] = fs
 
-    hashes = np.concatenate([row_hash(keys[i:i + _HASH_BLOCK])  # row_hash widens to uint64
-                             for i in range(0, len(keys), _HASH_BLOCK)])
+    hashes = row_hash(keys)
     order = np.argsort(hashes).astype(np.int32)
     hashes = hashes[order]
     count_kind1, count_kind2, total = _distinct_counts(keys, n1, hashes, order)

@@ -165,34 +165,71 @@ def _points_weights(base: BaseField, digits: np.ndarray) -> np.ndarray:
     return mats[coeffs].transpose(0, 2, 3, 1).reshape(k * h, 3 * h)
 
 
-def block_points(base: BaseField, B: np.ndarray) -> np.ndarray:
-    """The k points of each plane, (n, k, 6) over GF(q), for bases B (n, 3, 6).
+ALL_COLUMNS = tuple(range(6))
+
+
+class PointWork:
+    """The weight matrix W of _points_weights and the work arrays of
+    point_digits for blocks of up to n planes on up to ncols columns, built
+    once and reused by every call.
+
+    Before the reduction the product's entries are at most 3h(p-1)^2, so it
+    runs in uint8 except at p = 11 and 13 (bounds 300 and 432: uint16).
+    """
+
+    def __init__(self, base: BaseField, n: int, ncols: int = 6):
+        p, h = base.p, base.h
+        dtype = np.uint8 if 3 * h * (p - 1) ** 2 < 256 else np.uint16
+        digits = np.arange(base.q)[:, None] // p ** np.arange(h) % p  # (q, h)
+        self.W = _points_weights(base, digits).astype(dtype)  # (k*h, 3*h)
+        self.D = np.empty(3 * h * ncols * n, dtype=dtype)
+        self.R = np.empty(len(self.W) * ncols * n, dtype=dtype)
+        self.T = np.empty_like(self.R)
+
+
+def point_digits(base: BaseField, B: np.ndarray, cols, work: PointWork) -> np.ndarray:
+    """GF(p) digits (k, h, len(cols), n) of the columns cols of the k points
+    of each plane with basis in B (n, 3, 6), a view of work.R.
 
     pts[n, c] = sum_r coeffs[c, r] * B[n, r] is GF(q)-linear in the basis,
     so on GF(p) digit planes it is one integer matrix product, reduced mod p.
-    The points come in coefficient order (as plane_points), not normalised.
-    Before the reduction the entries are at most 3h(p-1)^2, so the product
-    runs in uint8 except at p = 11 and 13 (bounds 300 and 432: uint16).
+    Digit i of column cols[j] of point c of plane n is entry [c, i, j, n].
     """
     p, h = base.p, base.h
-    n = B.shape[0]
-    dtype = np.uint8 if 3 * h * (p - 1) ** 2 < 256 else np.uint16
-    digits = np.arange(base.q)[:, None] // p ** np.arange(h) % p  # (q, h)
-    # digit planes (h, 3, 6, n): [y, r] is digit y of basis row r, coordinate-major
-    Bt = B.transpose(1, 2, 0)
-    D = np.take(digits.T.astype(dtype), Bt, axis=1) if h > 1 else Bt[None].astype(dtype)
-    W = _points_weights(base, digits).astype(dtype)
+    n, m = len(B), len(cols)
+    kh = len(work.W)
+    # digit planes (h, 3, m, n): [y, r, j] is digit y of entry cols[j] of basis row r
+    D = work.D[: 3 * h * m * n].reshape(h, 3, m, n)
+    for j, c in enumerate(cols):
+        D[0, :, j] = B[:, :, c].T
+    if h > 1:  # split the entries into digits; digit 0 last, as it is overwritten
+        for y in range(h - 1, -1, -1):
+            np.floor_divide(D[0], p**y, out=D[y])
+            np.remainder(D[y], p, out=D[y])
+    R = work.R[: kh * m * n].reshape(kh, m * n)
     # numpy's integer `@` has no BLAS kernel and was about 7x slower than
     # einsum's vectorised sum of products on these shapes
-    R = np.einsum("ij,jm->im", W, D.reshape(3 * h, 6 * n))
-    T = R // p  # R %= p, in place: division by a scalar is vectorised, % is not
+    np.einsum("ij,jm->im", work.W, D.reshape(3 * h, m * n), out=R)
+    T = work.T[: R.size].reshape(R.shape)
+    # R %= p, in place: division by a scalar is vectorised, % is not
+    np.floor_divide(R, p, out=T)
     T *= p
     R -= T
-    pts = R.reshape(-1, h, 6, n)
+    return R.reshape(kh // h, h, m, n)
+
+
+def block_points(base: BaseField, B: np.ndarray) -> np.ndarray:
+    """The k points of each plane, (n, k, 6) over GF(q), for bases B (n, 3, 6).
+
+    The points come in coefficient order (as plane_points), not normalised,
+    from point_digits on all six columns.
+    """
+    p, h = base.p, base.h
+    R = point_digits(base, B, ALL_COLUMNS, PointWork(base, len(B)))
     if h > 1:
-        pts = np.einsum("cidm,i->cdm", pts, (p ** np.arange(h)).astype(dtype))
+        pts = np.einsum("cidn,i->cdn", R, (p ** np.arange(h)).astype(R.dtype))
     else:
-        pts = pts[:, 0]
+        pts = R[:, 0]
     return pts.transpose(2, 0, 1)
 
 
@@ -232,6 +269,14 @@ def free_positions(pattern) -> list[tuple[int, int]]:
     ]
 
 
+def free_columns(pattern) -> tuple[int, ...]:
+    """The columns that hold free entries of an RREF matrix with these pivots:
+    the non-pivot columns right of the first pivot.  Over the planes of the
+    pattern every other column is constant: a pivot column is a unit column
+    and a column left of the first pivot is zero."""
+    return tuple(c for c in range(pattern[0] + 1, 6) if c not in pattern)
+
+
 def pattern_block_size(q: int, pattern) -> int:
     return q ** len(free_positions(pattern))
 
@@ -250,21 +295,22 @@ def enumerate_planes(base: BaseField):
             yield _plane_from_rref(template)
 
 
-def planes_block_np(q: int, pattern, start: int, stop: int) -> np.ndarray:
-    """Basis matrices (stop-start, 3, 6) for one odometer range of a pattern.
+def planes_block_np(q: int, pattern, start: int, stop: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Basis matrices (stop-start, 3, 6) for one odometer range of a pattern,
+    written into the leading rows of out when given.
 
     Index n in [start, stop) yields the same plane as position n of the
     streaming enumeration restricted to this pivot pattern.
     """
-    free = free_positions(pattern)
-    nfree = len(free)
     n = stop - start
-    out = np.zeros((n, 3, 6), dtype=np.uint8)
+    out = np.zeros((n, 3, 6), dtype=np.uint8) if out is None else out[:n]
+    out[...] = 0
     for r, c in zip(range(3), pattern):
         out[:, r, c] = 1
     idx = np.arange(start, stop, dtype=np.int64)
-    for j, (r, c) in enumerate(free):
-        out[:, r, c] = (idx // q ** (nfree - 1 - j)) % q
+    for r, c in reversed(free_positions(pattern)):  # last position fastest
+        np.divmod(idx, q, out=(idx, out[:, r, c]), casting="unsafe")
     return out
 
 

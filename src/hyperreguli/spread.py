@@ -17,14 +17,18 @@ import numpy as np
 
 from .gf import FieldCtx
 from .pg5 import (
+    ALL_COLUMNS,
     Plane,
+    PointWork,
     _plane_from_rref,
     all_points,
-    block_points,
+    free_columns,
     incidence,
     normalize_point,
     num_points,
     plane_points,
+    point_digits,
+    projective_coeffs,
 )
 
 
@@ -86,16 +90,22 @@ class Spread:
         return ctx.div(y, x)
 
 
-def _flat_index(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
-    """Flat index x*q^3 + y into FieldCtx.ratio_np of each 6-vector on the
-    last axis of v, in one weighted sum.  The index is below q^6: uint16 up
-    to q = 5, uint32 from q = 7."""
+def _flat_weights(ctx: FieldCtx) -> np.ndarray:
+    """Weights of the six coordinates in the flat index x*q^3 + y into
+    FieldCtx.ratio_np.  The index is below q^6: uint16 up to q = 5, uint32
+    from q = 7."""
     q, q3 = ctx.q, ctx.q3
     dtype = np.uint16 if q**6 <= 1 << 16 else np.uint32
-    # x = c0 + c1 q + c2 q^2 and y = c3 + c4 q + c5 q^2; coordinates are
-    # below q, so a cast from any integer dtype is exact
-    weights = np.array([q3, q3 * q, q3 * q * q, 1, q, q * q], dtype=dtype)
-    return np.einsum("...d,d->...", v, weights, dtype=dtype, casting="unsafe")
+    # x = c0 + c1 q + c2 q^2 and y = c3 + c4 q + c5 q^2
+    return np.array([q3, q3 * q, q3 * q * q, 1, q, q * q], dtype=dtype)
+
+
+def _flat_index(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
+    """Flat index into FieldCtx.ratio_np of each 6-vector on the last axis
+    of v, in one weighted sum."""
+    weights = _flat_weights(ctx)
+    # coordinates are below q, so a cast from any integer dtype is exact
+    return np.einsum("...d,d->...", v, weights, dtype=weights.dtype, casting="unsafe")
 
 
 def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
@@ -108,9 +118,38 @@ def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
     return ctx.ratio_np[_flat_index(ctx, v)]
 
 
-def _char2_point_indices(ctx: FieldCtx, B: np.ndarray) -> np.ndarray:
-    """Flat indices (k, n) of the k points of each plane with basis in B
-    (n, 3, 6), in coefficient order (as block_points), at p = 2.
+# Planes whose labels block_labels gathers at a time, point by point: the
+# planes of a chunk are neighbours in the enumeration, so one point's indices
+# over a tile are close and the reads of FieldCtx.ratio_np stay local (at
+# q = 13 and 16, 2.5-4x faster than gathering plane by plane).  The tile's
+# transposed copy then makes each plane's labels a contiguous row for the
+# sort.  np.take copies an index array that is not intp, so the tile's
+# indices are first copied into an intp array of their own.
+_GATHER_TILE = 1 << 10
+
+
+class LabelWork:
+    """Work arrays of block_labels for blocks of up to n planes with at most
+    ncols varying columns, allocated once and reused by every call.
+
+    A census sweep builds one (each pool worker its own), so the kernel
+    makes no large temporaries per chunk and its cost does not hang on when
+    the C allocator trims its heap and faults it back in.
+    """
+
+    def __init__(self, ctx: FieldCtx, n: int, ncols: int = 6):
+        k = ctx.q**2 + ctx.q + 1
+        self.points = PointWork(ctx.base, n, ncols) if ctx.p != 2 else None
+        self.flat = np.empty(k * n, dtype=_flat_weights(ctx).dtype)
+        tile = k * min(n, _GATHER_TILE)
+        self.tile_idx = np.empty(tile, dtype=np.intp)
+        self.tile_labels = np.empty(tile, dtype=np.uint16)  # as FieldCtx.ratio_np
+        self.codes = np.empty(n * k, dtype=np.uint16)
+
+
+def _char2_point_indices(ctx: FieldCtx, B: np.ndarray, idx: np.ndarray) -> None:
+    """Flat indices (k, n) into idx of the k points of each plane with basis
+    in B (n, 3, 6), in coefficient order (as block_points), at p = 2.
 
     A flat index packs the six GF(q) coordinates, q = 2^h, as h-bit fields,
     and addition in GF(q) is XOR of the digits, so the index is XOR-linear
@@ -143,30 +182,66 @@ def _char2_point_indices(ctx: FieldCtx, B: np.ndarray) -> np.ndarray:
         power ^= carry
         np.bitwise_xor(M[:, : 1 << i], power[:, None], out=M[:, 1 << i : 2 << i])
 
-    idx = np.empty((1 + q + q * q, n), dtype=dtype)
     idx[0] = M[1, 1]
     np.bitwise_xor(M[0, 1], M[1], out=idx[1 : 1 + q])
     np.bitwise_xor((rows[0] ^ M[0])[:, None], M[1][None],
                    out=idx[1 + q :].reshape(q, q, n))
-    return idx
 
 
-def block_labels(ctx: FieldCtx, B: np.ndarray) -> np.ndarray:
+def _odd_point_indices(ctx: FieldCtx, B: np.ndarray, pattern, work: PointWork,
+                       idx: np.ndarray) -> None:
+    """Flat indices (k, n) into idx of the k points of each plane with basis
+    in B (n, 3, 6), in coefficient order, at odd p.
+
+    Without a pattern all six columns come from point_digits.  With one,
+    the planes are RREF matrices with those pivots, so only the free columns
+    vary: point_digits runs on those, and the pivot columns add the same
+    index to every plane, coeffs @ weights[pattern] (the columns left of the
+    first pivot are zero).
+    """
+    p, h = ctx.p, ctx.h
+    weights = _flat_weights(ctx)
+    cols = ALL_COLUMNS if pattern is None else free_columns(pattern)
+    R = point_digits(ctx.base, B, cols, work)  # (k, h, m, n)
+    k, _, m, n = R.shape
+    # digit i of column cols[j] weighs p^i times the column's weight
+    digit_weights = (p ** np.arange(h)[:, None] * weights[list(cols)]).astype(weights.dtype)
+    np.einsum("cjn,j->cn", R.reshape(k, h * m, n), digit_weights.ravel(), out=idx)
+    if pattern is not None:
+        const = np.array(projective_coeffs(ctx.q)) @ weights[list(pattern)]
+        idx += const.astype(weights.dtype)[:, None]
+
+
+def block_labels(ctx: FieldCtx, B: np.ndarray, work: LabelWork | None = None,
+                 pattern=None) -> np.ndarray:
     """The located labels of the k points of each plane with basis in B
-    (n, 3, 6), sorted within each row: (n, k).
+    (n, 3, 6), sorted within each row: (n, k), a view of work.codes that the
+    next call with the same work overwrites.
 
     At p = 2 the point indices are XORs of basis-row multiples
-    (_char2_point_indices), with no GF(p) products; at odd p the points come
-    from block_points' GF(p) product.  Either way one gather in
-    FieldCtx.ratio_np locates them.
+    (_char2_point_indices), with no GF(p) products; at odd p they come from
+    point_digits' GF(p) product, on the free columns of pattern alone when
+    every plane of B has that pivot pattern (_odd_point_indices).  Either way
+    one gather in FieldCtx.ratio_np locates them.  Without work, the arrays
+    are sized for B.
     """
+    n, k = len(B), ctx.q**2 + ctx.q + 1
+    if work is None:
+        work = LabelWork(ctx, n)
+    idx = work.flat[: k * n].reshape(k, n)
     if ctx.p == 2:
-        labels = ctx.ratio_np[_char2_point_indices(ctx, B)].T
+        _char2_point_indices(ctx, B, idx)
     else:
-        labels = locate_np(ctx, block_points(ctx.base, B))
-    # the labels lie plane-minor in memory; the row sort wants each plane's
-    # labels contiguous
-    codes = np.ascontiguousarray(labels)
+        _odd_point_indices(ctx, B, pattern, work.points, idx)
+    codes = work.codes[: n * k].reshape(n, k)
+    for start in range(0, n, _GATHER_TILE):
+        t = min(_GATHER_TILE, n - start)
+        tile_idx = work.tile_idx[: k * t].reshape(k, t)
+        tile_idx[...] = idx[:, start : start + t]
+        tile_labels = work.tile_labels[: k * t].reshape(k, t)
+        # no index is out of range; with mode="raise" np.take would buffer out
+        np.take(ctx.ratio_np, tile_idx, out=tile_labels, mode="clip")
+        codes[start : start + t] = tile_labels.T
     codes.sort(axis=1)
     return codes
 

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,14 +25,17 @@ from hyperreguli.covers import cover_size, cover_type1, enumerate_covers, row_ha
 from hyperreguli.gf import factorize, make_field
 from hyperreguli.hyperreg import andre_switching_sets, transversal_count
 from hyperreguli.pg5 import (
+    PIVOT_PATTERNS,
     block_points,
     count_planes,
     enumerate_planes,
+    pattern_block_size,
     plane_from_points,
     plane_from_rows,
     plane_points,
+    planes_block_np,
 )
-from hyperreguli.spread import block_labels, build_spread, locate_np
+from hyperreguli.spread import LabelWork, block_labels, build_spread, locate_np
 
 from helpers import (
     classify_by_meets,
@@ -156,6 +160,22 @@ def test_census_invariant_under_chunk_size(ctx2):
     reports = [run_census(ctx2, chunk_size=c) for c in (37, 512, 1 << 16)]
     counts = {(r.count_a, r.count_b, r.count_c, r.total) for r in reports}
     assert counts == {(9, 504, 882, 1395)}
+
+
+def test_census_report_invariant_under_chunk_size_q3(ctx3):
+    """At odd p too, chunk sizes whose last chunk of a pattern is short,
+    and a second worker, give the same report, traces included."""
+    def report(**kw):
+        d = run_census(ctx3, **kw).to_dict()
+        del d["runtime_seconds"]
+        return d
+
+    want = report()
+    for chunk_size in (1000, 4096, 1 << 16):  # 3^9 = 4*4096 + 3299
+        assert report(chunk_size=chunk_size) == want
+    assert report(chunk_size=1000, jobs=2) == want
+    assert (want["count_a"], want["count_b"], want["count_c"]) == (28, 19656, 14196)
+    assert want["trace_check"] == {"checked": True, "matched": True, "multiplicity_ok": True}
 
 
 def test_census_invariant_under_cubic_modulus_override():
@@ -296,6 +316,29 @@ def test_block_points_match_gather_oracle(q):
     assert np.array_equal(block_points(ctx.base, B), gather_points(ctx.base, B))
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9, 11, 13])
+def test_free_column_kernel_matches_gather_oracle(q):
+    """block_labels on one pivot pattern's block, with the GF(p) product on
+    its free columns and the pivot columns added as one index per point,
+    gives the row-sorted located labels of the table-gather points.  Each
+    block is a pattern's last chunk (chunks of 1500 planes, so gather tiles
+    of 1024 leave a short last tile) and seeded single planes of the same
+    pattern; one LabelWork, larger than any block, serves all 20 patterns.
+    At p = 2 the pattern is ignored."""
+    ctx = field(q)
+    rng = random.Random(300 + q)
+    chunk = 1500
+    work = LabelWork(ctx, chunk + 10, 3)
+    for pattern in PIVOT_PATTERNS:
+        stop = pattern_block_size(q, pattern)
+        start = (stop - 1) // chunk * chunk  # as enumeration_chunks(q, chunk)
+        singles = sorted(rng.randrange(stop) for _ in range(8))
+        B = np.concatenate([planes_block_np(q, pattern, start, stop)]
+                           + [planes_block_np(q, pattern, j, j + 1) for j in singles])
+        want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
+        assert np.array_equal(block_labels(ctx, B, work, pattern), want), pattern
+
+
 @pytest.mark.parametrize("q, base_modulus", [
     (2, None), (4, None), (8, None), (8, (1, 0, 1, 1)), (16, None), (16, (1, 0, 0, 1, 1)),
 ])
@@ -324,6 +367,25 @@ def test_classify_block_labels_at_large_q(q):
         pl = plane_from_rows(ctx.base, basis.tolist())
         want = sorted(spread.locate(pt) for pt in plane_points(ctx.base, pl))
         assert labels.tolist() == want
+
+
+def test_census_chunk_temporaries_stay_small(ctx5):
+    """Beside the sweep's work arrays, a q = 5 chunk of 2^14 planes with the
+    trace tally allocates under 2 MB at a time (tracemalloc); with the GF(p)
+    product and its quotient made afresh for every chunk it took 6.7 MB."""
+    table = cover_table(ctx5)
+    n = DEFAULT_CHUNK_SIZE
+    work = census._ChunkWork(ctx5, n)
+    census._census_chunk(ctx5, table, work, 0, 0, n)  # builds ratio_np
+    tracemalloc.start()
+    try:
+        for start in (n, 5 * n):
+            counts = census._census_chunk(ctx5, table, work, 0, start, start + n)[:3]
+            assert sum(counts) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_sweep_traces_invariant_under_worker_count_q3(ctx3):
@@ -394,10 +456,9 @@ def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
     assert tc.matched is False and tc.multiplicity_ok is False
 
 
-def test_cover_table_hashes_in_row_blocks(ctx3, monkeypatch):
-    """Hashing the keys block by block gives the whole array's hashes, in
-    the order of the table's permutation."""
-    monkeypatch.setattr(covers, "_HASH_BLOCK", 7)
+def test_cover_table_hashes_in_row_blocks(ctx3):
+    """The table holds the row hashes of the keys ascending, in the order of
+    its permutation, and no copy of the keys."""
     cover_set = enumerate_covers(ctx3)
     keys = cover_set.keys
     table = CoverTable(cover_set)
@@ -406,6 +467,24 @@ def test_cover_table_hashes_in_row_blocks(ctx3, monkeypatch):
     assert np.array_equal(table.hashes, row_hash(keys[table.order]))
     assert table.order.dtype == np.int32
     assert np.array_equal(table.lookup(keys), np.arange(len(keys)))
+
+
+def test_lookup_in_row_blocks_matches_one_block(ctx3, monkeypatch):
+    """Looking rows up a few at a time gives the one-block answer, with
+    covers, non-covers and hash collisions (equal multipliers) mixed in
+    each block."""
+    monkeypatch.setattr(covers, "_HASH_MULTIPLIERS", np.ones_like(covers._HASH_MULTIPLIERS))
+    table = cover_table(ctx3)
+    rng = np.random.default_rng(3)
+    shifted = table.keys[:300].astype(np.int32)
+    shifted[:, 0] += 1  # mostly no cover
+    rows = np.concatenate([table.keys.astype(np.int32), shifted])
+    rows = rows[rng.permutation(len(rows))]
+    want = table.lookup(rows)
+    monkeypatch.setattr(census, "_LOOKUP_ROWS", 5)
+    assert np.array_equal(table.lookup(rows), want)
+    assert (want >= 0).sum() >= len(table.keys) and (want < 0).any()
+    assert np.array_equal(table.keys[want[want >= 0]], rows[want >= 0])
 
 
 # q = 3, k = 13: sorted label rows as block_labels would return them

@@ -258,6 +258,29 @@ def test_level_size_probes_match_the_full_pattern(kind):
     assert want[0] and 0 < want.sum() < len(vals)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_params_rows_follow_the_sweep_order(q, ctx_by_q):
+    """params lists (kind, a, b, f) as int32 rows: kind 1 by (a, f) with
+    b = -1, then kind 2 by (a < b, f)."""
+    q3 = q**3
+    want = [[1, a, -1, f] for a in range(q3) for f in range(1, q)]
+    want += [[2, a, b, f] for a in range(q3) for b in range(a + 1, q3) for f in range(1, q)]
+    params = enumerate_covers(ctx_by_q[q]).params
+    assert params.dtype == np.int32 and params.tolist() == want
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_row_hash_is_the_wrapping_sum_of_labels_times_multipliers(q, ctx_by_q):
+    """row_hash, with no uint64 copy of the rows, is sum(label * multiplier)
+    mod 2^64 for uint16 key rows and for int32 query rows alike."""
+    keys = enumerate_covers(ctx_by_q[q]).keys[::37]
+    mult = covers._HASH_MULTIPLIERS[: keys.shape[1]].tolist()
+    want = [sum(x * m for x, m in zip(row, mult)) % 2**64 for row in keys.tolist()]
+    assert covers.row_hash(keys).dtype == np.uint64
+    assert covers.row_hash(keys).tolist() == want
+    assert covers.row_hash(keys.astype(np.int32)).tolist() == want
+
+
 def test_cover_rows_view(ctx3):
     cs = enumerate_covers(ctx3)
     view = cs.covers

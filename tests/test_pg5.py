@@ -1,14 +1,18 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+from hyperreguli.census import DEFAULT_CHUNK_SIZE
 from hyperreguli.pg5 import (
     PIVOT_PATTERNS,
     all_points,
     count_planes,
     enumerate_planes,
     enumeration_chunks,
+    free_columns,
+    free_positions,
     gaussian_binomial,
     incidence,
     meet_dim,
@@ -144,6 +148,27 @@ def test_chunk_split_is_invariant(ctx2):
     flat = [bytes(int(x) for x in m.reshape(-1)) for b in whole for m in b]
     flat_small = [bytes(int(x) for x in m.reshape(-1)) for b in small for m in b]
     assert flat == flat_small
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_pattern_blocks_vary_only_in_free_columns(q):
+    """Over each pivot pattern's block every column outside free_columns is
+    the RREF template's: a unit pivot column or, left of the first pivot,
+    zero.  The census kernel adds those columns as one constant per point.
+    The blocks are built chunk by chunk into one reused out array."""
+    out = np.full((DEFAULT_CHUNK_SIZE, 3, 6), 7, dtype=np.uint8)  # stale entries
+    for i, start, stop in enumeration_chunks(q, DEFAULT_CHUNK_SIZE):
+        pattern = PIVOT_PATTERNS[i]
+        cols = free_columns(pattern)
+        assert set(cols) == {c for _, c in free_positions(pattern)}
+        fixed = [c for c in range(6) if c not in cols]
+        template = np.zeros((3, 6), dtype=np.uint8)
+        template[range(3), pattern] = 1
+        block = planes_block_np(q, pattern, start, stop, out=out)
+        assert np.shares_memory(block, out) and len(block) == stop - start
+        assert (block[:, :, fixed] == template[:, fixed]).all()
+        if q < 5:
+            assert np.array_equal(block, planes_block_np(q, pattern, start, stop))
 
 
 def test_all_points_count_and_normalization(ctx2, ctx3):
