@@ -163,13 +163,19 @@ _LOOKUP_ROWS = 1 << 11
 
 class CoverTable(Set):
     """The cover keys of a CoverSet, as a set of key bytes, with exact lookup
-    of sorted label rows: a row's hash is binary-searched among the cover
-    hashes, and the row matches a cover only when all its labels equal the
-    cover's key row, so hash collisions cost time, never exactness."""
+    of sorted label rows: a row's hash is found among the cover hashes from
+    the bucket of its top bits (about one hash each), and the row matches a
+    cover only when all its labels equal the cover's key row, so hash
+    collisions cost time, never exactness."""
 
     def __init__(self, cover_set: CoverSet):
         self.keys, self.hashes, self.order = cover_set.keys, cover_set.hashes, cover_set.order
         self.total = cover_set.total  # distinct keys
+        bits = len(self.hashes).bit_length()  # 2^bits buckets: 128 KB at q = 5, 16 MB at q = 9
+        self._shift, self._starts = 64 - bits, np.empty(2**bits, dtype=np.int32)
+        for t in range(0, 2**bits, 1 << 18):  # bucket t starts at the first hash >= t << shift
+            tops = np.arange(t, min(t + (1 << 18), 2**bits), dtype=np.uint64)
+            self._starts[t : t + len(tops)] = np.searchsorted(self.hashes, tops << self._shift)
 
     def __len__(self) -> int:
         return self.total
@@ -196,12 +202,19 @@ class CoverTable(Set):
             out[block] = self._lookup_block(rows[block])
         return out
 
+    def _first_at_least(self, h: np.ndarray) -> np.ndarray:
+        """np.searchsorted(self.hashes, h): the start of each h's bucket, one
+        step into it, and a search of all hashes for the few h further in."""
+        cand = self._starts[h >> self._shift]
+        cand += self.hashes.take(cand, mode="clip") < h
+        behind = np.flatnonzero(self.hashes.take(cand, mode="clip") < h)
+        cand[behind] = np.searchsorted(self.hashes, h[behind])
+        return cand
+
     def _lookup_block(self, rows: np.ndarray) -> np.ndarray:
         h = row_hash(rows)
-        by_hash = np.argsort(h)  # sorted queries make the binary searches local
         last = len(self.keys) - 1
-        cand = np.empty(len(h), dtype=np.intp)
-        cand[by_hash] = np.minimum(np.searchsorted(self.hashes, h[by_hash]), last)
+        cand = np.minimum(self._first_at_least(h), last)
         idx = self.order[cand]
         same_hash = self.hashes[cand] == h
         found = self.keys.take(idx, axis=0)

@@ -27,6 +27,9 @@ over every x, with x - a from a q x q subtraction table, digit by digit.  N
 is multiplicative (gf.norm_multiplicative in FieldCtx.self_test), so the
 kind-2 row of (a, b) is N(x - a)/N(x - b), a GF(q) quotient of two kind-1
 rows.  The scalar constructors divide in GF(q^3) first: two routes to test.
+Norms are GF(q) indices below q <= 16, so the rows are uint8: a block of
+kind-2 quotients is one gather at u*q + v < 256 in a flat table, and the
+argsort into level sets is a one-pass radix sort.  Keys are written in place.
 
 The enumeration holds every key as a row of one (N, q^2+q+1) uint16 array,
 next to an (N, 4) array of the parameters (kind, a, b, f); a Cover object is
@@ -180,14 +183,14 @@ class CoverSet:
         return CoverRows(self.keys, self.params)
 
 
-def _level_keys(vals: np.ndarray, q: int, kind: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cover keys of the level sets f = 1..q-1 of each row of vals, by (row, f).
+def _level_keys(vals: np.ndarray, q: int, kind: int, out: np.ndarray) -> np.ndarray:
+    """Write the cover keys of the level sets f = 1..q-1 of each row of vals,
+    by (row, f), into out (rows * (q-1), q^2+q+1).
 
-    A row holds the norm value of the defining expression at every x of
-    GF(q^3), with 0 at the x that no cover of the row contains (a, and the
-    pole b for kind 2).  Returns the (rows * (q-1), q^2+q+1) keys and a mask
-    of the rows whose level sets have the cover sizes; the keys of the other
-    rows are meaningless.
+    A row holds the uint8 norm value of the defining expression at every x
+    of GF(q^3), with 0 at the x that no cover of the row contains (a, and
+    the pole b for kind 2).  Returns a mask of the rows whose level sets
+    have the cover sizes; the keys of the other rows are meaningless.
     """
     q3 = vals.shape[1]
     k = cover_size(q)
@@ -197,10 +200,12 @@ def _level_keys(vals: np.ndarray, q: int, kind: int) -> tuple[np.ndarray, np.nda
     # sorted, the values match the levels iff each level's block starts and ends on it
     probe = np.concatenate([ends - sizes, ends - 1])
     ok = (np.take_along_axis(vals, order[:, probe], axis=1) == np.r_[:q, :q]).all(axis=1)
-    rows = order[:, kind:].astype(np.uint16)
-    if kind == 2:  # infinity completes the level set f = 1
-        rows = np.insert(rows, k - 1, q3, axis=1)
-    return rows.reshape(-1, k), ok
+    flat = out.reshape(len(vals), (q - 1) * k)  # one row's q-1 keys
+    if kind == 1:
+        flat[...] = order[:, 1:]
+    else:  # infinity completes the level set f = 1
+        flat[:, : k - 1], flat[:, k - 1], flat[:, k:] = order[:, 2 : k + 1], q3, order[:, k + 1 :]
+    return ok
 
 
 def _size_error(vals_row: np.ndarray, q: int, kind: int, a: int, b: int | None) -> RuntimeError:
@@ -211,6 +216,16 @@ def _size_error(vals_row: np.ndarray, q: int, kind: int, a: int, b: int | None) 
         if n != cover_size(q):
             return RuntimeError(f"cover {kind}:{a},{b},{f} has {n} points")
     return RuntimeError(f"norm values of the covers {kind}:{a},{b} leave GF({q})")
+
+
+def _quotients(base) -> np.ndarray:
+    """Flat uint8 table of u/v at u*q + v in GF(q) (v = 0: placeholders), from
+    logs, so it shares no table with the audit's 1/f (base._inv)."""
+    q = base.q
+    logs = np.array([0] + base.log[1:])
+    table = np.array(base.exp * 2, dtype=np.uint8)[q - 1 + logs[:, None] - logs[None, :]]
+    table[0] = 0
+    return table.ravel()
 
 
 def _distinct_counts(keys: np.ndarray, n1: int, hashes: np.ndarray,
@@ -249,39 +264,34 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
     for i in range(3):
         digit = xs // q**i % q
         diffs += (bsub * q**i)[digit[None, :], digit[:, None]]
-    norms = ctx.norm_np[diffs]  # norms[a, x] = N(x - a), the kind-1 rows
-    # bdiv[u, v] = u/v in GF(q), column 0 a placeholder; in the log domain,
-    # so it shares no table with the audit's 1/f (base._inv)
-    logs = np.array([0] + base.log[1:])
-    bdiv = np.array(base.exp * 2, dtype=np.uint16)[q - 1 + logs[:, None] - logs[None, :]]
-    bdiv[0] = 0
+    norms = ctx.norm_np[diffs]  # norms[a, x] = N(x - a), the kind-1 rows, uint8
+    bdiv = _quotients(base)
+    norms_q = norms * np.uint8(q)  # u*q + v < q^2 <= 256: the flat index fits uint8
 
-    def pole_keys(a: int, bs: slice):
-        """Poles, norm rows, keys and size mask of the covers N((x - a)/(x - b)) = f,
-        b in xs[bs]."""
+    def pole_keys(a: int, bs: slice, out: np.ndarray):
+        """Poles and norm rows of the covers N((x - a)/(x - b)) = f, b in
+        xs[bs], with their keys written into out; and the size mask."""
         b = xs[bs]
-        vals = bdiv[norms[a], norms[bs]]  # N is multiplicative
+        vals = bdiv.take(norms_q[a] + norms[bs])  # N is multiplicative
         vals[np.arange(len(b)), b] = 0  # pole: not a member of any cover
-        return (b, vals, *_level_keys(vals, q, 2))
+        return b, vals, _level_keys(vals, q, 2, out[: len(b) * (q - 1)])
 
     n1 = q3 * (q - 1)
     pair_a, pair_b = np.triu_indices(q3, 1)  # a < b, in the order swept
     keys = np.empty((n1 + len(pair_a) * (q - 1), k), dtype=np.uint16)
 
-    rows, ok = _level_keys(norms, q, 1)
+    ok = _level_keys(norms, q, 1, keys[:n1])
     if not ok.all():
         a = int(np.argmin(ok))
         raise _size_error(norms[a], q, 1, a, None)  # table bug
-    keys[:n1] = rows
 
     start = n1
     for a in range(q3 - 1):
-        b, vals, rows, ok = pole_keys(a, slice(a + 1, q3))
+        b, vals, ok = pole_keys(a, slice(a + 1, q3), keys[start:])
         if not ok.all():
             r = int(np.argmin(ok))
             raise _size_error(vals[r], q, 2, a, int(b[r]))  # table bug
-        keys[start:start + len(rows)] = rows
-        start += len(rows)
+        start += len(b) * (q - 1)
 
     fs = np.arange(1, q)
     params = np.empty((len(keys), 4), dtype=np.int32)
@@ -302,14 +312,16 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
     if check_dedup:
         swap_f = np.array([base._inv[f] for f in fs])
         exact = count_kind2 == len(keys) - n1  # the a < b keys are pairwise distinct
+        rows = np.empty(((q3 - 1) * (q - 1), k), dtype=np.uint16)  # reused by every a
         for a in range(1, q3):
             if not exact:
                 break
-            b, _, rows, ok = pole_keys(a, slice(0, a))
+            b, _, ok = pole_keys(a, slice(0, a), rows)
             # stored row of the swap (b, a, 1/f): pair (b, a) in sweep order, then f
             pair = b * q3 - b * (b + 1) // 2 + (a - b - 1)
             swap_rows = n1 + pair[:, None] * (q - 1) + (swap_f[None, :] - 1)
-            exact = bool(ok.all() and np.array_equal(rows, keys[swap_rows.ravel()]))
+            stored = keys[swap_rows.ravel()]
+            exact = bool(ok.all() and np.array_equal(rows[: len(stored)], stored))
         result.dedup_exact = exact
 
     return result

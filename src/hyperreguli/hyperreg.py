@@ -67,7 +67,7 @@ from .pg5 import (
     plane_from_rows,
     plane_points,
 )
-from .spread import LabelWork, Spread, block_labels, locate_np
+from .spread import Spread, block_labels, locate_np
 
 
 @dataclass
@@ -195,7 +195,7 @@ def _transversals_span(spread: Spread, hr: HyperRegulus,
     # the first candidate third plane that line s misses)
     total = len(i) * k
     found = {}
-    work = LabelWork(ctx, min(chunk_size, total))
+    work = spread.label_work(min(chunk_size, total))
     for start in range(0, total, chunk_size):
         s, l = np.divmod(np.arange(start, min(start + chunk_size, total)), k)
         B = np.stack([pts1[i[s]], pts2[j[s]], pts3[third[s], l]], axis=1)

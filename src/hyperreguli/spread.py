@@ -70,6 +70,7 @@ class Spread:
         self.ctx = ctx
         self.planes = planes
         self._label_of_key = {pl.key: m for m, pl in enumerate(planes)}
+        self._label_work = None  # see label_work
 
     def element(self, m: int) -> Plane:
         return self.planes[m]
@@ -79,6 +80,13 @@ class Spread:
 
     def labels(self) -> range:
         return range(self.ctx.q3 + 1)
+
+    def label_work(self, n: int) -> LabelWork:
+        """A LabelWork for up to n planes, kept for the next span search on
+        this spread (a fresh one per search faults its pages in again)."""
+        if self._label_work is None or self._label_work.n < n:
+            self._label_work = LabelWork(self.ctx, n)
+        return self._label_work
 
     def locate(self, pt) -> int:
         """The unique label m with pt in J(m), from coordinates in O(1)."""
@@ -139,6 +147,7 @@ class LabelWork:
 
     def __init__(self, ctx: FieldCtx, n: int, ncols: int = 6):
         k = ctx.q**2 + ctx.q + 1
+        self.n = n
         self.points = PointWork(ctx.base, n, ncols) if ctx.p != 2 else None
         self.flat = np.empty(k * n, dtype=_flat_weights(ctx).dtype)
         tile = k * min(n, _GATHER_TILE)

@@ -487,6 +487,30 @@ def test_lookup_in_row_blocks_matches_one_block(ctx3, monkeypatch):
     assert np.array_equal(table.keys[want[want >= 0]], rows[want >= 0])
 
 
+@pytest.mark.parametrize("multipliers", ["seeded", "equal", "zero"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_bucket_search_is_searchsorted(q, multipliers, ctx_by_q, monkeypatch):
+    """The bucket-start search gives np.searchsorted(hashes, h) (left) for
+    random hashes, every stored hash and its neighbours, and both ends of the
+    range; also when degenerate multipliers put every key in one bucket."""
+    if multipliers != "seeded":
+        value = 1 if multipliers == "equal" else 0
+        monkeypatch.setattr(covers, "_HASH_MULTIPLIERS",
+                            np.full_like(covers._HASH_MULTIPLIERS, value))
+    table = cover_table(ctx_by_q[q])
+    stored = table.hashes
+    one = np.uint64(1)
+    h = np.concatenate([
+        np.random.default_rng(q).integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False),
+        stored, stored - one, stored + one,  # wrapping at 0 and 2^64 - 1
+        np.array([0, 2**64 - 1, 2**63, 2**63 - 1], dtype=np.uint64),
+    ])
+    assert np.array_equal(table._first_at_least(h), np.searchsorted(stored, h))
+    if multipliers == "seeded":  # tied hashes: test_census_exact_under_hash_collisions
+        assert np.array_equal(table.lookup(table.keys), np.arange(len(table.keys)))
+    assert len(table._starts) == 2 ** len(stored).bit_length()
+
+
 # q = 3, k = 13: sorted label rows as block_labels would return them
 MASK_ROWS = {
     "A": [5] * 13,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -252,10 +253,59 @@ def test_level_size_probes_match_the_full_pattern(kind):
         rng.shuffle(row)
         for _ in range(rng.integers(0, 3)):
             row[rng.integers(q3)] = rng.integers(q + 1)  # q itself is out of range
-    _, ok = _level_keys(vals, q, kind)
+    ok = _level_keys(vals, q, kind, np.empty((len(vals) * (q - 1), k), dtype=np.uint16))
     want = (np.sort(vals, axis=1) == pattern).all(axis=1)
     assert np.array_equal(ok, want)
     assert want[0] and 0 < want.sum() < len(vals)
+
+
+def cover_set_digest(cs) -> str:
+    """sha256 of a CoverSet's arrays (dtype, shape and bytes) and its counts."""
+    h = hashlib.sha256()
+    for a in (cs.keys, cs.params, cs.hashes, cs.order):
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr((cs.count_kind1, cs.count_kind2, cs.total, cs.dedup_exact)).encode())
+    return h.hexdigest()
+
+
+# cover_set_digest of the audited enumeration under the default moduli, as
+# produced by the uint16 row kernel before its move to uint8 norm rows
+GOLDEN_COVER_SETS = {
+    2: "1119d8e933622194168d5dbe65cf0a62ed499114a6ba9936dbdd74b98fdb5fdf",
+    3: "f28049af52d22e720866dda8fe7af870d34f94842b44498ddd72559b5494ee8d",
+    4: "fc8ed198ea05982fec678ee0b8161399b22dbf9aed4d10cc992708036eef6ef7",
+    5: "a87ce6200a1a5e02b2021449cd4f61403e4c3e758d60f3a78586f838db0dab2a",
+    7: "30b7521423165a354e26d0c54ceaebd59cccec8d754c7381b930ad85e0073d60",
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_audited_enumeration_matches_golden_digest(q, ctx_by_q):
+    """keys, params, hashes, order, the counts and the audit verdict, byte
+    for byte."""
+    cs = enumerate_covers(ctx_by_q[q], check_dedup=True)
+    assert cover_set_digest(cs) == GOLDEN_COVER_SETS[q]
+
+
+def test_flat_quotient_index_addresses_every_pair_q16():
+    """In uint8, u*q + v runs over 0..255 for (u, v) in GF(16)^2 with no
+    wrap, and the flat table holds u/v there (v != 0); the norm rows are
+    uint8."""
+    ctx = make_field(2, 4)
+    base, q = ctx.base, 16
+    assert ctx.norm_np.dtype == np.uint8 and ctx.norm_np.tolist() == ctx.norm_table
+    u, v = (g.ravel() for g in np.meshgrid(np.arange(q, dtype=np.uint8),
+                                           np.arange(q, dtype=np.uint8), indexing="ij"))
+    flat = u * np.uint8(q) + v
+    assert flat.dtype == np.uint8 and flat.tolist() == list(range(q * q))
+    table = covers._quotients(base)
+    assert table.dtype == np.uint8 and table.shape == (q * q,)
+    got = table[flat].tolist()
+    for x, y, quot in zip(u.tolist(), v.tolist(), got):
+        if y:
+            assert quot == base.div(x, y)
+            assert base.mul(quot, y) == x
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -316,6 +366,10 @@ def test_enumeration_q7_counts_and_audit(covers7):
     assert cs.dedup_exact is True
     assert cs.keys.shape == (total_count(7), cover_size(7))
     assert peak < 256 * 2**20  # the keys take 40 MB; about 100 MB are traced in all
+
+
+def test_enumeration_q7_matches_golden_digest(covers7):
+    assert cover_set_digest(covers7[1]) == GOLDEN_COVER_SETS[7]
 
 
 def test_enumeration_q7_sample_matches_scalar_constructors(covers7):
