@@ -24,17 +24,18 @@ A plane is classified without any rank computations: each of its q^2+q+1
 points lies in exactly one spread element, located arithmetically, so the
 multiset of located labels decides the class (all equal: A; all distinct:
 B; one label q+1 times and the rest once: C).  spread.block_labels locates
-the points of a block of planes: at p = 2 their flat coordinate indices are
-XORs of multiples of the basis rows' indices, since GF(2^h) addition is XOR
-of the coordinate digits, and at odd p the points come from one integer
-matrix product over GF(p).  A chunk holds planes of one pivot pattern, so at
-odd p the product runs on the pattern's free columns only (at most 3 of the
-6) and the pivot columns add one fixed index per point.  The sweep, and each
-pool worker, allocates the chunk's bases and the kernel's arrays once
+the points of a block of planes, for every p alike: coordinate j of a point
+depends on column j of the basis alone, so each point's flat coordinate
+index is a sum of rows of one (q^3, k) table (pg5.point_table), no GF(p)
+product.  A chunk holds whole runs of one pivot pattern's odometer, in which
+only the fastest free column changes, so each run sums its other columns
+once and the fast column's codes are added in one broadcast.  The sweep, and
+each pool worker, allocates the chunk's bases and the kernel's arrays once
 (_ChunkWork) and reuses them for every chunk.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
 worker count produces the identical report.  classify_plane runs the same
-block kernel on a single plane, with all six columns.
+block kernel on a single plane, with all six columns.  A plane of no class
+stops the census with its basis, pivot pattern and odometer index.
 """
 
 from __future__ import annotations
@@ -50,13 +51,7 @@ import numpy as np
 
 from .covers import CoverSet, cover_size, enumerate_covers, row_hash, total_count
 from .gf import FieldCtx, make_field
-from .pg5 import (
-    PIVOT_PATTERNS,
-    count_planes,
-    enumeration_chunks,
-    free_columns,
-    planes_block_np,
-)
+from .pg5 import PIVOT_PATTERNS, count_planes, enumeration_chunks, planes_block_np
 from .spread import LabelWork, Spread, block_labels
 
 # Planes per chunk.  Larger chunks buy no speed: at q = 5, chunks of 2^16
@@ -125,7 +120,11 @@ class CensusReport:
 
 def _classify_block(ctx: FieldCtx, B: np.ndarray, *block):
     """Sorted located labels (n, k) and A/B/C masks for basis matrices B
-    (n, 3, 6); block is block_labels' optional (work, pattern)."""
+    (n, 3, 6); block is block_labels' optional (work, pattern, start).
+
+    A plane of no class raises, with its basis and labels as the witness
+    and, for a pattern's block, the pattern and its odometer index.
+    """
     q = ctx.q
     codes = block_labels(ctx, B, *block)
     # repeats per row, from one equality mask (einsum sums these short rows
@@ -143,8 +142,13 @@ def _classify_block(ctx: FieldCtx, B: np.ndarray, *block):
     classified = is_a | is_b | is_c
     if not classified.all():
         bad = int(np.argmin(classified))
+        where = ""
+        if block:
+            _, pattern, start = block
+            where = f" (pivot pattern {pattern}, odometer index {start + bad})"
         raise RuntimeError(
-            f"inconsistent intersection tally for plane labels {codes[bad].tolist()}"
+            f"inconsistent intersection tally for plane basis {B[bad].tolist()}{where}: "
+            f"labels {codes[bad].tolist()}"
         )
     return codes, is_a, is_b, is_c
 
@@ -222,16 +226,28 @@ class CoverTable(Set):
             return idx
         hit = same_hash & ~(found != rows).any(axis=1)
         out = np.where(hit, idx, np.int32(-1))
-        pending = np.flatnonzero(~hit)
-        cand, h = cand[pending] + 1, h[pending]
-        while pending.size:  # a miss may share its hash with further covers
-            same = (cand <= last) & (self.hashes[np.minimum(cand, last)] == h)
-            pending, cand, h = pending[same], cand[same], h[same]
-            idx = self.order[cand]
-            hit = (self.keys[idx] == rows[pending]).all(axis=1)
-            out[pending[hit]] = idx[hit]
-            pending, cand, h = pending[~hit], cand[~hit] + 1, h[~hit]
+        # a miss may share its hash with further covers; one whose hash is
+        # no cover's is no cover
+        tied = np.flatnonzero(same_hash & ~hit)
+        if tied.size:
+            out[tied] = self._lookup_tied(rows[tied], cand[tied], h[tied])
         return out
+
+    def _lookup_tied(self, rows: np.ndarray, first: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """lookup of rows whose hash h some cover has, first being the
+        position of h's first cover in the hashes.  The covers of all these
+        hashes are sorted by key bytes once and each row is binary-searched
+        among them, so the cost does not grow with the covers one hash has."""
+        first, uniq = np.unique(first, return_index=True)
+        size = np.searchsorted(self.hashes, h[uniq], side="right") - first
+        pos = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
+        dtype = np.promote_types(rows.dtype, self.keys.dtype)
+        as_bytes = f"V{dtype.itemsize * rows.shape[1]}"
+        keys = np.ascontiguousarray(self.keys[self.order[pos]], dtype=dtype).view(as_bytes).ravel()
+        want = np.ascontiguousarray(rows, dtype=dtype).view(as_bytes).ravel()
+        by_bytes = np.argsort(keys, kind="stable")
+        at = by_bytes[np.minimum(np.searchsorted(keys[by_bytes], want), len(keys) - 1)]
+        return np.where(keys[at] == want, self.order[pos[at]], np.int32(-1))
 
     def find(self, key) -> int:
         """Key row index of the cover with key bytes key, or -1."""
@@ -268,11 +284,11 @@ class TraceCounts(Mapping):
 
 class _ChunkWork:
     """The arrays a census sweep reuses for each chunk of up to n planes: the
-    chunk's bases and block_labels' work, for at most 3 free columns."""
+    chunk's bases and block_labels' work."""
 
     def __init__(self, ctx: FieldCtx, n: int):
         self.planes = np.empty((n, 3, 6), dtype=np.uint8)
-        self.labels = LabelWork(ctx, n, max(len(free_columns(pt)) for pt in PIVOT_PATTERNS))
+        self.labels = LabelWork(ctx, n)
 
 
 def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
@@ -285,7 +301,7 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
     """
     pattern = PIVOT_PATTERNS[pattern_idx]
     B = planes_block_np(ctx.q, pattern, start, stop, out=work.planes)
-    codes, is_a, is_b, is_c = _classify_block(ctx, B, work.labels, pattern)
+    codes, is_a, is_b, is_c = _classify_block(ctx, B, work.labels, pattern, start)
     hits, witnesses = table.tally(codes[is_b]) if table is not None else (None, None)
     return int(is_a.sum()), int(is_b.sum()), int(is_c.sum()), hits, witnesses
 

@@ -7,13 +7,22 @@ representative; the key packs the 18 matrix entries row-major into bytes.
 
 Planes are enumerated isomorph-free by iterating the 20 pivot-column
 patterns (3 of 6 columns, lexicographic) and filling the free entries with
-an odometer whose last position varies fastest.  The numpy block generator
+an odometer whose last position varies fastest.  The odometer is column
+major: the free entries of a column are consecutive digits, so a plane's
+odometer index is the mixed-radix number of its free columns' codes, and a
+run of consecutive planes steps the last free column through every code
+while the others stay fixed (run_length).  The numpy block generator
 produces the same planes in the same order, so the enumeration can be split
-into chunks that reduce deterministically.
+into chunks of whole runs that reduce deterministically.
+
+Coordinate j of each point of a plane depends on column j of its basis
+alone, so the points of any plane are rows of one (q^3, k) table indexed by
+its column codes (point_table).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -144,93 +153,47 @@ def plane_points(base: BaseField, pl: Plane) -> list[tuple[int, ...]]:
     return pts
 
 
-def _points_weights(base: BaseField, digits: np.ndarray) -> np.ndarray:
-    """The (k*h, 3*h) GF(p) matrix taking basis digits to point digits.
+@functools.lru_cache(maxsize=4)
+def point_table(base: BaseField) -> np.ndarray:
+    """The (q^3, k) uint8 table of plane points column by column.
 
-    Row c*h + x, column y*3 + r holds entry (x, y) of the h x h matrix of
-    multiplication by the coefficient projective_coeffs[c][r] on GF(p) digit
-    vectors (digits[a] lists those of a): a = sum_i a_i t^i acts as
-    sum_i a_i T^i, with T the companion matrix of the base modulus.
+    Coordinate j of point i of a plane with basis B (3, 6) is
+    coeffs[i] . (B[0,j], B[1,j], B[2,j]) over GF(q), so it depends on column
+    j alone: entry [v, i] is that coordinate for the column code
+    v = B[0,j] + q*B[1,j] + q^2*B[2,j] (column_codes), with the points in
+    coefficient order (as plane_points).  Code 0, the zero column, gives the
+    zero row.  3.9 KB at q = 5, 1.1 MB at q = 16.
     """
-    p, h = base.p, base.h
-    T = np.zeros((h, h), dtype=np.int64)  # multiplication by t
-    T[1:, :-1] = np.eye(h - 1, dtype=np.int64)
-    T[:, -1] = [-c % p for c in base.modulus[:h]]
-    t_powers = [np.eye(h, dtype=np.int64)]
-    for _ in range(h - 1):
-        t_powers.append(T @ t_powers[-1] % p)
-    mats = np.einsum("ai,ixy->axy", digits, np.array(t_powers)) % p  # (q, h, h)
-    coeffs = np.array(projective_coeffs(base.q))  # (k, 3)
-    k = len(coeffs)
-    return mats[coeffs].transpose(0, 2, 3, 1).reshape(k * h, 3 * h)
+    q = base.q
+    add = np.array(base._add, dtype=np.uint8)
+    mul = np.array(base._mul, dtype=np.uint8)
+    coeffs = np.array(projective_coeffs(q))[None]  # (1, k, 3)
+    column = (np.arange(q**3)[:, None] // q ** np.arange(3) % q)[:, None]  # (q^3, 1, 3)
+    table = mul[coeffs[..., 0], column[..., 0]]
+    for r in (1, 2):
+        table = add[table, mul[coeffs[..., r], column[..., r]]]
+    return table
 
 
-ALL_COLUMNS = tuple(range(6))
-
-
-class PointWork:
-    """The weight matrix W of _points_weights and the work arrays of
-    point_digits for blocks of up to n planes on up to ncols columns, built
-    once and reused by every call.
-
-    Before the reduction the product's entries are at most 3h(p-1)^2, so it
-    runs in uint8 except at p = 11 and 13 (bounds 300 and 432: uint16).
-    """
-
-    def __init__(self, base: BaseField, n: int, ncols: int = 6):
-        p, h = base.p, base.h
-        dtype = np.uint8 if 3 * h * (p - 1) ** 2 < 256 else np.uint16
-        digits = np.arange(base.q)[:, None] // p ** np.arange(h) % p  # (q, h)
-        self.W = _points_weights(base, digits).astype(dtype)  # (k*h, 3*h)
-        self.D = np.empty(3 * h * ncols * n, dtype=dtype)
-        self.R = np.empty(len(self.W) * ncols * n, dtype=dtype)
-        self.T = np.empty_like(self.R)
-
-
-def point_digits(base: BaseField, B: np.ndarray, cols, work: PointWork) -> np.ndarray:
-    """GF(p) digits (k, h, len(cols), n) of the columns cols of the k points
-    of each plane with basis in B (n, 3, 6), a view of work.R.
-
-    pts[n, c] = sum_r coeffs[c, r] * B[n, r] is GF(q)-linear in the basis,
-    so on GF(p) digit planes it is one integer matrix product, reduced mod p.
-    Digit i of column cols[j] of point c of plane n is entry [c, i, j, n].
-    """
-    p, h = base.p, base.h
-    n, m = len(B), len(cols)
-    kh = len(work.W)
-    # digit planes (h, 3, m, n): [y, r, j] is digit y of entry cols[j] of basis row r
-    D = work.D[: 3 * h * m * n].reshape(h, 3, m, n)
-    for j, c in enumerate(cols):
-        D[0, :, j] = B[:, :, c].T
-    if h > 1:  # split the entries into digits; digit 0 last, as it is overwritten
-        for y in range(h - 1, -1, -1):
-            np.floor_divide(D[0], p**y, out=D[y])
-            np.remainder(D[y], p, out=D[y])
-    R = work.R[: kh * m * n].reshape(kh, m * n)
-    # numpy's integer `@` has no BLAS kernel and was about 7x slower than
-    # einsum's vectorised sum of products on these shapes
-    np.einsum("ij,jm->im", work.W, D.reshape(3 * h, m * n), out=R)
-    T = work.T[: R.size].reshape(R.shape)
-    # R %= p, in place: division by a scalar is vectorised, % is not
-    np.floor_divide(R, p, out=T)
-    T *= p
-    R -= T
-    return R.reshape(kh // h, h, m, n)
+def column_codes(q: int, B: np.ndarray) -> np.ndarray:
+    """The column codes (6, n) of the bases B (n, 3, 6): column j of plane n
+    has code B[n,0,j] + q*B[n,1,j] + q^2*B[n,2,j], its row in point_table.
+    Each column's codes are contiguous, for np.take."""
+    rows = B.transpose(1, 2, 0)  # (3, 6, n)
+    codes = np.ascontiguousarray(rows[2], dtype=np.intp)
+    for r in (1, 0):
+        codes *= q
+        codes += rows[r]
+    return codes
 
 
 def block_points(base: BaseField, B: np.ndarray) -> np.ndarray:
     """The k points of each plane, (n, k, 6) over GF(q), for bases B (n, 3, 6).
 
-    The points come in coefficient order (as plane_points), not normalised,
-    from point_digits on all six columns.
+    The points come in coefficient order (as plane_points), not normalised:
+    point_table's rows at the six column codes.
     """
-    p, h = base.p, base.h
-    R = point_digits(base, B, ALL_COLUMNS, PointWork(base, len(B)))
-    if h > 1:
-        pts = np.einsum("cidn,i->cdn", R, (p ** np.arange(h)).astype(R.dtype))
-    else:
-        pts = R[:, 0]
-    return pts.transpose(2, 0, 1)
+    return point_table(base)[column_codes(base.q, B)].transpose(1, 2, 0)
 
 
 def incidence(base: BaseField, pt, pl: Plane) -> bool:
@@ -259,16 +222,6 @@ def meet_dim(base: BaseField, a: Plane, b: Plane) -> int:
 PIVOT_PATTERNS: tuple[tuple[int, int, int], ...] = tuple(combinations(range(6), 3))
 
 
-def free_positions(pattern) -> list[tuple[int, int]]:
-    """Row-major free (row, col) slots of an RREF matrix with these pivots."""
-    return [
-        (r, c)
-        for r in range(3)
-        for c in range(pattern[r] + 1, 6)
-        if c not in pattern
-    ]
-
-
 def free_columns(pattern) -> tuple[int, ...]:
     """The columns that hold free entries of an RREF matrix with these pivots:
     the non-pivot columns right of the first pivot.  Over the planes of the
@@ -277,8 +230,36 @@ def free_columns(pattern) -> tuple[int, ...]:
     return tuple(c for c in range(pattern[0] + 1, 6) if c not in pattern)
 
 
+def free_positions(pattern) -> list[tuple[int, int]]:
+    """Free (row, col) slots of an RREF matrix with these pivots, column by
+    column (free_columns) and, within a column, from the bottom row up.
+
+    The odometer steps the last slot fastest, so each column's free entries
+    are consecutive digits, entry (0, c) the lowest: a plane's odometer
+    index is the mixed-radix number of its free columns' codes
+    (column_codes), the last free column the fastest digit.
+    """
+    return [(r, c) for c in free_columns(pattern) for r in (2, 1, 0) if pattern[r] < c]
+
+
 def pattern_block_size(q: int, pattern) -> int:
     return q ** len(free_positions(pattern))
+
+
+def fast_column(pattern) -> int | None:
+    """The pattern's last free column, whose code is the odometer's fastest
+    digit; None for the one plane with no free entry."""
+    cols = free_columns(pattern)
+    return cols[-1] if cols else None
+
+
+def run_length(q: int, pattern) -> int:
+    """Planes per run of the pattern's odometer: q to the number of free
+    entries of fast_column.  Run m is the odometer range [m*s, (m+1)*s); it
+    keeps every other column fixed and steps the fast column's code through
+    0 .. s-1."""
+    c = fast_column(pattern)
+    return 1 if c is None else q ** sum(r < c for r in pattern)
 
 
 def enumerate_planes(base: BaseField):
@@ -315,10 +296,15 @@ def planes_block_np(q: int, pattern, start: int, stop: int,
 
 
 def enumeration_chunks(q: int, chunk_size: int) -> list[tuple[int, int, int]]:
-    """Deterministic (pattern_index, start, stop) cover of the enumeration."""
+    """Deterministic (pattern_index, start, stop) cover of the enumeration.
+
+    Each pattern is stepped by whole runs (run_length): chunk_size rounded
+    down to a multiple of the run length, and never below it.
+    """
     chunks = []
     for i, pattern in enumerate(PIVOT_PATTERNS):
-        size = pattern_block_size(q, pattern)
-        for start in range(0, size, chunk_size):
-            chunks.append((i, start, min(start + chunk_size, size)))
+        size, s = pattern_block_size(q, pattern), run_length(q, pattern)
+        step = max(s, chunk_size // s * s)
+        for start in range(0, size, step):
+            chunks.append((i, start, min(start + step, size)))
     return chunks

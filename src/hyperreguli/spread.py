@@ -17,18 +17,17 @@ import numpy as np
 
 from .gf import FieldCtx
 from .pg5 import (
-    ALL_COLUMNS,
     Plane,
-    PointWork,
     _plane_from_rref,
     all_points,
-    free_columns,
+    column_codes,
+    fast_column,
     incidence,
     normalize_point,
     num_points,
     plane_points,
-    point_digits,
-    projective_coeffs,
+    point_table,
+    run_length,
 )
 
 
@@ -108,151 +107,96 @@ def _flat_weights(ctx: FieldCtx) -> np.ndarray:
     return np.array([q3, q3 * q, q3 * q * q, 1, q, q * q], dtype=dtype)
 
 
-def _flat_index(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
-    """Flat index into FieldCtx.ratio_np of each 6-vector on the last axis
-    of v, in one weighted sum."""
-    weights = _flat_weights(ctx)
-    # coordinates are below q, so a cast from any integer dtype is exact
-    return np.einsum("...d,d->...", v, weights, dtype=weights.dtype, casting="unsafe")
-
-
 def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
     """Spread.locate over the last axis of an array of nonzero 6-vectors.
 
     The vectors need not be normalised: y/x is unchanged by scaling.  One
-    gather at each vector's flat index in FieldCtx.ratio_np gives its uint16
-    label (q^3 where x = 0).
+    gather at each vector's flat index in FieldCtx.ratio_np, a weighted sum
+    of its coordinates, gives its uint16 label (q^3 where x = 0).
     """
-    return ctx.ratio_np[_flat_index(ctx, v)]
+    weights = _flat_weights(ctx)
+    # coordinates are below q, so a cast from any integer dtype is exact
+    flat = np.einsum("...d,d->...", v, weights, dtype=weights.dtype, casting="unsafe")
+    return ctx.ratio_np[flat]
 
 
-# Planes whose labels block_labels gathers at a time, point by point: the
-# planes of a chunk are neighbours in the enumeration, so one point's indices
-# over a tile are close and the reads of FieldCtx.ratio_np stay local (at
-# q = 13 and 16, 2.5-4x faster than gathering plane by plane).  The tile's
-# transposed copy then makes each plane's labels a contiguous row for the
-# sort.  np.take copies an index array that is not intp, so the tile's
-# indices are first copied into an intp array of their own.
+# Planes whose labels block_labels gathers at a time, at least one run: a
+# tile's flat indices (intp, which np.take reads without a copy) then stay in
+# cache between the sum that writes them and the gather that reads them.
 _GATHER_TILE = 1 << 10
+
+# The columns by falling weight in the flat index x*q^3 + y, x = c0 + c1 q +
+# c2 q^2 and y = c3 + c4 q + c5 q^2: the index is Horner's scheme in q over
+# the columns' coordinates in this order.
+_HORNER_COLUMNS = (2, 1, 0, 5, 4, 3)
 
 
 class LabelWork:
-    """Work arrays of block_labels for blocks of up to n planes with at most
-    ncols varying columns, allocated once and reused by every call.
+    """pg5.point_table and the work arrays of block_labels for blocks of up
+    to n planes, allocated once and reused by every call.
 
     A census sweep builds one (each pool worker its own), so the kernel
     makes no large temporaries per chunk and its cost does not hang on when
-    the C allocator trims its heap and faults it back in.
+    the C allocator trims its heap and faults it back in.  Only the pages a
+    call writes are resident: a census chunk fills n/q rows of runs at most.
     """
 
-    def __init__(self, ctx: FieldCtx, n: int, ncols: int = 6):
-        k = ctx.q**2 + ctx.q + 1
+    def __init__(self, ctx: FieldCtx, n: int):
         self.n = n
-        self.points = PointWork(ctx.base, n, ncols) if ctx.p != 2 else None
-        self.flat = np.empty(k * n, dtype=_flat_weights(ctx).dtype)
-        tile = k * min(n, _GATHER_TILE)
-        self.tile_idx = np.empty(tile, dtype=np.intp)
-        self.tile_labels = np.empty(tile, dtype=np.uint16)  # as FieldCtx.ratio_np
-        self.codes = np.empty(n * k, dtype=np.uint16)
-
-
-def _char2_point_indices(ctx: FieldCtx, B: np.ndarray, idx: np.ndarray) -> None:
-    """Flat indices (k, n) into idx of the k points of each plane with basis
-    in B (n, 3, 6), in coefficient order (as block_points), at p = 2.
-
-    A flat index packs the six GF(q) coordinates, q = 2^h, as h-bit fields,
-    and addition in GF(q) is XOR of the digits, so the index is XOR-linear
-    in the vector.  Multiplication by t is GF(2)-linear on each field: shift
-    its low h-1 bits up by one and fold its top bit back in times the low
-    coefficients of the base modulus (t^h = m_0 + m_1 t + ..., signs vanish
-    at p = 2).  Doubling
-    then gives each row's q multiples, M[e] = sum of t^i * row over the bits
-    i of e, and the points (0,0,1), (0,1,c), (1,b,c) are XORs of those.
-    """
-    q, h = ctx.q, ctx.h
-    rows = _flat_index(ctx, B.transpose(1, 0, 2))  # (3, n)
-    dtype = rows.dtype
-    fields = sum(1 << (h * j) for j in range(6))  # bit 0 of each field
-    low = dtype.type(fields * ((1 << (h - 1)) - 1))
-    top = dtype.type(fields << (h - 1))
-    fold = dtype.type(sum(c << i for i, c in enumerate(ctx.base.modulus[:h])))
-
-    n = rows.shape[1]
-    M = np.empty((2, q, n), dtype=dtype)  # multiples of rows 2 and 3
-    M[:, 0] = 0
-    M[:, 1] = rows[1:]
-    power = M[:, 1]  # t^i * row
-    for i in range(1, h):
-        carry = power & top
-        carry >>= h - 1
-        carry *= fold
-        power = power & low
-        power <<= 1
-        power ^= carry
-        np.bitwise_xor(M[:, : 1 << i], power[:, None], out=M[:, 1 << i : 2 << i])
-
-    idx[0] = M[1, 1]
-    np.bitwise_xor(M[0, 1], M[1], out=idx[1 : 1 + q])
-    np.bitwise_xor((rows[0] ^ M[0])[:, None], M[1][None],
-                   out=idx[1 + q :].reshape(q, q, n))
-
-
-def _odd_point_indices(ctx: FieldCtx, B: np.ndarray, pattern, work: PointWork,
-                       idx: np.ndarray) -> None:
-    """Flat indices (k, n) into idx of the k points of each plane with basis
-    in B (n, 3, 6), in coefficient order, at odd p.
-
-    Without a pattern all six columns come from point_digits.  With one,
-    the planes are RREF matrices with those pivots, so only the free columns
-    vary: point_digits runs on those, and the pivot columns add the same
-    index to every plane, coeffs @ weights[pattern] (the columns left of the
-    first pivot are zero).
-    """
-    p, h = ctx.p, ctx.h
-    weights = _flat_weights(ctx)
-    cols = ALL_COLUMNS if pattern is None else free_columns(pattern)
-    R = point_digits(ctx.base, B, cols, work)  # (k, h, m, n)
-    k, _, m, n = R.shape
-    # digit i of column cols[j] weighs p^i times the column's weight
-    digit_weights = (p ** np.arange(h)[:, None] * weights[list(cols)]).astype(weights.dtype)
-    np.einsum("cjn,j->cn", R.reshape(k, h * m, n), digit_weights.ravel(), out=idx)
-    if pattern is not None:
-        const = np.array(projective_coeffs(ctx.q)) @ weights[list(pattern)]
-        idx += const.astype(weights.dtype)[:, None]
+        self.points = point_table(ctx.base)
+        k = self.points.shape[1]
+        self.runs = np.empty(n * k, dtype=_flat_weights(ctx).dtype)
+        self.tile = np.empty(max(_GATHER_TILE, ctx.q3) * k, dtype=np.intp)
+        self.codes = np.empty(n * k, dtype=np.uint16)  # as FieldCtx.ratio_np
 
 
 def block_labels(ctx: FieldCtx, B: np.ndarray, work: LabelWork | None = None,
-                 pattern=None) -> np.ndarray:
+                 pattern=None, start: int = 0) -> np.ndarray:
     """The located labels of the k points of each plane with basis in B
     (n, 3, 6), sorted within each row: (n, k), a view of work.codes that the
     next call with the same work overwrites.
 
-    At p = 2 the point indices are XORs of basis-row multiples
-    (_char2_point_indices), with no GF(p) products; at odd p they come from
-    point_digits' GF(p) product, on the free columns of pattern alone when
-    every plane of B has that pivot pattern (_odd_point_indices).  Either way
-    one gather in FieldCtx.ratio_np locates them.  Without work, the arrays
-    are sized for B.
+    A point's flat index into FieldCtx.ratio_np is a sum over the six columns
+    of the column's weight times its coordinate, pg5.point_table's row at the
+    column code; coordinates are below q and weights powers of q, so the sum
+    has no carries.  With a pattern, B is planes_block_np(q, pattern, start,
+    start + n): each run (pg5.run_length) sums the columns other than the
+    fast one once, from its first plane in B, and adds the fast column's s
+    codes to it in one broadcast.  Without one, every plane is a run of its
+    own.  One gather in FieldCtx.ratio_np then locates the points.  Without
+    work, the arrays are sized for B.
     """
-    n, k = len(B), ctx.q**2 + ctx.q + 1
+    q, n = ctx.q, len(B)
     if work is None:
         work = LabelWork(ctx, n)
-    idx = work.flat[: k * n].reshape(k, n)
-    if ctx.p == 2:
-        _char2_point_indices(ctx, B, idx)
-    else:
-        _odd_point_indices(ctx, B, pattern, work.points, idx)
-    codes = work.codes[: n * k].reshape(n, k)
-    for start in range(0, n, _GATHER_TILE):
-        t = min(_GATHER_TILE, n - start)
-        tile_idx = work.tile_idx[: k * t].reshape(k, t)
-        tile_idx[...] = idx[:, start : start + t]
-        tile_labels = work.tile_labels[: k * t].reshape(k, t)
+    P = work.points
+    k = P.shape[1]
+    fast = None if pattern is None else fast_column(pattern)
+    s = 1 if pattern is None else run_length(q, pattern)
+    phase = start % s
+    runs = (phase + n + s - 1) // s
+    codes = column_codes(q, B[np.maximum(np.arange(runs) * s - phase, 0)])
+    G = work.runs[: runs * k].reshape(runs, k)
+    G[...] = 0
+    for c in _HORNER_COLUMNS:
+        G *= q
+        if c != fast:
+            G += P.take(codes[c], axis=0)
+    # the fast column's part for codes 0 .. s-1 (code 0, the zero row, alone
+    # without a pattern)
+    W = P[:s] * G.dtype.type(0 if fast is None else _flat_weights(ctx)[fast])
+    labels = work.codes[: n * k].reshape(n, k)
+    per = max(1, _GATHER_TILE // s)
+    for r0 in range(0, runs, per):
+        r1 = min(r0 + per, runs)
+        idx = work.tile[: (r1 - r0) * s * k].reshape(r1 - r0, s, k)
+        np.add(G[r0:r1, None], W, out=idx)
+        a, b = max(r0 * s - phase, 0), min(r1 * s - phase, n)  # the tile's planes
+        lo = a + phase - r0 * s
         # no index is out of range; with mode="raise" np.take would buffer out
-        np.take(ctx.ratio_np, tile_idx, out=tile_labels, mode="clip")
-        codes[start : start + t] = tile_labels.T
-    codes.sort(axis=1)
-    return codes
+        np.take(ctx.ratio_np, idx.reshape(-1, k)[lo : lo + b - a], out=labels[a:b], mode="clip")
+    labels.sort(axis=1)
+    return labels
 
 
 def build_spread(ctx: FieldCtx, check: bool = True) -> Spread:

@@ -2,8 +2,8 @@
 
 Everything here recomputes results from first principles (integer
 arithmetic mod p, explicit rank profiles, entry-by-entry GF(q) table
-lookups) without touching the exp/log tables, the digit-plane matrix
-product or the located-label tally that the package itself relies on.
+lookups) without touching the exp/log tables, the point table of the
+census kernel or the located-label tally that the package itself relies on.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def gather_points(base, B):
     """The k points of each plane basis in B (n, 3, 6), as (n, k, 6) uint8.
 
     pts[n, c] = sum_r coeffs[c, r] * B[n, r], evaluated entry by entry
-    through the GF(q) add and mul tables: no digit planes, no matrix product.
+    through the GF(q) add and mul tables, plane by plane: no column codes.
     """
     coeffs = np.array(projective_coeffs(base.q), dtype=np.uint8)
     add_np = np.array(base._add, dtype=np.uint8)

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -34,6 +35,7 @@ from hyperreguli.pg5 import (
     plane_from_rows,
     plane_points,
     planes_block_np,
+    run_length,
 )
 from hyperreguli.spread import LabelWork, block_labels, build_spread, locate_np
 
@@ -309,45 +311,48 @@ def test_array_verdict_matches_oracle_under_perturbations(q, ctx_by_q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_block_points_match_gather_oracle(q):
-    """The digit-plane matrix product gives the table-gather points exactly,
-    on both sides of the uint8 product (3h(p-1)^2 is 108 at q = 7, 300 at 11)."""
+    """point_table's rows at the column codes give the table-gather points
+    exactly."""
     ctx = field(q)
     B = seeded_blocks(q, random.Random(q))
     assert np.array_equal(block_points(ctx.base, B), gather_points(ctx.base, B))
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 9, 11, 13])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_free_column_kernel_matches_gather_oracle(q):
-    """block_labels on one pivot pattern's block, with the GF(p) product on
-    its free columns and the pivot columns added as one index per point,
-    gives the row-sorted located labels of the table-gather points.  Each
-    block is a pattern's last chunk (chunks of 1500 planes, so gather tiles
-    of 1024 leave a short last tile) and seeded single planes of the same
-    pattern; one LabelWork, larger than any block, serves all 20 patterns.
-    At p = 2 the pattern is ignored."""
+    """block_labels on odometer ranges of one pivot pattern, which sum each
+    run's slow columns once and broadcast the fast column's codes over it,
+    give the row-sorted located labels of the table-gather points.  For each
+    pattern: its last chunk of whole runs (as enumeration_chunks with chunks
+    of 1500 planes, so gather tiles of 1024 leave a short last tile), one
+    range with unaligned ends and seeded single planes.  One LabelWork,
+    larger than any range, serves all 20 patterns."""
     ctx = field(q)
     rng = random.Random(300 + q)
     chunk = 1500
-    work = LabelWork(ctx, chunk + 10, 3)
+    work = LabelWork(ctx, max(chunk, q**3))
     for pattern in PIVOT_PATTERNS:
-        stop = pattern_block_size(q, pattern)
-        start = (stop - 1) // chunk * chunk  # as enumeration_chunks(q, chunk)
-        singles = sorted(rng.randrange(stop) for _ in range(8))
-        B = np.concatenate([planes_block_np(q, pattern, start, stop)]
-                           + [planes_block_np(q, pattern, j, j + 1) for j in singles])
-        want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
-        assert np.array_equal(block_labels(ctx, B, work, pattern), want), pattern
+        size, s = pattern_block_size(q, pattern), run_length(q, pattern)
+        step = max(s, chunk // s * s)
+        start = rng.randrange(size)
+        ranges = [((size - 1) // step * step, size),
+                  (start, min(size, start + rng.randrange(1, chunk)))]
+        ranges += [(j, j + 1) for j in sorted(rng.randrange(size) for _ in range(8))]
+        for start, stop in ranges:
+            B = planes_block_np(q, pattern, start, stop)
+            want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
+            got = block_labels(ctx, B, work, pattern, start)
+            assert np.array_equal(got, want), (pattern, start, stop)
 
 
 @pytest.mark.parametrize("q, base_modulus", [
     (2, None), (4, None), (8, None), (8, (1, 0, 1, 1)), (16, None), (16, (1, 0, 0, 1, 1)),
 ])
 def test_char2_block_labels_match_gather_oracle(q, base_modulus):
-    """At p = 2 block_labels XORs multiples of the basis rows' flat indices
-    instead of multiplying: its labels are the row-sorted located labels of
-    the table-gather points, under the default base modulus and under
-    x^3+x^2+1 (q = 8) and x^4+x^3+1 (q = 16), whose multiplication by t
-    folds the top bit back in differently."""
+    """At p = 2, block_labels on all six columns gives the row-sorted located
+    labels of the table-gather points, under the default base modulus and
+    under x^3+x^2+1 (q = 8) and x^4+x^3+1 (q = 16), whose multiplication by
+    t folds the top bit back in differently."""
     ctx = make_field(2, q.bit_length() - 1, base_modulus=base_modulus)
     B = seeded_blocks(q, random.Random(q))
     want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
@@ -357,8 +362,8 @@ def test_char2_block_labels_match_gather_oracle(q, base_modulus):
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 16])
 def test_classify_block_labels_at_large_q(q):
-    """Located labels where q^3 > 256 (uint8 indices wrap) and, at q = 13,
-    where the unreduced point digits reach (p-1) + 2(p-1)^2 = 300."""
+    """Located labels where q^3 > 256 (uint8 indices wrap) and the flat
+    indices need uint32."""
     ctx = field(q)
     spread = build_spread(ctx, check=False)
     B = seeded_blocks(q, random.Random(100 + q), size=16)
@@ -511,6 +516,22 @@ def test_bucket_search_is_searchsorted(q, multipliers, ctx_by_q, monkeypatch):
     assert len(table._starts) == 2 ** len(stored).bit_length()
 
 
+def test_lookup_cost_does_not_hang_on_hash_ties(ctx_by_q, monkeypatch):
+    """With zero multipliers every q = 4 cover hashes to 0, so all 6,240 keys
+    tie.  Each row is still found exactly, and well under a second: the cost
+    of a lookup does not grow with the number of covers on one hash."""
+    monkeypatch.setattr(covers, "_HASH_MULTIPLIERS", np.zeros_like(covers._HASH_MULTIPLIERS))
+    table = cover_table(ctx_by_q[4])
+    assert not table.hashes.any() and len(table.keys) == 6240
+    t0 = time.process_time()
+    found = table.lookup(table.keys)
+    assert time.process_time() - t0 < 0.5
+    assert np.array_equal(found, np.arange(len(table.keys)))
+    beyond = table.keys[:50].astype(np.int32)
+    beyond[:, -1] = 4**3 + 1  # a label past infinity: no cover
+    assert (table.lookup(beyond) == -1).all()
+
+
 # q = 3, k = 13: sorted label rows as block_labels would return them
 MASK_ROWS = {
     "A": [5] * 13,
@@ -540,3 +561,27 @@ def test_masks_reject_inconsistent_label_rows(name, ctx3, monkeypatch):
     monkeypatch.setattr(census, "block_labels", lambda ctx, B: rows)
     with pytest.raises(RuntimeError, match="inconsistent intersection tally"):
         _classify_block(ctx3, np.zeros((3, 3, 6), dtype=np.uint8))
+
+
+def test_census_chunk_names_the_plane_of_a_bad_tally(ctx3, monkeypatch):
+    """A label row of no class, put into the kernel's output for one plane
+    of a chunk, stops the chunk with that plane's basis (its row of the
+    chunk's block), its pivot pattern and its odometer index."""
+    pattern_idx, start, stop, bad = 3, 40, 400, 123  # pattern (0, 1, 5), unaligned
+    block_labels_of = census.block_labels
+
+    def injected(ctx, B, *block):
+        codes = block_labels_of(ctx, B, *block)
+        codes[bad] = BAD_ROWS["split excess"]
+        return codes
+
+    monkeypatch.setattr(census, "block_labels", injected)
+    pattern = PIVOT_PATTERNS[pattern_idx]
+    basis = planes_block_np(3, pattern, start + bad, start + bad + 1)[0].tolist()
+    with pytest.raises(RuntimeError, match="inconsistent intersection tally") as err:
+        census._census_chunk(ctx3, None, census._ChunkWork(ctx3, stop - start),
+                             pattern_idx, start, stop)
+    message = str(err.value)
+    assert f"plane basis {basis}" in message
+    assert f"pivot pattern {pattern}, odometer index {start + bad}" in message
+    assert f"labels {BAD_ROWS['split excess']}" in message

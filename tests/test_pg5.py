@@ -8,9 +8,11 @@ from hyperreguli.census import DEFAULT_CHUNK_SIZE
 from hyperreguli.pg5 import (
     PIVOT_PATTERNS,
     all_points,
+    column_codes,
     count_planes,
     enumerate_planes,
     enumeration_chunks,
+    fast_column,
     free_columns,
     free_positions,
     gaussian_binomial,
@@ -23,6 +25,7 @@ from hyperreguli.pg5 import (
     plane_from_rows,
     plane_points,
     planes_block_np,
+    run_length,
 )
 
 from helpers import random_full_rank_rows, random_recombination
@@ -129,13 +132,38 @@ def test_total_free_positions_account_for_all_planes():
         assert sum(pattern_block_size(q, pat) for pat in PIVOT_PATTERNS) == count_planes(q)
 
 
-def test_batch_blocks_match_stream_order(ctx2):
-    stream = [pl.key for pl in enumerate_planes(ctx2.base)]
-    batch = []
-    for pat in PIVOT_PATTERNS:
-        block = planes_block_np(2, pat, 0, pattern_block_size(2, pat))
-        batch.extend(bytes(int(x) for x in mat.reshape(-1)) for mat in block)
-    assert batch == stream
+def test_batch_blocks_match_stream_order(ctx2, ctx3):
+    for ctx in (ctx2, ctx3):
+        q = ctx.q
+        stream = [pl.key for pl in enumerate_planes(ctx.base)]
+        batch = [planes_block_np(q, pat, 0, pattern_block_size(q, pat)).tobytes()
+                 for pat in PIVOT_PATTERNS]
+        assert b"".join(batch) == b"".join(stream)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_odometer_is_column_major(q):
+    """A plane's odometer index is the mixed-radix number of its free
+    columns' codes, the fast column last, so each aligned run of a pattern's
+    block keeps every other column and steps the fast column's code through
+    0 .. s-1; enumeration_chunks cut every pattern at whole runs."""
+    for pattern in PIVOT_PATTERNS:
+        size, s, fast = pattern_block_size(q, pattern), run_length(q, pattern), fast_column(pattern)
+        codes = column_codes(q, planes_block_np(q, pattern, 0, size))  # (6, size)
+        index = np.zeros(size, dtype=np.int64)
+        for c in free_columns(pattern):
+            index = index * q ** sum(r < c for r in pattern) + codes[c]
+        assert np.array_equal(index, np.arange(size))
+        runs = codes.reshape(6, size // s, s)
+        others = [c for c in range(6) if c != fast]
+        assert (runs[others] == runs[others, :, :1]).all()
+        if fast is not None:
+            assert (runs[fast] == np.arange(s)).all()
+    for chunk_size in (1, 100, DEFAULT_CHUNK_SIZE):
+        for i, start, stop in enumeration_chunks(q, chunk_size):
+            s = run_length(q, PIVOT_PATTERNS[i])
+            assert start % s == 0 and stop % s == 0
+            assert s <= stop - start <= max(s, chunk_size)
 
 
 def test_chunk_split_is_invariant(ctx2):
@@ -154,8 +182,7 @@ def test_chunk_split_is_invariant(ctx2):
 def test_pattern_blocks_vary_only_in_free_columns(q):
     """Over each pivot pattern's block every column outside free_columns is
     the RREF template's: a unit pivot column or, left of the first pivot,
-    zero.  The census kernel adds those columns as one constant per point.
-    The blocks are built chunk by chunk into one reused out array."""
+    zero.  The blocks are built chunk by chunk into one reused out array."""
     out = np.full((DEFAULT_CHUNK_SIZE, 3, 6), 7, dtype=np.uint8)  # stale entries
     for i, start, stop in enumeration_chunks(q, DEFAULT_CHUNK_SIZE):
         pattern = PIVOT_PATTERNS[i]
