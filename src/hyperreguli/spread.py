@@ -120,8 +120,8 @@ def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
     return ctx.ratio_np[flat]
 
 
-# Planes whose labels block_labels gathers at a time, at least one run: a
-# tile's flat indices (intp, which np.take reads without a copy) then stay in
+# Planes whose labels block_labels gathers at a time, at most: a tile's flat
+# indices (intp, which np.take reads without a copy) then stay in
 # cache between the sum that writes them and the gather that reads them.
 _GATHER_TILE = 1 << 10
 
@@ -146,7 +146,7 @@ class LabelWork:
         self.points = point_table(ctx.base)
         k = self.points.shape[1]
         self.runs = np.empty(n * k, dtype=_flat_weights(ctx).dtype)
-        self.tile = np.empty(max(_GATHER_TILE, ctx.q3) * k, dtype=np.intp)
+        self.tile = np.empty(min(n, _GATHER_TILE) * k, dtype=np.intp)
         self.codes = np.empty(n * k, dtype=np.uint16)  # as FieldCtx.ratio_np
 
 
@@ -163,7 +163,8 @@ def block_labels(ctx: FieldCtx, B: np.ndarray, work: LabelWork | None = None,
     start + n): each run (pg5.run_length) sums the columns other than the
     fast one once, from its first plane in B, and adds the fast column's s
     codes to it in one broadcast.  Without one, every plane is a run of its
-    own.  One gather in FieldCtx.ratio_np then locates the points.  Without
+    own.  A gather in FieldCtx.ratio_np then locates the points, at most
+    _GATHER_TILE planes at a time: whole runs, or part of one run.  Without
     work, the arrays are sized for B.
     """
     q, n = ctx.q, len(B)
@@ -183,18 +184,22 @@ def block_labels(ctx: FieldCtx, B: np.ndarray, work: LabelWork | None = None,
         if c != fast:
             G += P.take(codes[c], axis=0)
     # the fast column's part for codes 0 .. s-1 (code 0, the zero row, alone
-    # without a pattern)
-    W = P[:s] * G.dtype.type(0 if fast is None else _flat_weights(ctx)[fast])
+    # without a pattern), in G's dtype: uint8 times a weight would wrap
+    W = np.multiply(P[:s], 0 if fast is None else _flat_weights(ctx)[fast], dtype=G.dtype)
     labels = work.codes[: n * k].reshape(n, k)
-    per = max(1, _GATHER_TILE // s)
-    for r0 in range(0, runs, per):
-        r1 = min(r0 + per, runs)
-        idx = work.tile[: (r1 - r0) * s * k].reshape(r1 - r0, s, k)
-        np.add(G[r0:r1, None], W, out=idx)
-        a, b = max(r0 * s - phase, 0), min(r1 * s - phase, n)  # the tile's planes
-        lo = a + phase - r0 * s
+    u, end = phase, phase + n  # odometer offsets from run 0's first plane
+    while u < end:  # a tile of whole runs, or else part of one run
+        r, j = divmod(u, s)
+        whole = 0 if j else min(_GATHER_TILE // s, (end - u) // s)
+        rows = whole * s if whole else min(s - j, end - u, _GATHER_TILE)
+        idx = work.tile[: rows * k]
+        if whole:
+            np.add(G[r : r + whole, None], W, out=idx.reshape(whole, s, k))
+        else:
+            np.add(G[r], W[j : j + rows], out=idx.reshape(rows, k))
         # no index is out of range; with mode="raise" np.take would buffer out
-        np.take(ctx.ratio_np, idx.reshape(-1, k)[lo : lo + b - a], out=labels[a:b], mode="clip")
+        np.take(ctx.ratio_np, idx.reshape(rows, k), out=labels[u - phase : u - phase + rows], mode="clip")
+        u += rows
     labels.sort(axis=1)
     return labels
 

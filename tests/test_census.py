@@ -345,6 +345,30 @@ def test_free_column_kernel_matches_gather_oracle(q):
             assert np.array_equal(got, want), (pattern, start, stop)
 
 
+@pytest.mark.parametrize("q", [9, 16])
+def test_one_plane_needs_one_plane_of_work(q):
+    """block_labels without a work sizes its gather tile to the block, not to
+    a run: one plane of each pivot pattern, with the pattern (runs of up to
+    q^3 planes) and without it, gives the oracle's labels, and one plane
+    without a pattern allocates under 64 KB (tracemalloc; a tile of q^3
+    planes took 8.9 MB at q = 16)."""
+    ctx = field(q)
+    rng = random.Random(500 + q)
+    for pattern in PIVOT_PATTERNS:
+        j = rng.randrange(pattern_block_size(q, pattern))
+        B = planes_block_np(q, pattern, j, j + 1)
+        want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
+        assert np.array_equal(block_labels(ctx, B, None, pattern, j), want), (pattern, j)
+        assert np.array_equal(block_labels(ctx, B), want), (pattern, j)
+    tracemalloc.start()
+    try:
+        block_labels(ctx, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
 @pytest.mark.parametrize("q, base_modulus", [
     (2, None), (4, None), (8, None), (8, (1, 0, 1, 1)), (16, None), (16, (1, 0, 0, 1, 1)),
 ])
