@@ -14,8 +14,8 @@ explicit model: since t -> t^q is GF(q)-linear, the graphs
 are planes; solving m*t^q = (n-a)*t shows Y_m meets J(n) exactly when
 N(n-a) = f, in the single projective point given by one GF(q)* class of
 solutions of t^(q-1) = (n-a)/m, and similarly for the other pairings.
-The constructor re-verifies the whole meet matrix before returning: the
-meets with the hyper-regulus through located labels, the others by rank.
+The constructor re-verifies every meet before returning: those with the
+hyper-regulus by located labels, the others by point incidence.
 
 The transversal search finds ALL planes meeting every plane of a
 hyper-regulus in a point, in two stages on the census block kernel.  Let
@@ -51,7 +51,6 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -111,9 +110,8 @@ def _graph_plane(ctx: FieldCtx, a: int, m: int, power: int) -> Plane:
 def andre_switching_sets(ctx: FieldCtx, spread: Spread, a: int, f: int) -> SwitchingPair:
     """The two switching sets of the kind-1 cover with parameters (a, f).
 
-    The full switching property (cross-set meets are single points, planes
-    within a set are disjoint) is verified against the hyper-regulus before
-    returning; a failure would signal a construction bug.
+    Each plane must meet every hyper-regulus plane in a point, and the two
+    classes of split_switching_classes must be Y and Z; a failure raises.
     """
     cover = cover_type1(ctx, a, f)
     hr = hyper_regulus(spread, cover)
@@ -126,15 +124,9 @@ def andre_switching_sets(ctx: FieldCtx, spread: Spread, a: int, f: int) -> Switc
     B = np.array([pl.basis for pl in ys + zs], dtype=np.uint8)
     if not (block_labels(ctx, B) == np.array(cover.key)).all():
         raise RuntimeError("switching-set planes do not meet each hyper-regulus plane in a point")
-    base = ctx.base
-    for fam in (ys, zs):
-        for p1, p2 in combinations(fam, 2):
-            if meet_dim(base, p1, p2) != -1:
-                raise RuntimeError("switching-set planes are not pairwise disjoint")
-    for p1 in ys:
-        for p2 in zs:
-            if meet_dim(base, p1, p2) != 0:
-                raise RuntimeError("cross-set planes do not meet in a single point")
+    classes = {frozenset(p.key for p in c) for c in split_switching_classes(ctx, ys + zs)}
+    if classes != {frozenset(p.key for p in ys), frozenset(p.key for p in zs)}:
+        raise RuntimeError("the switching sets are not the Y and Z families")
     return SwitchingPair(hyper_regulus=hr, y_planes=ys, z_planes=zs)
 
 
@@ -208,32 +200,39 @@ def _transversals_span(spread: Spread, hr: HyperRegulus,
 def split_switching_classes(
     ctx: FieldCtx, planes: list[Plane]
 ) -> tuple[tuple[Plane, ...], tuple[Plane, ...]]:
-    """Partition a transversal set into its two switching sets.
+    """Partition a transversal set into its two switching sets; raise if not.
 
-    Builds the disjointness graph and takes its two cliques: planes from the
-    same switching set are disjoint, planes from different ones meet in a
-    point.  The recovered structure is fully re-verified; a failure raises.
+    Each point of the planes is mapped to the planes on it.  Every point must
+    lie on exactly two planes, no two planes may share two points, and the
+    "shares a point" graph must be complete bipartite: side A is planes[0]
+    and the planes disjoint from it, side B the planes meeting it, and each
+    plane of A meets exactly the planes of B, each plane of B those of A.
+
+    Then the points are the edges of K_{|A|,|B|}, one each: a point's two
+    planes meet there and nowhere else.  A plane's k = q^2+q+1 points are its
+    edges, one to each plane of the other side, so both sides have k planes,
+    disjoint within a side and meeting in exactly one point across.
     """
-    base = ctx.base
     n = len(planes)
     if n == 0 or n % 2:
         raise RuntimeError(f"transversal set of size {n} cannot split into two classes")
-    md = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            md[i][j] = md[j][i] = meet_dim(base, planes[i], planes[j])
-    first = [0] + [j for j in range(1, n) if md[0][j] == -1]
-    second = [j for j in range(1, n) if j not in set(first)]
-    if len(first) != n // 2 or len(second) != n // 2:
-        raise RuntimeError("disjointness graph does not split into two equal cliques")
-    for cls in (first, second):
-        for i, j in combinations(cls, 2):
-            if md[i][j] != -1:
-                raise RuntimeError("a recovered class is not mutually disjoint")
-    for i in first:
-        for j in second:
-            if md[i][j] != 0:
-                raise RuntimeError("cross-class planes do not meet in a single point")
+    on_point: dict[tuple[int, ...], list[int]] = {}
+    for i, pl in enumerate(planes):
+        for pt in plane_points(ctx.base, pl):
+            on_point.setdefault(pt, []).append(i)
+    meets = [set() for _ in range(n)]
+    for on in on_point.values():
+        if len(on) != 2:
+            raise RuntimeError(f"a point lies on {len(on)} planes of the set, not 2")
+        i, j = on
+        if j in meets[i]:
+            raise RuntimeError("two planes of the set share more than one point")
+        meets[i].add(j)
+        meets[j].add(i)
+    second = meets[0]
+    first = set(range(n)) - second
+    if any(meets[i] != second for i in first) or any(meets[j] != first for j in second):
+        raise RuntimeError("the meet graph of the set is not complete bipartite")
     a = tuple(sorted((planes[i] for i in first), key=lambda p: p.key))
     b = tuple(sorted((planes[j] for j in second), key=lambda p: p.key))
     return (a, b) if a[0].key <= b[0].key else (b, a)

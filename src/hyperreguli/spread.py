@@ -39,15 +39,6 @@ def format_label(ctx: FieldCtx, m: int) -> str:
     return "inf" if m == ctx.q3 else str(m)
 
 
-def parse_label(ctx: FieldCtx, text: str) -> int:
-    if text == "inf":
-        return ctx.q3
-    m = int(text)
-    if not 0 <= m <= ctx.q3:
-        raise ValueError(f"label {text} out of range for q^3 = {ctx.q3}")
-    return m
-
-
 def spread_element(ctx: FieldCtx, m: int) -> Plane:
     """The plane J(m); basis rows come out in RREF directly."""
     q = ctx.q

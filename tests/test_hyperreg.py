@@ -162,6 +162,64 @@ def test_split_works_for_kind2_covers(params, ctx_by_q, spread_by_q):
     assert len(g1) == len(g2) == q * q + q + 1
 
 
+@pytest.mark.parametrize("break_", [
+    "a Z plane replaced by a copy of a Y plane",
+    "a Z plane replaced by a hyper-regulus plane",
+    "an odd number of planes",
+    "two planes of each switching set",
+    "a plane and its copy",
+    "the transversals of two point-disjoint hyper-reguli",
+])
+def test_split_rejects_a_set_that_is_not_two_switching_sets(ctx3, spread3, break_):
+    """Y and Z of the kind-1 cover (0, 1) at q = 3, broken one way each.
+
+    A copied Y plane puts its points on three planes; so does J(m), which
+    meets every Y and every Z in a point.  The last three cases each break
+    one incidence condition alone: two planes of each set form K_{2,2}, no
+    pair sharing two points, but most of their points lie on one plane; a
+    plane and its copy form K_{1,1} with every point on two planes, but
+    share all k points; N(x) = 1 and N(x) = 2 give disjoint covers, whose 4k
+    transversals put every point on two planes, no pair sharing two, but
+    meet as two K_{k,k}."""
+    pair = andre_switching_sets(ctx3, spread3, 0, 1)
+    other = andre_switching_sets(ctx3, spread3, 0, 2)
+    ys, zs = list(pair.y_planes), list(pair.z_planes)
+    planes = {
+        "a Z plane replaced by a copy of a Y plane": ys + [ys[0]] + zs[1:],
+        "a Z plane replaced by a hyper-regulus plane": ys + [pair.hyper_regulus.planes[0]] + zs[1:],
+        "an odd number of planes": ys + zs[1:],
+        "two planes of each switching set": ys[:2] + zs[:2],
+        "a plane and its copy": [ys[0], ys[0]],
+        "the transversals of two point-disjoint hyper-reguli":
+            ys + zs + list(other.y_planes + other.z_planes),
+    }[break_]
+    with pytest.raises(RuntimeError):
+        split_switching_classes(ctx3, planes)
+
+
+@pytest.mark.parametrize("wrong", ["a Z plane is a Y plane", "a Y and a Z plane swapped"])
+def test_switching_sets_reject_a_broken_switching_pair(ctx3, spread3, monkeypatch, wrong):
+    """Every plane still meets each hyper-regulus plane in a point, so the
+    located-labels check passes and only the switching check can fail: a
+    repeated plane breaks the incidence structure, and a swapped pair keeps
+    it but makes the two classes differ from the Y and Z families."""
+    f = 1
+    first = next(m for m in range(1, ctx3.q3) if ctx3.norm_table[m] == f)
+    graph = hyperreg._graph_plane
+
+    def broken(ctx, a, m, power):
+        if m == first and wrong == "a Y and a Z plane swapped":
+            return graph(ctx, a, m, 3 - power)
+        if m == first and power == 2:
+            return graph(ctx, a, m, 1)
+        return graph(ctx, a, m, power)
+
+    monkeypatch.setattr(hyperreg, "_graph_plane", broken)
+    match = "Y and Z families" if wrong == "a Y and a Z plane swapped" else None
+    with pytest.raises(RuntimeError, match=match):
+        andre_switching_sets(ctx3, spread3, 0, f)
+
+
 def test_transversal_counts_sampled_q4_q5(ctx_by_q, spread_by_q):
     rng = random.Random(45)
     for q, n in ((4, 20), (5, 20)):
@@ -248,7 +306,9 @@ def test_span_search_exact_q7():
 def test_span_search_matches_andre_switching_sets(q):
     """At h > 1 too, the span search finds exactly the union of the explicit
     switching sets of kind-1 covers (a constructive route that shares no
-    search code), and 2k planes on exactly the cover's elements for kind 2."""
+    search code), and split_switching_classes recovers the Y and Z sets from
+    it; for kind 2 it finds 2k planes on exactly the cover's elements, which
+    split into two classes of k."""
     p, h = {7: (7, 1), 8: (2, 3), 9: (3, 2)}[q]
     ctx = make_field(p, h)
     spread = build_spread(ctx, check=False)
@@ -257,6 +317,8 @@ def test_span_search_matches_andre_switching_sets(q):
         pair = andre_switching_sets(ctx, spread, a, f)
         tv = transversal_planes(spread, pair.hyper_regulus)
         assert keys(tv) == sorted(keys(pair.y_planes) + keys(pair.z_planes))
+        assert {frozenset(keys(c)) for c in split_switching_classes(ctx, tv)} == \
+            {frozenset(keys(pair.y_planes)), frozenset(keys(pair.z_planes))}
     if q == 7:
         return  # test_span_search_exact_q7 covers a kind-2 cover at q = 7
     a, b = rng.sample(range(ctx.q3), 2)
@@ -266,3 +328,5 @@ def test_span_search_matches_andre_switching_sets(q):
     for pl in planes:
         labels = sorted(spread.locate(pt) for pt in plane_points(ctx.base, pl))
         assert labels == list(cover.key)
+    g1, g2 = split_switching_classes(ctx, planes)
+    assert len(g1) == len(g2) == q * q + q + 1

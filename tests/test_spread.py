@@ -10,7 +10,6 @@ from hyperreguli.spread import (
     format_label,
     infinity_label,
     locate_np,
-    parse_label,
     spread_element,
     verify_regularity,
 )
@@ -102,10 +101,6 @@ def test_regularity_check_q2_only(spread2, spread3):
 def test_label_formatting(ctx2):
     assert format_label(ctx2, 3) == "3"
     assert format_label(ctx2, 8) == "inf"
-    assert parse_label(ctx2, "inf") == 8
-    assert parse_label(ctx2, "5") == 5
-    with pytest.raises(ValueError):
-        parse_label(ctx2, "9")
 
 
 def test_spread_element_rejects_bad_label(ctx2):
