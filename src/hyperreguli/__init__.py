@@ -3,9 +3,7 @@ hyper-reguli in PG(5,q), with exhaustive verification of their counts."""
 
 from .census import (
     CensusReport,
-    PlaneClass,
     TraceCheck,
-    classify_plane,
     run_census,
     trace_is_cover_check,
     type_a_count,
@@ -35,10 +33,7 @@ from .hyperreg import (
 from .pg5 import (
     Plane,
     count_planes,
-    enumerate_planes,
     gaussian_binomial,
-    incidence,
-    meet_dim,
     plane_from_points,
     plane_points,
 )

@@ -33,9 +33,8 @@ once and the fast column's codes are added in one broadcast.  The sweep, and
 each pool worker, allocates the chunk's bases and the kernel's arrays once
 (_ChunkWork) and reuses them for every chunk.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
-worker count produces the identical report.  classify_plane runs the same
-block kernel on a single plane, with all six columns.  A plane of no class
-stops the census with its basis, pivot pattern and odometer index.
+worker count produces the identical report.  A plane of no class stops the
+census with its basis, pivot pattern and odometer index.
 """
 
 from __future__ import annotations
@@ -69,30 +68,6 @@ def type_b_count(q: int) -> int:
 
 def type_c_count(q: int) -> int:
     return q * (q**3 + 1) * (q**2 + q + 1) ** 2
-
-
-@dataclass(frozen=True)
-class PlaneClass:
-    """Classification of one plane: tag plus the labels behind it.
-
-    trace holds the q^2+q+1 point-met labels for tag B, the single label of
-    the element met in a line for tag C, and the element's own label for A.
-    """
-
-    tag: str
-    trace: tuple[int, ...]
-
-
-def classify_plane(spread: Spread, pl) -> PlaneClass:
-    """Classify one plane: the census kernel applied to a one-plane block."""
-    block = np.array([pl.basis], dtype=np.uint8)
-    codes, is_a, is_b, _ = _classify_block(spread.ctx, block)
-    labels = codes[0].tolist()
-    if is_b[0]:
-        return PlaneClass(tag="B", trace=tuple(labels))
-    # A: every label equal; C: the line-met label is the only repeated one
-    repeated = labels[int(np.argmax(codes[0, 1:] == codes[0, :-1]))]
-    return PlaneClass(tag="A" if is_a[0] else "C", trace=(repeated,))
 
 
 @dataclass

@@ -15,7 +15,8 @@ are planes; solving m*t^q = (n-a)*t shows Y_m meets J(n) exactly when
 N(n-a) = f, in the single projective point given by one GF(q)* class of
 solutions of t^(q-1) = (n-a)/m, and similarly for the other pairings.
 The constructor re-verifies every meet before returning: those with the
-hyper-regulus by located labels, the others by point incidence.
+hyper-regulus by located labels, the others by the points the planes share
+(split_switching_classes).
 
 The transversal search finds ALL planes meeting every plane of a
 hyper-regulus in a point, in two stages on the census block kernel.  Let
@@ -43,9 +44,8 @@ The third plane is chosen per pair because no fixed one works: the planes
 1+2+3 = 0 there, so with P1, P2 = J(1), J(2) the plane J(3) is met by the
 line of every such transversal.  The work is k^2 lines and k triples per
 surviving pair; in the covers checked at q = 3..9 exactly 2k pairs survive,
-one per transversal.  A brute-force sweep over the full plane enumeration,
-filtering with rank-based meet dimensions only, provides an independent
-cross-check.
+one per transversal.  The tests cross-check it against a brute-force sweep
+of the full plane enumeration with rank-based meet dimensions only.
 """
 
 from __future__ import annotations
@@ -61,12 +61,10 @@ from .pg5 import (
     Plane,
     _plane_from_rref,
     block_points,
-    enumerate_planes,
-    meet_dim,
     plane_from_rows,
     plane_points,
 )
-from .spread import Spread, block_labels, locate_np
+from .spread import Spread, block_labels, check_disjoint, locate_np
 
 
 @dataclass
@@ -83,17 +81,10 @@ class SwitchingPair:
 
 
 def hyper_regulus(spread: Spread, cover: Cover) -> HyperRegulus:
-    """Relabel a cover into its q^2+q+1 spread planes; disjointness re-asserted.
-
-    Every point of the plane for label m must locate to m, and the labels
-    must be distinct: locate is a function on points, so no point then lies
-    on two of the planes.
-    """
+    """Relabel a cover into its q^2+q+1 spread planes; disjointness
+    re-asserted by spread.check_disjoint."""
     planes = tuple(spread.element(m) for m in cover.key)
-    B = np.array([pl.basis for pl in planes], dtype=np.uint8)
-    on_own = (block_labels(spread.ctx, B) == np.array(cover.key)[:, None]).all()
-    if not on_own or len(set(cover.key)) != len(cover.key):
-        raise RuntimeError("hyper-regulus planes are not pairwise disjoint")
+    check_disjoint(spread.ctx, planes, cover.key)
     return HyperRegulus(cover=cover, planes=planes)
 
 
@@ -135,27 +126,12 @@ def transversal_count(q: int) -> int:
 
 
 def transversal_planes(spread: Spread, hr: HyperRegulus, method: str = "span") -> list[Plane]:
-    """All planes meeting every plane of hr in exactly one point, sorted by key.
-
-    method="span" spans the point pairs of two planes of hr whose line lies
-    on the cover with the points of a third plane (exact and fast);
-    method="brute" sweeps the full plane enumeration with rank-based meet
-    checks and exists to cross-validate the span search.
-    """
-    if method == "span":
-        return _transversals_span(spread, hr)
-    if method == "brute":
-        return _transversals_brute(spread, hr)
-    raise ValueError(f"unknown search method {method!r}")
-
-
-def _transversals_brute(spread: Spread, hr: HyperRegulus) -> list[Plane]:
-    base = spread.ctx.base
-    found = {}
-    for pl in enumerate_planes(base):
-        if all(meet_dim(base, pl, s) == 0 for s in hr.planes):
-            found[pl.key] = pl
-    return [found[k] for k in sorted(found)]
+    """All planes meeting every plane of hr in exactly one point, sorted by
+    key, by the span search above (exact and fast)."""
+    # method stays because perfbench passes method="span" and records it
+    if method != "span":
+        raise ValueError(f"unknown search method {method!r}")
+    return _transversals_span(spread, hr)
 
 
 def _transversals_span(spread: Spread, hr: HyperRegulus,

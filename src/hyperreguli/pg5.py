@@ -1,19 +1,20 @@
-"""Points and planes of PG(5,q): canonical forms, incidence, enumeration.
+"""Points and planes of PG(5,q): canonical forms, plane points, enumeration.
 
 A projective point is a 6-tuple over GF(q) scaled so that its first nonzero
 entry is 1.  A plane (projective dimension 2, vector rank 3) is stored as
 the reduced row echelon form of its row space, which is the unique canonical
 representative; the key packs the 18 matrix entries row-major into bytes.
+tests/helpers.py keeps the rank-based oracles (point membership, meet
+dimensions, the plane-by-plane stream) apart from the package.
 
-Planes are enumerated isomorph-free by iterating the 20 pivot-column
-patterns (3 of 6 columns, lexicographic) and filling the free entries with
-an odometer whose last position varies fastest.  The odometer is column
-major: the free entries of a column are consecutive digits, so a plane's
-odometer index is the mixed-radix number of its free columns' codes, and a
-run of consecutive planes steps the last free column through every code
-while the others stay fixed (run_length).  The numpy block generator
-produces the same planes in the same order, so the enumeration can be split
-into chunks of whole runs that reduce deterministically.
+Planes are enumerated isomorph-free, in numpy blocks, by iterating the 20
+pivot-column patterns (3 of 6 columns, lexicographic) and filling the free
+entries with an odometer whose last position varies fastest.  The odometer
+is column major: the free entries of a column are consecutive digits, so a
+plane's odometer index is the mixed-radix number of its free columns'
+codes, and a run of consecutive planes steps the last free column through
+every code while the others stay fixed (run_length).  The enumeration is
+split into chunks of whole runs that reduce deterministically.
 
 Coordinate j of each point of a plane depends on column j of its basis
 alone, so the points of any plane are rows of one (q^3, k) table indexed by
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -58,14 +59,6 @@ def normalize_point(base: BaseField, v) -> tuple[int, ...]:
             mrow = base._mul[s]
             return tuple(mrow[x] for x in v)
     raise ValueError("the zero vector is not a projective point")
-
-
-def all_points(base: BaseField):
-    """All points of PG(5,q), normalized, in a fixed deterministic order."""
-    q = base.q
-    for lead in range(6):
-        for tail in product(range(q), repeat=5 - lead):
-            yield (0,) * lead + (1,) + tail
 
 
 def _rref(base: BaseField, rows):
@@ -196,25 +189,6 @@ def block_points(base: BaseField, B: np.ndarray) -> np.ndarray:
     return point_table(base)[column_codes(base.q, B)].transpose(1, 2, 0)
 
 
-def incidence(base: BaseField, pt, pl: Plane) -> bool:
-    """True iff pt lies in the row space of pl (reduction against the RREF)."""
-    add, mul, neg = base._add, base._mul, base._neg
-    v = list(pt)
-    for row in pl.basis:
-        col = next(i for i, x in enumerate(row) if x)  # pivot of an RREF row
-        t = v[col]
-        if t:
-            mrow = mul[neg[t]]
-            for c in range(col, 6):
-                v[c] = add[v[c]][mrow[row[c]]]
-    return not any(v)
-
-
-def meet_dim(base: BaseField, a: Plane, b: Plane) -> int:
-    """Projective dimension of a∩b: -1 empty, 0 point, 1 line, 2 equal."""
-    return 5 - _rref(base, a.basis + b.basis)[1]
-
-
 # ----------------------------------------------------------------------
 # Isomorph-free enumeration by pivot pattern.
 # ----------------------------------------------------------------------
@@ -262,27 +236,13 @@ def run_length(q: int, pattern) -> int:
     return 1 if c is None else q ** sum(r < c for r in pattern)
 
 
-def enumerate_planes(base: BaseField):
-    """Every plane of PG(5,q) exactly once, already in RREF, streamed."""
-    q = base.q
-    for pattern in PIVOT_PATTERNS:
-        free = free_positions(pattern)
-        template = [[0] * 6 for _ in range(3)]
-        for r, c in zip(range(3), pattern):
-            template[r][c] = 1
-        for filling in product(range(q), repeat=len(free)):
-            for (r, c), v in zip(free, filling):
-                template[r][c] = v
-            yield _plane_from_rref(template)
-
-
 def planes_block_np(q: int, pattern, start: int, stop: int,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Basis matrices (stop-start, 3, 6) for one odometer range of a pattern,
     written into the leading rows of out when given.
 
-    Index n in [start, stop) yields the same plane as position n of the
-    streaming enumeration restricted to this pivot pattern.
+    Index n in [start, stop) is the plane whose free entries, in
+    free_positions order, are the base-q digits of n, the last the lowest.
     """
     n = stop - start
     out = np.zeros((n, 3, 6), dtype=np.uint8) if out is None else out[:n]

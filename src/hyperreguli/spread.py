@@ -19,13 +19,10 @@ from .gf import FieldCtx
 from .pg5 import (
     Plane,
     _plane_from_rref,
-    all_points,
+    block_points,
     column_codes,
     fast_column,
-    incidence,
     normalize_point,
-    num_points,
-    plane_points,
     point_table,
     run_length,
 )
@@ -59,14 +56,10 @@ class Spread:
     def __init__(self, ctx: FieldCtx, planes: tuple[Plane, ...]):
         self.ctx = ctx
         self.planes = planes
-        self._label_of_key = {pl.key: m for m, pl in enumerate(planes)}
         self._label_work = None  # see label_work
 
     def element(self, m: int) -> Plane:
         return self.planes[m]
-
-    def label_of(self, pl: Plane) -> int | None:
-        return self._label_of_key.get(pl.key)
 
     def labels(self) -> range:
         return range(self.ctx.q3 + 1)
@@ -195,50 +188,37 @@ def block_labels(ctx: FieldCtx, B: np.ndarray, work: LabelWork | None = None,
     return labels
 
 
-def build_spread(ctx: FieldCtx, check: bool = True) -> Spread:
-    """Construct the spread; with check=True verify it partitions the points."""
-    planes = tuple(spread_element(ctx, m) for m in range(ctx.q3 + 1))
-    spread = Spread(ctx, planes)
-    if check:
-        if len({pl.key for pl in planes}) != ctx.q3 + 1:
-            raise RuntimeError("spread elements are not distinct")
-        per_element = [0] * (ctx.q3 + 1)
-        total = 0
-        for pt in all_points(ctx.base):
-            m = spread.locate(pt)
-            if not incidence(ctx.base, pt, planes[m]):
-                raise RuntimeError(f"point {pt} not on its located element {m}")
-            per_element[m] += 1
-            total += 1
-        k = ctx.q**2 + ctx.q + 1
-        if total != num_points(ctx.q) or any(c != k for c in per_element):
-            raise RuntimeError("spread does not partition the point set")
-    return spread
+def check_disjoint(ctx: FieldCtx, planes, labels) -> None:
+    """Raise unless the labels are distinct and every point of planes[i]
+    locates to labels[i]; the error names the element, a point and its label.
 
-
-def verify_regularity(spread: Spread) -> bool:
-    """Slow structural check: each transversal line of two spread elements
-    meets q+1 distinct elements, each in exactly one point.
-
-    Exhaustive over all element pairs and all their transversal lines, so it
-    is only offered for q = 2.
+    A label is a function of the projective point (y/x, unchanged by
+    scaling), so planes whose points locate to distinct labels share no
+    point.  For the q^3+1 spread elements, each of rank 3 with k = q^2+q+1
+    points, that is (q^3+1)k = (q^6-1)/(q-1) distinct points, every point of
+    PG(5,q): the elements partition the points.
     """
-    ctx = spread.ctx
-    if ctx.q != 2:
-        raise ValueError("the regularity check is only provided for q = 2")
-    base = ctx.base
-    q = ctx.q
-    pts = [plane_points(base, pl) for pl in spread.planes]
-    for a in range(ctx.q3 + 1):
-        for b in range(a + 1, ctx.q3 + 1):
-            for pa in pts[a]:
-                for pb in pts[b]:
-                    # the q+1 points of the line through pa, pb
-                    line = [pa]
-                    for lam in range(q):
-                        v = [base._add[base._mul[lam][x]][y] for x, y in zip(pa, pb)]
-                        line.append(normalize_point(base, v))
-                    hits = [spread.locate(p) for p in line]
-                    if len(set(hits)) != q + 1:
-                        return False
-    return True
+    labels = list(labels)
+    if len(set(labels)) != len(labels):
+        raise RuntimeError(f"spread elements are not pairwise disjoint: a label repeats in {labels}")
+    B = np.array([pl.basis for pl in planes], dtype=np.uint8)
+    want = np.array(labels)
+    bad = np.flatnonzero((block_labels(ctx, B) != want[:, None]).any(axis=1))
+    if len(bad):
+        i = bad[0]
+        pts = block_points(ctx.base, B[i : i + 1])[0]
+        located = locate_np(ctx, pts)
+        j = np.flatnonzero(located != want[i])[0]
+        raise RuntimeError(
+            f"spread elements are not pairwise disjoint: point "
+            f"{normalize_point(ctx.base, pts[j].tolist())} of element "
+            f"{format_label(ctx, labels[i])} locates to {format_label(ctx, int(located[j]))}")
+
+
+def build_spread(ctx: FieldCtx, check: bool = True) -> Spread:
+    """Construct the spread; with check=True prove that it partitions the
+    points of PG(5,q) (check_disjoint), or raise with the witness."""
+    planes = tuple(spread_element(ctx, m) for m in range(ctx.q3 + 1))
+    if check:
+        check_disjoint(ctx, planes, range(ctx.q3 + 1))
+    return Spread(ctx, planes)

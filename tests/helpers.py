@@ -4,22 +4,116 @@ Everything here recomputes results from first principles (integer
 arithmetic mod p, explicit rank profiles, entry-by-entry GF(q) table
 lookups) without touching the exp/log tables, the point table of the
 census kernel or the located-label tally that the package itself relies on.
+The rank-based oracles (all_points, incidence, meet_dim, enumerate_planes,
+verify_regularity, classify_by_meets, transversals_brute) live only here.
+The one exception is classify_plane, which runs the package's census kernel
+on a single plane so that tests can compare it plane by plane.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from itertools import product
 
 import numpy as np
 
+from hyperreguli.census import _classify_block
 from hyperreguli.pg5 import (
     PIVOT_PATTERNS,
-    meet_dim,
+    _plane_from_rref,
+    _rref,
+    free_positions,
+    normalize_point,
     pattern_block_size,
     plane_from_rows,
+    plane_points,
     planes_block_np,
     projective_coeffs,
 )
+
+
+def all_points(base):
+    """All points of PG(5,q), normalized, in a fixed deterministic order."""
+    for lead in range(6):
+        for tail in product(range(base.q), repeat=5 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+def incidence(base, pt, pl) -> bool:
+    """True iff pt lies in the row space of pl (reduction against the RREF)."""
+    add, mul, neg = base._add, base._mul, base._neg
+    v = list(pt)
+    for row in pl.basis:
+        col = next(i for i, x in enumerate(row) if x)  # pivot of an RREF row
+        if v[col]:
+            mrow = mul[neg[v[col]]]
+            v = [add[x][mrow[r]] for x, r in zip(v, row)]
+    return not any(v)
+
+
+def meet_dim(base, a, b) -> int:
+    """Projective dimension of a∩b: -1 empty, 0 point, 1 line, 2 equal."""
+    return 5 - _rref(base, a.basis + b.basis)[1]
+
+
+def enumerate_planes(base):
+    """Every plane of PG(5,q) exactly once, streamed in the order of the
+    package's numpy blocks: pattern by pattern, the last free entry fastest."""
+    for pattern in PIVOT_PATTERNS:
+        free = free_positions(pattern)
+        template = [[0] * 6 for _ in range(3)]
+        for r, c in zip(range(3), pattern):
+            template[r][c] = 1
+        for filling in product(range(base.q), repeat=len(free)):
+            for (r, c), v in zip(free, filling):
+                template[r][c] = v
+            yield _plane_from_rref(template)
+
+
+def verify_regularity(spread) -> bool:
+    """Each transversal line of two spread elements meets q+1 distinct
+    elements, each in one point; exhaustive, so offered for q = 2 only."""
+    ctx = spread.ctx
+    if ctx.q != 2:
+        raise ValueError("the regularity check is only provided for q = 2")
+    base = ctx.base
+    pts = [plane_points(base, pl) for pl in spread.planes]
+    for a in range(ctx.q3 + 1):
+        for b in range(a + 1, ctx.q3 + 1):
+            for pa in pts[a]:
+                for pb in pts[b]:
+                    # the q+1 points of the line through pa, pb
+                    line = [pa] + [normalize_point(base, [base._add[base._mul[lam][x]][y]
+                                                          for x, y in zip(pa, pb)])
+                                   for lam in range(ctx.q)]
+                    if len({spread.locate(p) for p in line}) != ctx.q + 1:
+                        return False
+    return True
+
+
+def transversals_brute(spread, hr) -> list:
+    """All planes meeting every plane of hr in one point, by a sweep of the
+    full plane enumeration with rank-based meet dimensions only."""
+    base = spread.ctx.base
+    found = [pl for pl in enumerate_planes(base)
+             if all(meet_dim(base, pl, s) == 0 for s in hr.planes)]
+    return sorted(found, key=lambda pl: pl.key)
+
+
+# trace: the k labels for tag B, the label of the element met in a line for
+# C, and the element's own label for A
+PlaneClass = namedtuple("PlaneClass", "tag trace")
+
+
+def classify_plane(spread, pl) -> PlaneClass:
+    """Classify one plane: the census kernel applied to a one-plane block."""
+    codes, is_a, is_b, _ = _classify_block(spread.ctx, np.array([pl.basis], dtype=np.uint8))
+    labels = codes[0].tolist()
+    if is_b[0]:
+        return PlaneClass("B", tuple(labels))
+    # A: every label equal; C: the line-met label is the only repeated one
+    repeated = labels[int(np.argmax(codes[0, 1:] == codes[0, :-1]))]
+    return PlaneClass("A" if is_a[0] else "C", (repeated,))
 
 
 class PolyFieldOracle:

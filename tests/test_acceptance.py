@@ -32,7 +32,7 @@ from hyperreguli.hyperreg import (
 from hyperreguli.pg5 import count_planes, plane_from_rows
 from hyperreguli.spread import build_spread
 
-from helpers import random_full_rank_rows, random_recombination
+from helpers import random_full_rank_rows, random_recombination, transversals_brute
 
 
 def report(num, ok, desc):
@@ -116,7 +116,7 @@ def test_criterion_4_transversal_counts(ctx_by_q, spread_by_q):
     for cov in enumerate_covers(ctx).covers:
         hr = hyper_regulus(spread, cov)
         span = transversal_planes(spread, hr, "span")
-        brute = transversal_planes(spread, hr, "brute")
+        brute = transversals_brute(spread, hr)
         ok &= len(span) == 14
         ok &= [p.key for p in span] == [p.key for p in brute]
     # q=3: all 756 covers

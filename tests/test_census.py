@@ -13,7 +13,6 @@ from hyperreguli.census import (
     DEFAULT_CHUNK_SIZE,
     CoverTable,
     TraceCounts,
-    classify_plane,
     run_census,
     trace_is_cover_check,
     trace_key_bytes,
@@ -29,7 +28,6 @@ from hyperreguli.pg5 import (
     PIVOT_PATTERNS,
     block_points,
     count_planes,
-    enumerate_planes,
     pattern_block_size,
     plane_from_points,
     plane_from_rows,
@@ -41,6 +39,8 @@ from hyperreguli.spread import LabelWork, block_labels, build_spread, locate_np
 
 from helpers import (
     classify_by_meets,
+    classify_plane,
+    enumerate_planes,
     gather_points,
     seeded_blocks,
     trace_check_oracle,

@@ -11,8 +11,15 @@ import pytest
 
 from hyperreguli import census as census_mod
 from hyperreguli import covers as covers_mod
+from hyperreguli import hyperreg as hyperreg_mod
 from hyperreguli.cli import DEFAULT_SAMPLE, _sample_covers, main, parse_prime_power
+from hyperreguli.covers import cover_type2
+from hyperreguli.gf import make_field
+from hyperreguli.hyperreg import hyper_regulus
 from hyperreguli.pg5 import count_planes
+from hyperreguli.spread import build_spread
+
+from helpers import transversals_brute
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -74,9 +81,12 @@ def test_verify_rejects_bad_flags(capsys):
     ["covers", "--q", "2", "--seed", "1"],
     ["census", "--q", "2", "--sample", "3"],
     ["switching", "--q", "2", "--a", "0", "--f", "1", "--jobs", "2"],
+    ["transversals", "--q", "2", "--kind", "1", "--a", "0", "--f", "1", "--method", "span"],
+    ["transversals", "--q", "2", "--kind", "1", "--a", "0", "--f", "1", "--method", "brute"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
-    """--jobs belongs to verify and census, --sample and --seed to verify."""
+    """--jobs belongs to verify and census, --sample and --seed to verify;
+    transversals has one search and no --method."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -125,11 +135,10 @@ def test_transversals_kind2_and_brute(capsys):
         capsys, ["transversals", "--q", "2", "--kind", "2",
                  "--a", "0", "--b", "1", "--f", "1"])
     assert code == 0
-    code2, report2 = run_json(
-        capsys, ["transversals", "--q", "2", "--kind", "2",
-                 "--a", "0", "--b", "1", "--f", "1", "--method", "brute"])
-    assert code2 == 0
-    assert report["data"]["planes"] == report2["data"]["planes"]
+    ctx = make_field(2)
+    spread = build_spread(ctx)
+    brute = transversals_brute(spread, hyper_regulus(spread, cover_type2(ctx, 0, 1, 1)))
+    assert report["data"]["planes"] == [pl.key.hex() for pl in brute]
 
 
 def test_transversals_kind2_requires_b(capsys):
@@ -148,6 +157,29 @@ def test_switching_union_matches_transversals(capsys):
         capsys, ["transversals", "--q", "3", "--kind", "1", "--a", "0", "--f", "1"])
     union = sorted(report["data"]["y"] + report["data"]["z"])
     assert union == tv["data"]["planes"]
+
+
+def test_switching_reports_a_broken_pair(capsys, monkeypatch):
+    """A Z plane replaced by its Y plane: exit 1 with a report whose
+    switching check fails with the error text."""
+    graph = hyperreg_mod._graph_plane
+    monkeypatch.setattr(hyperreg_mod, "_graph_plane",
+                        lambda ctx, a, m, power: graph(ctx, a, m, 1 if m == 1 else power))
+    code, report = run_json(capsys, ["switching", "--q", "3", "--a", "0", "--f", "1"])
+    assert code == 1
+    (check,) = report["checks"]
+    assert check["name"] == "switching_property_verified" and not check["pass"]
+    assert "planes of the set" in check["actual"]
+    assert report["data"] == {}
+
+
+def test_verify_reports_a_broken_spread(capsys, broken_spread):
+    code, report = run_json(capsys, ["verify", "--q", "2"])
+    assert code == 1
+    check = report["checks"][-1]
+    assert check["name"] == "spread_partition" and not check["pass"]
+    assert "of element 0 locates to" in check["actual"]
+    assert all(c["pass"] for c in report["checks"][:-1])
 
 
 def test_json_reports_are_byte_stable(capsys):

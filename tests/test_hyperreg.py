@@ -18,6 +18,8 @@ from hyperreguli.hyperreg import (
 from hyperreguli.pg5 import plane_points
 from hyperreguli.spread import Spread, build_spread
 
+from helpers import transversals_brute
+
 
 def keys(planes):
     return sorted(p.key for p in planes)
@@ -118,7 +120,7 @@ def test_transversals_q2_type1(ctx2, spread2):
     assert len(tv) == transversal_count(2) == 14
     sp = andre_switching_sets(ctx2, spread2, 0, 1)
     assert keys(tv) == sorted(keys(sp.y_planes) + keys(sp.z_planes))
-    assert keys(transversal_planes(spread2, hr, method="brute")) == keys(tv)
+    assert keys(transversals_brute(spread2, hr)) == keys(tv)
 
 
 def test_transversals_q3_both_kinds(ctx3, spread3):
@@ -140,7 +142,7 @@ def test_span_and_brute_agree_on_sampled_covers_q3(ctx3, spread3):
     for cov in sample:
         hr = hyper_regulus(spread3, cov)
         assert keys(transversal_planes(spread3, hr, "span")) == \
-            keys(transversal_planes(spread3, hr, "brute"))
+            keys(transversals_brute(spread3, hr))
 
 
 def test_split_recovers_switching_sets_q2(ctx2, spread2):
@@ -236,10 +238,11 @@ def test_transversal_counts_sampled_q4_q5(ctx_by_q, spread_by_q):
 def test_andre_parameter_validation(ctx2, spread2):
     with pytest.raises(ValueError):
         andre_switching_sets(ctx2, spread2, 0, 0)
-    with pytest.raises(ValueError):
-        transversal_planes(spread2,
-                           hyper_regulus(spread2, cover_type1(ctx2, 0, 1)),
-                           method="magic")
+    for method in ("magic", "brute"):
+        with pytest.raises(ValueError):
+            transversal_planes(spread2,
+                               hyper_regulus(spread2, cover_type1(ctx2, 0, 1)),
+                               method=method)
 
 
 @pytest.mark.parametrize("cover_args", [(1, 0, 1), (2, 0, 1, 2)])

@@ -7,17 +7,13 @@ import pytest
 from hyperreguli.census import DEFAULT_CHUNK_SIZE
 from hyperreguli.pg5 import (
     PIVOT_PATTERNS,
-    all_points,
     column_codes,
     count_planes,
-    enumerate_planes,
     enumeration_chunks,
     fast_column,
     free_columns,
     free_positions,
     gaussian_binomial,
-    incidence,
-    meet_dim,
     normalize_point,
     num_points,
     pattern_block_size,
@@ -28,7 +24,14 @@ from hyperreguli.pg5 import (
     run_length,
 )
 
-from helpers import random_full_rank_rows, random_recombination
+from helpers import (
+    all_points,
+    enumerate_planes,
+    incidence,
+    meet_dim,
+    random_full_rank_rows,
+    random_recombination,
+)
 
 E = [tuple(1 if i == j else 0 for j in range(6)) for i in range(6)]
 

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from hyperreguli.gf import make_field
-from hyperreguli.pg5 import all_points, incidence, meet_dim, plane_points
+from hyperreguli.pg5 import plane_points
 from hyperreguli.spread import (
     build_spread,
     format_label,
     infinity_label,
     locate_np,
     spread_element,
-    verify_regularity,
 )
+
+from helpers import all_points, incidence, meet_dim, verify_regularity
 
 
 def test_j_zero_and_j_infinity_bases(ctx2):
@@ -25,8 +26,6 @@ def test_j_zero_and_j_infinity_bases(ctx2):
 def test_spread_element_determines_label(spread3):
     keys = {pl.key for pl in spread3.planes}
     assert len(keys) == 28
-    for m in spread3.labels():
-        assert spread3.label_of(spread3.element(m)) == m
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -85,6 +84,27 @@ def test_build_spread_sizes(ctx_by_q):
     for q, ctx in ctx_by_q.items():
         spread = build_spread(ctx, check=True)
         assert len(spread.planes) == q**3 + 1
+
+
+def test_build_spread_check_q16():
+    """The checked spread at the largest accepted q, one block_labels call."""
+    spread = build_spread(make_field(2, 4), check=True)
+    assert len(spread.planes) == 16**3 + 1
+
+
+def test_build_spread_check_names_the_bad_element(ctx3, broken_spread):
+    """The check raises with element 0, its first point in coefficient order
+    (the point of J(inf) in the line case) and that point's label."""
+    spread = build_spread(ctx3, check=False)
+    distinct = 27 if broken_spread == "a duplicated element" else 28
+    assert len({pl.key for pl in spread.planes}) == distinct
+    pt = plane_points(ctx3.base, spread.element(0))[0]
+    label = spread.locate(pt)
+    assert label != 0
+    want = f"not pairwise disjoint: point {pt} of element 0 locates to {format_label(ctx3, label)}"
+    with pytest.raises(RuntimeError) as err:
+        build_spread(ctx3, check=True)
+    assert want in str(err.value)
 
 
 def test_element_point_budget(ctx2, spread2):
