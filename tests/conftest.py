@@ -68,8 +68,8 @@ def broken_spread(request, monkeypatch):
         if request.param == "a duplicated element":
             return real(ctx, 1)
         if request.param == "a line of J(0)":
-            e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
-            return plane_from_points(ctx.base, e[0], e[1], e[3])
+            j0, j_inf = real(ctx, 0), real(ctx, ctx.q3)
+            return plane_from_points(ctx.base, j0.basis[0], j0.basis[1], j_inf.basis[0])
         return _graph_plane(ctx, 0, 1, 1)
 
     monkeypatch.setattr(spread_mod, "spread_element", element)
