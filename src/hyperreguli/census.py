@@ -28,10 +28,14 @@ the points of a block of planes, for every p alike: coordinate j of a point
 depends on column j of the basis alone, so each point's flat coordinate
 index is a sum of rows of one (q^3, k) table (pg5.point_table), no GF(p)
 product.  A chunk holds whole runs of one pivot pattern's odometer, in which
-only the fastest free column changes, so each run sums its other columns
-once and the fast column's codes are added in one broadcast.  The sweep, and
-each pool worker, allocates the chunk's bases and the kernel's arrays once
-(_ChunkWork) and reuses them for every chunk.  The sweep is an
+only the fastest free column changes, so pg5.planes_block_np broadcasts
+each run's head basis over its planes, and block_labels sums each run's
+other columns once and adds the fast column's codes in one broadcast.  The
+class masks come from one equality pass over the chunk's flat label rows,
+and the B rows go to the trace tally gathered by index.  The sweep, and
+each pool worker, allocates the chunk's arrays once (_ChunkWork: the
+bases, the kernel's work and one buffer for the equality mask and then the
+B rows) and reuses them for every chunk.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
 worker count produces the identical report.  A plane of no class stops the
 census with its basis, pivot pattern and odometer index.
@@ -93,18 +97,32 @@ class CensusReport:
         return asdict(self)
 
 
-def _classify_block(ctx: FieldCtx, B: np.ndarray, *block):
+def _classify_block(ctx: FieldCtx, B: np.ndarray, work: _ChunkWork | None = None,
+                    pattern=None, start: int = 0):
     """Sorted located labels (n, k) and A/B/C masks for basis matrices B
-    (n, 3, 6); block is block_labels' optional (work, pattern, start).
+    (n, 3, 6), computed in work's arrays when given and else in arrays
+    sized for B.  With a pattern, B is planes_block_np(q, pattern, start,
+    ...), whose runs block_labels sums once each.
 
     A plane of no class raises, with its basis and labels as the witness
     and, for a pattern's block, the pattern and its odometer index.
     """
     q = ctx.q
-    codes = block_labels(ctx, B, *block)
-    # repeats per row, from one equality mask (einsum sums these short rows
-    # about twice as fast as count_nonzero(axis=1))
-    repeats = np.einsum("ij->i", (codes[:, 1:] == codes[:, :-1]).view(np.uint8), dtype=np.uint16)
+    if work is None:
+        codes = block_labels(ctx, B)
+        same = np.empty(codes.size, dtype=bool)
+    else:
+        codes = block_labels(ctx, B, work.labels, pattern, start)
+        same = work.rows.view(bool).reshape(-1)[: codes.size]
+    n, k = codes.shape
+    # repeats per row, from one equality pass over the flat label rows: same[i]
+    # compares label i with label i+1, and each row's last slot, where that
+    # pair would cross into the next row, is cleared (einsum sums these short
+    # rows about twice as fast as count_nonzero(axis=1))
+    flat = codes.reshape(-1)
+    np.equal(flat[1:], flat[:-1], out=same[:-1])
+    same[k - 1 :: k] = False
+    repeats = np.einsum("ij->i", same.reshape(n, k).view(np.uint8), dtype=np.uint16)
     is_a = repeats == cover_size(q) - 1
     is_b = repeats == 0
     # With q^2+1 distinct labels among k (q repeats) the runs' excess over 1
@@ -118,8 +136,7 @@ def _classify_block(ctx: FieldCtx, B: np.ndarray, *block):
     if not classified.all():
         bad = int(np.argmin(classified))
         where = ""
-        if block:
-            _, pattern, start = block
+        if pattern is not None:
             where = f" (pivot pattern {pattern}, odometer index {start + bad})"
         raise RuntimeError(
             f"inconsistent intersection tally for plane basis {B[bad].tolist()}{where}: "
@@ -259,11 +276,15 @@ class TraceCounts(Mapping):
 
 class _ChunkWork:
     """The arrays a census sweep reuses for each chunk of up to n planes: the
-    chunk's bases and block_labels' work."""
+    chunk's bases, block_labels' work, and one buffer of label rows that
+    holds _classify_block's equality mask and then, the mask read, the
+    chunk's B rows for the trace tally.  Sharing it keeps the mask from
+    adding to the peak memory of the tally."""
 
     def __init__(self, ctx: FieldCtx, n: int):
         self.planes = np.empty((n, 3, 6), dtype=np.uint8)
         self.labels = LabelWork(ctx, n)
+        self.rows = np.empty((n, cover_size(ctx.q)), dtype=np.uint16)  # as FieldCtx.ratio_np
 
 
 def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
@@ -276,8 +297,12 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
     """
     pattern = PIVOT_PATTERNS[pattern_idx]
     B = planes_block_np(ctx.q, pattern, start, stop, out=work.planes)
-    codes, is_a, is_b, is_c = _classify_block(ctx, B, work.labels, pattern, start)
-    hits, witnesses = table.tally(codes[is_b]) if table is not None else (None, None)
+    codes, is_a, is_b, is_c = _classify_block(ctx, B, work, pattern, start)
+    hits = witnesses = None
+    if table is not None:
+        b = np.flatnonzero(is_b)
+        # no index is out of range; with mode="raise" np.take would buffer out
+        hits, witnesses = table.tally(codes.take(b, axis=0, out=work.rows[: len(b)], mode="clip"))
     return int(is_a.sum()), int(is_b.sum()), int(is_c.sum()), hits, witnesses
 
 

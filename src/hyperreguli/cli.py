@@ -97,8 +97,19 @@ def _sample_covers(cover_set, sample: int, seed: int):
     return [covers[i] for i in rng.sample(kind1, n1) + rng.sample(kind2, n2)]
 
 
+def _checked_spread(ctx: FieldCtx, checks: list):
+    """The spread, checked to partition the points; None, with the failing
+    spread_partition check and its witness added to checks, if it does not."""
+    try:
+        return build_spread(ctx, check=True)
+    except RuntimeError as exc:
+        _check(checks, "spread_partition", True, str(exc))
+        return None
+
+
 # ----------------------------------------------------------------------
-# Subcommands.  Each returns (checks, data).
+# Subcommands.  Each returns (checks, data).  When the spread fails its
+# check, the checks end with that failing check and the data is {}.
 # ----------------------------------------------------------------------
 
 def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
@@ -107,12 +118,10 @@ def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
     for rec in ctx.self_test():
         checks.append(rec)
 
-    try:
-        spread = build_spread(ctx, check=True)
-        _check(checks, "spread_partition", True, True)
-    except RuntimeError as exc:
-        _check(checks, "spread_partition", True, str(exc))
+    spread = _checked_spread(ctx, checks)
+    if spread is None:
         return checks, {}
+    _check(checks, "spread_partition", True, True)
 
     cover_set = covers_mod.enumerate_covers(ctx, check_dedup=True)
     _cover_count_checks(checks, q, cover_set)
@@ -146,9 +155,11 @@ def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
 
 
 def cmd_census(ctx: FieldCtx, args) -> tuple[list, dict]:
-    spread = build_spread(ctx, check=True)
-    report = census_mod.run_census(ctx, spread, jobs=args.jobs)
     checks = []
+    spread = _checked_spread(ctx, checks)
+    if spread is None:
+        return checks, {}
+    report = census_mod.run_census(ctx, spread, jobs=args.jobs)
     _census_checks(checks, ctx.q, report)
     return checks, report.to_dict()
 
@@ -178,11 +189,13 @@ def _cover_from_args(ctx: FieldCtx, args):
 
 
 def cmd_transversals(ctx: FieldCtx, args) -> tuple[list, dict]:
-    spread = build_spread(ctx)
+    checks = []
+    spread = _checked_spread(ctx, checks)
+    if spread is None:
+        return checks, {}
     cover = _cover_from_args(ctx, args)
     hr = hyperreg_mod.hyper_regulus(spread, cover)
     planes = hyperreg_mod.transversal_planes(spread, hr)
-    checks = []
     _check(checks, "transversal_count",
            hyperreg_mod.transversal_count(ctx.q), len(planes))
     data = {
@@ -193,8 +206,10 @@ def cmd_transversals(ctx: FieldCtx, args) -> tuple[list, dict]:
 
 
 def cmd_switching(ctx: FieldCtx, args) -> tuple[list, dict]:
-    spread = build_spread(ctx)
     checks = []
+    spread = _checked_spread(ctx, checks)
+    if spread is None:
+        return checks, {}
     try:
         pair = hyperreg_mod.andre_switching_sets(ctx, spread, args.a, args.f)
         _check(checks, "switching_property_verified", True, True)

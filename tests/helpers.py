@@ -5,9 +5,10 @@ arithmetic mod p, explicit rank profiles, entry-by-entry GF(q) table
 lookups) without touching the exp/log tables, the point table of the
 census kernel or the located-label tally that the package itself relies on.
 The rank-based oracles (all_points, incidence, meet_dim, enumerate_planes,
-verify_regularity, classify_by_meets, transversals_brute) live only here.
-The one exception is classify_plane, which runs the package's census kernel
-on a single plane so that tests can compare it plane by plane.
+odometer_plane, verify_regularity, classify_by_meets, transversals_brute)
+live only here.  The one exception is classify_plane, which runs the
+package's census kernel on a single plane so that tests can compare it
+plane by plane.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ def enumerate_planes(base):
             for (r, c), v in zip(free, filling):
                 template[r][c] = v
             yield _plane_from_rref(template)
+
+
+def odometer_plane(q, pattern, index):
+    """The plane of a pattern's odometer index, by definition: its free
+    entries, in free_positions order, are the base-q digits of index, the
+    last the lowest.  One plane, with Python integers; enumerate_planes
+    streams the same planes in index order."""
+    template = [[0] * 6 for _ in range(3)]
+    for r, c in zip(range(3), pattern):
+        template[r][c] = 1
+    for r, c in reversed(free_positions(pattern)):
+        index, template[r][c] = divmod(index, q)
+    return _plane_from_rref(template)
 
 
 def verify_regularity(spread) -> bool:

@@ -182,6 +182,23 @@ def test_verify_reports_a_broken_spread(capsys, broken_spread):
     assert all(c["pass"] for c in report["checks"][:-1])
 
 
+@pytest.mark.parametrize("argv", [
+    ["census"],
+    ["transversals", "--kind", "1", "--a", "0", "--f", "1"],
+    ["switching", "--a", "0", "--f", "1"],
+], ids=lambda argv: argv[0])
+def test_subcommands_report_a_broken_spread(capsys, broken_spread, argv):
+    """census, transversals and switching build the spread as verify does:
+    a spread that fails its check gives a report whose one check is the
+    failing spread_partition with the witness, no data, and exit 1."""
+    code, report = run_json(capsys, [argv[0], "--q", "2", *argv[1:]])
+    assert code == 1
+    (check,) = report["checks"]
+    assert check["name"] == "spread_partition" and not check["pass"]
+    assert "of element 0 locates to" in check["actual"]
+    assert report["data"] == {}
+
+
 def test_json_reports_are_byte_stable(capsys):
     main(["covers", "--q", "3", "--list", "--format", "json"])
     first = capsys.readouterr().out
@@ -209,7 +226,7 @@ def test_json_reports_match_golden_digests(capsys, argv):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
 
 
-@pytest.mark.parametrize("q", [7, 8])
+@pytest.mark.parametrize("q", [7, 8, 9])
 def test_committed_verify_report_passes(q):
     """results/verify-q<q>.json, the runtime-stripped report of the exhaustive
     `verify --q <q> --jobs 2` run, passes every check at the closed forms."""
@@ -225,9 +242,9 @@ def test_committed_verify_report_passes(q):
 
 
 @pytest.mark.skipif(os.environ.get("HYPERREGULI_SLOW") != "1",
-                    reason="about 4.5 minutes for q = 7 and 8 with 2 jobs; "
-                           "set HYPERREGULI_SLOW=1")
-@pytest.mark.parametrize("q", [7, 8])
+                    reason="about 5.5 minutes for q = 7, 8 and 9 with 2 jobs, "
+                           "most of it q = 9; set HYPERREGULI_SLOW=1")
+@pytest.mark.parametrize("q", [7, 8, 9])
 def test_verify_reproduces_committed_report(capsys, q):
     code, report = run_json(capsys, ["verify", "--q", str(q), "--jobs", "2"])
     assert code == 0

@@ -29,6 +29,7 @@ from helpers import (
     enumerate_planes,
     incidence,
     meet_dim,
+    odometer_plane,
     random_full_rank_rows,
     random_recombination,
 )
@@ -199,6 +200,55 @@ def test_pattern_blocks_vary_only_in_free_columns(q):
         assert (block[:, :, fixed] == template[:, fixed]).all()
         if q < 5:
             assert np.array_equal(block, planes_block_np(q, pattern, start, stop))
+
+
+def _check_range(q, pattern, start, stop, want, out):
+    """planes_block_np over [start, stop) into out, stale bytes and all,
+    gives the planes want (n, 3, 6) and leaves out's other rows alone."""
+    out[...] = 0xAB
+    block = planes_block_np(q, pattern, start, stop, out=out)
+    assert np.shares_memory(block, out) and len(block) == stop - start
+    assert np.array_equal(block, want), (q, pattern, start, stop)
+    assert (out[stop - start :] == 0xAB).all()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_unaligned_ranges_match_the_stream(q, ctx_by_q):
+    """Every start of every pattern, with a length from 1 to 2s+1 that
+    cycles with the start: ranges inside one run, single planes, and ranges
+    that start and stop mid-run around zero, one or two whole runs, against
+    enumerate_planes.  odometer_plane, the oracle at larger q, agrees."""
+    stream = np.array([pl.basis for pl in enumerate_planes(ctx_by_q[q].base)], dtype=np.uint8)
+    offset = 0
+    for pattern in PIVOT_PATTERNS:
+        size, s = pattern_block_size(q, pattern), run_length(q, pattern)
+        want = stream[offset : offset + size]
+        offset += size
+        assert [odometer_plane(q, pattern, i).basis for i in range(size)] == \
+            [tuple(map(tuple, b.tolist())) for b in want]
+        out = np.empty((2 * s + 8, 3, 6), dtype=np.uint8)
+        for start in range(size):
+            stop = min(size, start + 1 + start % (2 * s + 1))
+            _check_range(q, pattern, start, stop, want[start:stop], out)
+        _check_range(q, pattern, 0, size, want, np.empty((size + 3, 3, 6), dtype=np.uint8))
+    assert offset == len(stream) == count_planes(q)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_seeded_unaligned_ranges_match_the_odometer(q):
+    """Seeded ranges of every pattern at larger q: single planes, ranges
+    inside one run, and ranges that start and stop mid-run around whole
+    runs, against odometer_plane plane by plane."""
+    rng = random.Random(q)
+    for pattern in PIVOT_PATTERNS:
+        size, s = pattern_block_size(q, pattern), run_length(q, pattern)
+        out = np.empty((3 * s + 8, 3, 6), dtype=np.uint8)
+        for length in (1, max(1, s // 2), s + 1, 2 * s + 1, 3 * s):
+            start = rng.randrange(size - min(size, length) + 1)
+            stop = start + min(size - start, length)
+            want = np.array([odometer_plane(q, pattern, i).basis for i in range(start, stop)],
+                            dtype=np.uint8)
+            _check_range(q, pattern, start, stop, want, out)
 
 
 def test_all_points_count_and_normalization(ctx2, ctx3):
