@@ -37,7 +37,10 @@ each pool worker, allocates the chunk's arrays once (_ChunkWork: the
 bases, the kernel's work and one buffer for the equality mask and then the
 B rows) and reuses them for every chunk.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
-worker count produces the identical report.  A plane of no class stops the
+worker count produces the identical report: each of min(jobs, chunks)
+workers reduces its interleaved share of the chunks itself (class counts,
+one covers-sized array of trace counts, witnesses) and sends that one
+result, and the main process sums one result per worker.  A plane of no class stops the
 census with its basis, pivot pattern and odometer index.
 """
 
@@ -53,7 +56,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .covers import CoverSet, cover_size, enumerate_covers, row_hash, total_count
-from .gf import FieldCtx, make_field
+from .gf import FieldCtx
 from .pg5 import PIVOT_PATTERNS, count_planes, enumeration_chunks, planes_block_np
 from .spread import LabelWork, Spread, block_labels
 
@@ -292,8 +295,6 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
     """Classify one enumeration chunk; returns (nA, nB, nC, hits, witnesses).
 
     hits and witnesses are the chunk's CoverTable.tally, None without a table.
-    hits holds one int32 per B plane that is a cover, so a pool worker ships
-    at most 4 bytes per plane of the chunk, not a covers-sized count array.
     """
     pattern = PIVOT_PATTERNS[pattern_idx]
     B = planes_block_np(ctx.q, pattern, start, stop, out=work.planes)
@@ -306,17 +307,38 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
     return int(is_a.sum()), int(is_b.sum()), int(is_c.sum()), hits, witnesses
 
 
-_worker = None  # (ctx, table, work) of a census pool worker, set by _init_worker
+def _census_share(ctx: FieldCtx, table: CoverTable | None, chunk_planes: int, chunks):
+    """Classify a share of the enumeration chunks in one _ChunkWork; returns
+    (nA, nB, nC, hits, witnesses) summed over the share.
+
+    hits[i] counts the share's traces equal to key row i of table (None
+    without one), so a pool worker sends one covers-sized count array.
+    """
+    work = _ChunkWork(ctx, chunk_planes)
+    na = nb = nc = 0
+    hits = np.zeros(len(table.keys), dtype=np.int64) if table is not None else None
+    witnesses = Counter()
+    for chunk in chunks:
+        ca, cb, cc, chunk_hits, chunk_witnesses = _census_chunk(ctx, table, work, *chunk)
+        na += ca
+        nb += cb
+        nc += cc
+        if table is not None:
+            np.add.at(hits, chunk_hits, 1)
+            witnesses.update(chunk_witnesses)
+    return na, nb, nc, hits, witnesses
 
 
-def _init_worker(p, h, base_mod, cubic_mod, table, chunk_planes):
+_worker = None  # (ctx, table, chunk_planes) of a census pool worker, set by _init_worker
+
+
+def _init_worker(ctx, table, chunk_planes):
     global _worker
-    ctx = make_field(p, h, base_modulus=base_mod, cubic_modulus=cubic_mod)
-    _worker = (ctx, table, _ChunkWork(ctx, chunk_planes))
+    _worker = (ctx, table, chunk_planes)
 
 
-def _pool_chunk(chunk):
-    return _census_chunk(*_worker, *chunk)
+def _pool_share(chunks):
+    return _census_share(*_worker, chunks)
 
 
 def trace_is_cover_check(
@@ -333,39 +355,34 @@ def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
     """Classify every plane; returns (nA, nB, nC, hits, witnesses).
 
     hits[i] counts the traces equal to key row i of table (None without one), witnesses the rest.
+    Each of min(jobs, chunks) workers reduces the interleaved share
+    chunks[i::workers] itself, and the shares' results are summed here.
     """
     chunks = enumeration_chunks(ctx.q, chunk_size)
     chunk_planes = max(stop - start for _, start, stop in chunks)
-    na = nb = nc = 0
-    hits = np.zeros(len(table.keys), dtype=np.int64) if table is not None else None
-    witnesses = Counter()
-
-    pool = None
-    if jobs > 1:
-        # fork: the workers share the table copy-on-write; forkserver (Python
-        # 3.14's default on Linux) and spawn would pickle it into each of them
-        pool = ProcessPoolExecutor(
-            max_workers=jobs,
+    workers = min(jobs, len(chunks))  # start no idle worker
+    if workers == 1:
+        results = [_census_share(ctx, table, chunk_planes, chunks)]
+    else:
+        # fork: the workers inherit the field's tables and share the cover
+        # table copy-on-write, as initargs are not pickled; forkserver (Python
+        # 3.14's default on Linux) and spawn would pickle them into each worker
+        with ProcessPoolExecutor(
+            max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(ctx.p, ctx.h, ctx.base.modulus, ctx.cubic_modulus, table, chunk_planes),
-        )
-    try:
-        if pool is None:
-            work = _ChunkWork(ctx, chunk_planes)
-            results = (_census_chunk(ctx, table, work, *c) for c in chunks)
-        else:
-            results = pool.map(_pool_chunk, chunks)
-        for ca, cb, cc, chunk_hits, chunk_witnesses in results:
-            na += ca
-            nb += cb
-            nc += cc
-            if table is not None:
-                np.add.at(hits, chunk_hits, 1)
-                witnesses.update(chunk_witnesses)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            initargs=(ctx, table, chunk_planes),
+        ) as pool:
+            results = list(pool.map(_pool_share, (chunks[i::workers] for i in range(workers))))
+
+    na, nb, nc, hits, witnesses = results[0]
+    for ca, cb, cc, share_hits, share_witnesses in results[1:]:
+        na += ca
+        nb += cb
+        nc += cc
+        if table is not None:
+            hits += share_hits
+            witnesses.update(share_witnesses)
     return na, nb, nc, hits, witnesses
 
 

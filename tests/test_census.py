@@ -28,6 +28,7 @@ from hyperreguli.pg5 import (
     PIVOT_PATTERNS,
     block_points,
     count_planes,
+    enumeration_chunks,
     pattern_block_size,
     plane_from_points,
     plane_from_rows,
@@ -459,6 +460,77 @@ def test_sweep_traces_invariant_under_worker_count_q3(ctx3):
     assert two[:3] == one[:3] and two[4] == one[4] == Counter()
     assert np.array_equal(two[3], one[3])
     assert set(one[3].tolist()) == {2 * cover_size(3)}
+
+
+def test_sweep_uneven_shares_match_one_job_q3(ctx3):
+    """Three workers over 25 chunks (shares of 9, 8 and 8) give the one-job
+    counts, hits and witnesses."""
+    table = cover_table(ctx3)
+    assert len(enumeration_chunks(3, 4096)) % 3
+    one = _sweep(ctx3, 1, table, 4096)
+    three = _sweep(ctx3, 3, table, 4096)
+    assert three[:3] == one[:3] and three[4] == one[4] == Counter()
+    assert np.array_equal(three[3], one[3])
+
+
+class _InProcessPool:
+    """A ProcessPoolExecutor stand-in that runs each task in this process
+    and records max_workers and the tasks."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.max_workers, self.tasks = max_workers, []
+        initializer(*initargs)
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+
+@pytest.mark.parametrize("q, jobs, chunk_size", [(2, 3, DEFAULT_CHUNK_SIZE), (2, 64, 1 << 30),
+                                                 (3, 3, 4096)])
+def test_pool_shares_cover_every_chunk_once(ctx_by_q, monkeypatch, q, jobs, chunk_size):
+    """Each worker's share is an interleaved slice of the chunks, every chunk
+    is in exactly one share, and no more workers start than there are chunks."""
+    ctx = ctx_by_q[q]
+    table = cover_table(ctx)
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    monkeypatch.setattr(census, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(census, "_worker", None)
+    got = _sweep(ctx, jobs, table, chunk_size)
+
+    chunks = enumeration_chunks(q, chunk_size)
+    (pool,) = _InProcessPool.made
+    assert pool.max_workers == min(jobs, len(chunks)) == len(pool.tasks)
+    assert pool.tasks == [chunks[i :: pool.max_workers] for i in range(pool.max_workers)]
+    assert sorted(c for share in pool.tasks for c in share) == sorted(chunks)
+    want = _sweep(ctx, 1, table, chunk_size)
+    assert got[:3] == want[:3] and got[4] == want[4] and np.array_equal(got[3], want[3])
+
+
+@pytest.mark.parametrize("q, cubic_modulus", [(2, (1, 0, 1, 1)), (3, (2, 2, 0, 1))])
+def test_pooled_census_under_cubic_modulus_override(q, cubic_modulus):
+    """Pool workers inherit the parent's field, a non-default cubic modulus
+    included: two jobs give the one-job report."""
+    ctx = make_field(q, cubic_modulus=cubic_modulus)
+    assert ctx.cubic_modulus != make_field(q).cubic_modulus
+
+    def report(jobs):
+        d = run_census(ctx, jobs=jobs).to_dict()
+        del d["runtime_seconds"]
+        return d
+
+    want = report(1)
+    assert want["trace_check"] == {"checked": True, "matched": True, "multiplicity_ok": True}
+    assert report(2) == want
 
 
 def test_census_pool_shares_the_table_without_pickling(ctx3, monkeypatch):

@@ -314,7 +314,7 @@ def test_crashed_worker_is_an_infrastructure_failure(capsys, monkeypatch):
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(census_mod, "ProcessPoolExecutor",
                         functools.partial(ProcessPoolExecutor, mp_context=fork))
-    monkeypatch.setattr(census_mod, "_pool_chunk", _crash_worker)
+    monkeypatch.setattr(census_mod, "_pool_share", _crash_worker)
     assert main(["census", "--q", "2", "--jobs", "2", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
