@@ -38,10 +38,11 @@ bases, the kernel's work and one buffer for the equality mask and then the
 B rows) and reuses them for every chunk.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
 worker count produces the identical report: each of min(jobs, chunks)
-workers reduces its interleaved share of the chunks itself (class counts,
-one covers-sized array of trace counts, witnesses) and sends that one
-result, and the main process sums one result per worker.  A plane of no class stops the
-census with its basis, pivot pattern and odometer index.
+workers reduces its share of the chunks itself (class counts, one
+covers-sized array of trace counts, witnesses) and sends that one result,
+and the main process sums one result per worker.  The shares are balanced
+by plane count, largest chunks first (_shares).  A plane of no class stops
+the census with its basis, pivot pattern and odometer index.
 """
 
 from __future__ import annotations
@@ -351,12 +352,25 @@ def trace_is_cover_check(
     return TraceCheck(checked=True, matched=matched, multiplicity_ok=multiplicity_ok)
 
 
+def _shares(chunks, workers: int) -> list[list[tuple[int, int, int]]]:
+    """Split the chunks into shares of about equal plane counts, each in
+    enumeration order: the chunks by falling plane count, each to the share
+    with the fewest planes so far (the first such share on a tie)."""
+    shares = [[] for _ in range(workers)]
+    planes = [0] * workers
+    for chunk in sorted(chunks, key=lambda c: c[2] - c[1], reverse=True):
+        i = planes.index(min(planes))
+        shares[i].append(chunk)
+        planes[i] += chunk[2] - chunk[1]
+    return [sorted(share) for share in shares]
+
+
 def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
     """Classify every plane; returns (nA, nB, nC, hits, witnesses).
 
     hits[i] counts the traces equal to key row i of table (None without one), witnesses the rest.
-    Each of min(jobs, chunks) workers reduces the interleaved share
-    chunks[i::workers] itself, and the shares' results are summed here.
+    Each of min(jobs, chunks) workers reduces its share of the chunks
+    (_shares) itself, and the shares' results are summed here.
     """
     chunks = enumeration_chunks(ctx.q, chunk_size)
     chunk_planes = max(stop - start for _, start, stop in chunks)
@@ -373,7 +387,7 @@ def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
             initializer=_init_worker,
             initargs=(ctx, table, chunk_planes),
         ) as pool:
-            results = list(pool.map(_pool_share, (chunks[i::workers] for i in range(workers))))
+            results = list(pool.map(_pool_share, _shares(chunks, workers)))
 
     na, nb, nc, hits, witnesses = results[0]
     for ca, cb, cc, share_hits, share_witnesses in results[1:]:

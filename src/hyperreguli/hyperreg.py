@@ -26,8 +26,9 @@ points lies on a cover element.
 
 Stage 1, the line filter: of the k^2 pairs (p1, p2) in P1 x P2 (k =
 q^2+q+1), keep those whose line has all q+1 points on cover elements.  The
-points p1 + b*p2 (b in GF(q)) are the (1, b, 0) columns of the block kernel
-on the basis (p1, p2, 0); the last point, p2, is on P2.  The condition is
+points p1 + b*p2 (b in GF(q)) are the (1, b, 0) points of the basis
+(p1, p2, 0), located from the point table's q columns for them
+(spread.point_labels); the last point, p2, is on P2.  The condition is
 necessary, so every transversal keeps its own pair.
 
 Stage 2, the third point: the line meets P1 and P2 in one point each, so it
@@ -35,17 +36,22 @@ lies in no spread element and its q+1 points lie on q+1 distinct ones, two
 of them P1 and P2.  It therefore meets at most q-1 of the q further planes
 P3 in hr.planes[2:q+2] and misses at least one.  A transversal through the
 line meets such a P3 in a point p3 off the line, and (p1, p2, p3) spans it.
-So each surviving pair is spanned with the k points of the first candidate
-its line misses, and a triple is accepted exactly when its located labels
+So each surviving pair is paired with the k points p3 of the first
+candidate its line misses.  The same line filter runs on the line p1p3:
+its points p1 + c*p3 are the (1, 0, c) points of the basis (p1, p2, p3),
+and the last, p3, is on P3.  It cannot drop a transversal either: its k
+points lie on k distinct cover elements, one each, and the line p1p3 lies
+in it.  A triple that passes is accepted exactly when its located labels
 (spread.block_labels) equal the cover key.  A dependent triple repeats a
 label, so it never passes; every transversal is found and nothing else is.
 The third plane is chosen per pair because no fixed one works: the planes
 {(t, m*t^q)} over GF(8) meet J(1), J(2), J(3) in collinear points, because
 1+2+3 = 0 there, so with P1, P2 = J(1), J(2) the plane J(3) is met by the
-line of every such transversal.  The work is k^2 lines and k triples per
-surviving pair; in the covers checked at q = 3..9 exactly 2k pairs survive,
-one per transversal.  The tests cross-check it against a brute-force sweep
-of the full plane enumeration with rank-based meet dimensions only.
+line of every such transversal.  The work is k^2 lines, then k lines and
+about one k-label check per surviving pair; in the covers checked at
+q = 3..9 exactly 2k pairs survive, one per transversal.  The tests
+cross-check it against a brute-force sweep of the full plane enumeration
+with rank-based meet dimensions only.
 """
 
 from __future__ import annotations
@@ -57,14 +63,8 @@ import numpy as np
 from .census import DEFAULT_CHUNK_SIZE
 from .covers import Cover, cover_type1
 from .gf import FieldCtx
-from .pg5 import (
-    Plane,
-    _plane_from_rref,
-    block_points,
-    plane_from_rows,
-    plane_points,
-)
-from .spread import Spread, block_labels, check_disjoint, locate_np
+from .pg5 import Plane, _plane_from_rref, block_points, plane_from_rows, plane_points
+from .spread import Spread, block_labels, check_disjoint, point_labels
 
 
 @dataclass
@@ -138,13 +138,15 @@ def _transversals_span(spread: Spread, hr: HyperRegulus,
                        chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[Plane]:
     ctx = spread.ctx
     base, q = ctx.base, ctx.q
-    pts1, pts2 = (np.array(plane_points(base, pl), dtype=np.uint8) for pl in hr.planes[:2])
-    # the points of the q candidate third planes (see above), (q, k, 6)
-    pts3 = np.array([plane_points(base, pl) for pl in hr.planes[2:q + 2]], dtype=np.uint8)
+    # the points of P1, P2 and the q candidate third planes (see above), in
+    # coefficient order and normalised, as their bases are RREF: (q+2, k, 6)
+    pts = block_points(base, np.array([pl.basis for pl in hr.planes[:q + 2]], dtype=np.uint8))
+    pts1, pts2, pts3 = pts[0], pts[1], pts[2:]
     target = np.array(hr.cover.key)
     in_cover = np.zeros(ctx.q3 + 1, dtype=bool)
     in_cover[target] = True
-    line_cols = 1 + q + q * np.arange(q)  # coefficients (1, b, 0): p1 + b*p2
+    line12 = 1 + q + q * np.arange(q)  # coefficients (1, b, 0): p1 + b*p2
+    line13 = 1 + q + np.arange(q)  # coefficients (1, 0, c): p1 + c*p3
 
     # stage 1: pair t = i*k + j stands for the line through P1[i] and P2[j]
     k = len(pts1)
@@ -153,7 +155,7 @@ def _transversals_span(spread: Spread, hr: HyperRegulus,
         i, j = np.divmod(np.arange(start, min(start + chunk_size, k * k)), k)
         B = np.zeros((len(i), 3, 6), dtype=np.uint8)
         B[:, 0], B[:, 1] = pts1[i], pts2[j]
-        labels = locate_np(ctx, block_points(base, B)[:, line_cols])
+        labels = point_labels(ctx, B, line12)
         keep = in_cover[labels].all(axis=1)
         missed = (labels[keep, :, None] != target[2:q + 2]).all(axis=1)
         kept.append((i[keep], j[keep], missed.argmax(axis=1)))
@@ -167,6 +169,7 @@ def _transversals_span(spread: Spread, hr: HyperRegulus,
     for start in range(0, total, chunk_size):
         s, l = np.divmod(np.arange(start, min(start + chunk_size, total)), k)
         B = np.stack([pts1[i[s]], pts2[j[s]], pts3[third[s], l]], axis=1)
+        B = B[in_cover[point_labels(ctx, B, line13)].all(axis=1)]
         for rows in B[(block_labels(ctx, B, work) == target).all(axis=1)]:
             pl = plane_from_rows(base, rows.tolist())
             found.setdefault(pl.key, pl)

@@ -102,7 +102,13 @@ def _rref(base: BaseField, rows):
 
 @dataclass(frozen=True)
 class Plane:
-    """A plane of PG(5,q): RREF basis plus its canonical byte key."""
+    """A plane of PG(5,q): RREF basis plus its canonical byte key.
+
+    The basis is always in reduced row echelon form: _plane_from_rref is the
+    only constructor, and its callers (_rref through plane_from_rows,
+    spread.spread_element, hyperreg._graph_plane and the pivot templates
+    of the test oracles) all pass RREF rows.  plane_points relies on this.
+    """
 
     basis: tuple[tuple[int, ...], ...]
     key: bytes
@@ -138,15 +144,19 @@ def projective_coeffs(q: int) -> list[tuple[int, int, int]]:
 
 
 def plane_points(base: BaseField, pl: Plane) -> list[tuple[int, ...]]:
-    """The q^2+q+1 normalized points of a plane, in coefficient order."""
-    add, mul = base._add, base._mul
-    r1, r2, r3 = pl.basis
-    pts = []
-    for c1, c2, c3 in projective_coeffs(base.q):
-        m1, m2, m3 = mul[c1], mul[c2], mul[c3]
-        v = [add[add[m1[a]][m2[b]]][m3[c]] for a, b, c in zip(r1, r2, r3)]
-        pts.append(normalize_point(base, v))
-    return pts
+    """The q^2+q+1 normalized points of a plane, in coefficient order:
+    point_table's rows at the six column codes of pl.basis, transposed.
+
+    They need no scaling.  Each coefficient vector of projective_coeffs has
+    first nonzero entry 1, in row r say, so its point is row r plus
+    multiples of the rows below it.  The basis is in RREF (Plane): row r is
+    zero left of its pivot and 1 there, the rows below are zero up to their
+    later pivots, and the pivot column of row r is zero in every other row.
+    So the point is zero left of row r's pivot and 1 at it.
+    """
+    q = base.q
+    codes = [a + q * (b + q * c) for a, b, c in zip(*pl.basis)]
+    return list(zip(*point_table(base).take(codes, axis=0).tolist()))
 
 
 @functools.lru_cache(maxsize=4)
@@ -186,8 +196,9 @@ def column_codes(q: int, B: np.ndarray) -> np.ndarray:
 def block_points(base: BaseField, B: np.ndarray) -> np.ndarray:
     """The k points of each plane, (n, k, 6) over GF(q), for bases B (n, 3, 6).
 
-    The points come in coefficient order (as plane_points), not normalised:
-    point_table's rows at the six column codes.
+    The points come in coefficient order, point_table's rows at the six
+    column codes; they are normalised when the bases are in RREF, as
+    plane_points proves.
     """
     return point_table(base)[column_codes(base.q, B)].transpose(1, 2, 0)
 

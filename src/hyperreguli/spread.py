@@ -188,6 +188,25 @@ def block_labels(ctx: FieldCtx, B: np.ndarray, work: LabelWork | None = None,
     return labels
 
 
+def point_labels(ctx: FieldCtx, B: np.ndarray, cols) -> np.ndarray:
+    """The located labels (n, len(cols)) of the points with coefficient
+    indices cols (pg5.projective_coeffs order) of each plane with basis in
+    B (n, 3, 6), in the order of cols.
+
+    Each point's flat index into FieldCtx.ratio_np is the Horner sum of
+    block_labels, read from point_table's columns cols alone, so no other
+    point of the plane is built.
+    """
+    q = ctx.q
+    P = point_table(ctx.base)[:, cols]
+    codes = column_codes(q, B)
+    flat = np.zeros((len(B), P.shape[1]), dtype=_flat_weights(ctx).dtype)
+    for c in _HORNER_COLUMNS:
+        flat *= q
+        flat += P.take(codes[c], axis=0)
+    return ctx.ratio_np[flat]
+
+
 def check_disjoint(ctx: FieldCtx, planes, labels) -> None:
     """Raise unless the labels are distinct and every point of planes[i]
     locates to labels[i]; the error names the element, a point and its label.

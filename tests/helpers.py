@@ -2,13 +2,14 @@
 
 Everything here recomputes results from first principles (integer
 arithmetic mod p, explicit rank profiles, entry-by-entry GF(q) table
-lookups) without touching the exp/log tables, the point table of the
-census kernel or the located-label tally that the package itself relies on.
-The rank-based oracles (all_points, incidence, meet_dim, enumerate_planes,
-odometer_plane, verify_regularity, classify_by_meets, transversals_brute)
-live only here.  The one exception is classify_plane, which runs the
-package's census kernel on a single plane so that tests can compare it
-plane by plane.
+lookups) without touching the exp/log tables, the point table that the
+census kernel and pg5.plane_points read, or the located-label tally that
+the package itself relies on.  The rank-based oracles (all_points,
+incidence, meet_dim, enumerate_planes, odometer_plane, verify_regularity,
+classify_by_meets, transversals_brute) and the arithmetic plane points
+(plane_points_by_arithmetic) live only here.  The one exception is
+classify_plane, which runs the package's census kernel on a single plane
+so that tests can compare it plane by plane.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from hyperreguli.pg5 import (
     normalize_point,
     pattern_block_size,
     plane_from_rows,
-    plane_points,
     planes_block_np,
     projective_coeffs,
 )
@@ -84,6 +84,20 @@ def odometer_plane(q, pattern, index):
     return _plane_from_rref(template)
 
 
+def plane_points_by_arithmetic(base, pl) -> list[tuple[int, ...]]:
+    """The q^2+q+1 points of a plane in coefficient order, each a GF(q)
+    combination of the basis rows by table lookups, coordinate by coordinate,
+    then scaled by normalize_point: no point table."""
+    add, mul = base._add, base._mul
+    r1, r2, r3 = pl.basis
+    pts = []
+    for c1, c2, c3 in projective_coeffs(base.q):
+        m1, m2, m3 = mul[c1], mul[c2], mul[c3]
+        v = [add[add[m1[a]][m2[b]]][m3[c]] for a, b, c in zip(r1, r2, r3)]
+        pts.append(normalize_point(base, v))
+    return pts
+
+
 def verify_regularity(spread) -> bool:
     """Each transversal line of two spread elements meets q+1 distinct
     elements, each in one point; exhaustive, so offered for q = 2 only."""
@@ -91,7 +105,7 @@ def verify_regularity(spread) -> bool:
     if ctx.q != 2:
         raise ValueError("the regularity check is only provided for q = 2")
     base = ctx.base
-    pts = [plane_points(base, pl) for pl in spread.planes]
+    pts = [plane_points_by_arithmetic(base, pl) for pl in spread.planes]
     for a in range(ctx.q3 + 1):
         for b in range(a + 1, ctx.q3 + 1):
             for pa in pts[a]:

@@ -32,17 +32,17 @@ from hyperreguli.pg5 import (
     pattern_block_size,
     plane_from_points,
     plane_from_rows,
-    plane_points,
     planes_block_np,
     run_length,
 )
-from hyperreguli.spread import LabelWork, block_labels, build_spread, locate_np
+from hyperreguli.spread import LabelWork, block_labels, build_spread, locate_np, point_labels
 
 from helpers import (
     classify_by_meets,
     classify_plane,
     enumerate_planes,
     gather_points,
+    plane_points_by_arithmetic,
     seeded_blocks,
     trace_check_oracle,
     trace_counter,
@@ -319,6 +319,20 @@ def test_block_points_match_gather_oracle(q):
     assert np.array_equal(block_points(ctx.base, B), gather_points(ctx.base, B))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 16])
+def test_point_labels_match_gather_oracle(q):
+    """point_labels on a few coefficient indices, in any order, gives the
+    located labels of those table-gather points, in both flat-index widths
+    (uint16 to q = 5, uint32 from q = 7)."""
+    ctx = field(q)
+    rng = random.Random(200 + q)
+    B = seeded_blocks(q, rng, size=16)
+    k = q * q + q + 1
+    cols = rng.sample(range(k), q)
+    want = locate_np(ctx, gather_points(ctx.base, B)[:, cols])
+    assert np.array_equal(point_labels(ctx, B, cols), want)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_free_column_kernel_matches_gather_oracle(q):
     """block_labels on odometer ranges of one pivot pattern, which sum each
@@ -395,7 +409,7 @@ def test_classify_block_labels_at_large_q(q):
     codes, *_ = _classify_block(ctx, B)
     for basis, labels in zip(B, codes):
         pl = plane_from_rows(ctx.base, basis.tolist())
-        want = sorted(spread.locate(pt) for pt in plane_points(ctx.base, pl))
+        want = sorted(spread.locate(pt) for pt in plane_points_by_arithmetic(ctx.base, pl))
         assert labels.tolist() == want
 
 
@@ -463,7 +477,7 @@ def test_sweep_traces_invariant_under_worker_count_q3(ctx3):
 
 
 def test_sweep_uneven_shares_match_one_job_q3(ctx3):
-    """Three workers over 25 chunks (shares of 9, 8 and 8) give the one-job
+    """Three workers over 25 chunks (shares of 5, 8 and 12) give the one-job
     counts, hits and witnesses."""
     table = cover_table(ctx3)
     assert len(enumeration_chunks(3, 4096)) % 3
@@ -498,7 +512,7 @@ class _InProcessPool:
 @pytest.mark.parametrize("q, jobs, chunk_size", [(2, 3, DEFAULT_CHUNK_SIZE), (2, 64, 1 << 30),
                                                  (3, 3, 4096)])
 def test_pool_shares_cover_every_chunk_once(ctx_by_q, monkeypatch, q, jobs, chunk_size):
-    """Each worker's share is an interleaved slice of the chunks, every chunk
+    """Each worker's share is its _shares share of the chunks, every chunk
     is in exactly one share, and no more workers start than there are chunks."""
     ctx = ctx_by_q[q]
     table = cover_table(ctx)
@@ -510,10 +524,32 @@ def test_pool_shares_cover_every_chunk_once(ctx_by_q, monkeypatch, q, jobs, chun
     chunks = enumeration_chunks(q, chunk_size)
     (pool,) = _InProcessPool.made
     assert pool.max_workers == min(jobs, len(chunks)) == len(pool.tasks)
-    assert pool.tasks == [chunks[i :: pool.max_workers] for i in range(pool.max_workers)]
+    assert pool.tasks == census._shares(chunks, pool.max_workers)
     assert sorted(c for share in pool.tasks for c in share) == sorted(chunks)
     want = _sweep(ctx, 1, table, chunk_size)
     assert got[:3] == want[:3] and got[4] == want[4] and np.array_equal(got[3], want[3])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_shares_balance_planes_q4(ctx4, workers):
+    """At q = 4, where the smaller pivot patterns are one chunk each and
+    interleaved shares put 7.4% (2 workers) and 8.7% (3 workers) above the
+    mean: every chunk is in exactly one share, each share is in enumeration
+    order, the shares of 2 workers are within 1% of the mean (5% for 3),
+    and the pooled sweep gives the one-job counts, hits and witnesses."""
+    chunks = enumeration_chunks(4, DEFAULT_CHUNK_SIZE)
+    shares = census._shares(chunks, workers)
+    assert len(shares) == workers
+    assert sorted(c for share in shares for c in share) == sorted(chunks)
+    assert all(share == sorted(share) for share in shares)
+    planes = [sum(stop - start for _, start, stop in share) for share in shares]
+    assert max(planes) / (count_planes(4) / workers) - 1 < (0.01 if workers == 2 else 0.05)
+
+    table = cover_table(ctx4)
+    one = _sweep(ctx4, 1, table, DEFAULT_CHUNK_SIZE)
+    got = _sweep(ctx4, workers, table, DEFAULT_CHUNK_SIZE)
+    assert got[:3] == one[:3] and got[4] == one[4] == Counter()
+    assert np.array_equal(got[3], one[3])
 
 
 @pytest.mark.parametrize("q, cubic_modulus", [(2, (1, 0, 1, 1)), (3, (2, 2, 0, 1))])

@@ -15,10 +15,9 @@ from hyperreguli.hyperreg import (
     transversal_count,
     transversal_planes,
 )
-from hyperreguli.pg5 import plane_points
 from hyperreguli.spread import Spread, build_spread
 
-from helpers import transversals_brute
+from helpers import plane_points_by_arithmetic, transversals_brute
 
 
 def keys(planes):
@@ -34,7 +33,7 @@ def test_hyper_regulus_q2_type1_is_nonzero_graphs(ctx2, spread2):
 def test_all_hyper_reguli_disjoint_by_point_sets_q2(ctx2, spread2):
     for cov in enumerate_covers(ctx2).covers:
         hr = hyper_regulus(spread2, cov)
-        point_sets = [set(plane_points(ctx2.base, pl)) for pl in hr.planes]
+        point_sets = [set(plane_points_by_arithmetic(ctx2.base, pl)) for pl in hr.planes]
         for s, t in combinations(point_sets, 2):
             assert not s & t
 
@@ -82,9 +81,9 @@ def test_switching_property_by_point_sets_q2(ctx2, spread2):
     base = ctx2.base
     sp = andre_switching_sets(ctx2, spread2, 0, 1)
     cover = cover_type1(ctx2, 0, 1)
-    x_sets = [set(plane_points(base, spread2.element(m))) for m in cover.key]
-    y_sets = [set(plane_points(base, pl)) for pl in sp.y_planes]
-    z_sets = [set(plane_points(base, pl)) for pl in sp.z_planes]
+    x_sets = [set(plane_points_by_arithmetic(base, spread2.element(m))) for m in cover.key]
+    y_sets = [set(plane_points_by_arithmetic(base, pl)) for pl in sp.y_planes]
+    z_sets = [set(plane_points_by_arithmetic(base, pl)) for pl in sp.z_planes]
     for fam in (y_sets, z_sets):
         for s, t in combinations(fam, 2):
             assert len(s & t) == 0
@@ -97,9 +96,9 @@ def test_switching_property_by_point_sets_q2(ctx2, spread2):
 def test_switching_planes_avoid_non_cover_elements_q2(ctx2, spread2):
     sp = andre_switching_sets(ctx2, spread2, 0, 1)
     base = ctx2.base
-    outside = [set(plane_points(base, spread2.element(m))) for m in (0, 8)]
+    outside = [set(plane_points_by_arithmetic(base, spread2.element(m))) for m in (0, 8)]
     for pl in sp.y_planes + sp.z_planes:
-        pts = set(plane_points(base, pl))
+        pts = set(plane_points_by_arithmetic(base, pl))
         for s in outside:
             assert not pts & s
 
@@ -109,9 +108,9 @@ def test_switching_meets_each_cover_element_once_q3(ctx3, spread3):
     sp = andre_switching_sets(ctx3, spread3, 0, 1)
     cover = cover_type1(ctx3, 0, 1)
     for pl in sp.y_planes[:4]:
-        pts = set(plane_points(base, pl))
+        pts = set(plane_points_by_arithmetic(base, pl))
         for m in cover.key:
-            assert len(pts & set(plane_points(base, spread3.element(m)))) == 1
+            assert len(pts & set(plane_points_by_arithmetic(base, spread3.element(m)))) == 1
 
 
 def test_transversals_q2_type1(ctx2, spread2):
@@ -299,20 +298,21 @@ def test_span_search_exact_q7():
     assert peak < 24 * 2**20
     assert len(planes) == transversal_count(7) == 114
     for pl in planes:
-        labels = sorted(spread.locate(pt) for pt in plane_points(ctx.base, pl))
+        labels = sorted(spread.locate(pt) for pt in plane_points_by_arithmetic(ctx.base, pl))
         assert labels == list(cover.key)
     g1, g2 = split_switching_classes(ctx, planes)
     assert len(g1) == len(g2) == 57
 
 
-@pytest.mark.parametrize("q", [7, 8, 9])
+@pytest.mark.parametrize("q", [7, 8, 9, 16])
 def test_span_search_matches_andre_switching_sets(q):
-    """At h > 1 too, the span search finds exactly the union of the explicit
+    """At h > 1 too, and at the largest accepted field, the span search with
+    its stage-2 line filter finds exactly the union of the explicit
     switching sets of kind-1 covers (a constructive route that shares no
     search code), and split_switching_classes recovers the Y and Z sets from
     it; for kind 2 it finds 2k planes on exactly the cover's elements, which
     split into two classes of k."""
-    p, h = {7: (7, 1), 8: (2, 3), 9: (3, 2)}[q]
+    p, h = {7: (7, 1), 8: (2, 3), 9: (3, 2), 16: (2, 4)}[q]
     ctx = make_field(p, h)
     spread = build_spread(ctx, check=False)
     rng = random.Random(q)
@@ -329,7 +329,7 @@ def test_span_search_matches_andre_switching_sets(q):
     planes = transversal_planes(spread, hyper_regulus(spread, cover))
     assert len(planes) == transversal_count(q)
     for pl in planes:
-        labels = sorted(spread.locate(pt) for pt in plane_points(ctx.base, pl))
+        labels = sorted(spread.locate(pt) for pt in plane_points_by_arithmetic(ctx.base, pl))
         assert labels == list(cover.key)
     g1, g2 = split_switching_classes(ctx, planes)
     assert len(g1) == len(g2) == q * q + q + 1

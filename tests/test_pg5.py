@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from hyperreguli.census import DEFAULT_CHUNK_SIZE
+from hyperreguli.covers import cover_type2
+from hyperreguli.gf import factorize, make_field
+from hyperreguli.hyperreg import _graph_plane, hyper_regulus, transversal_planes
 from hyperreguli.pg5 import (
     PIVOT_PATTERNS,
     column_codes,
@@ -23,6 +26,7 @@ from hyperreguli.pg5 import (
     planes_block_np,
     run_length,
 )
+from hyperreguli.spread import build_spread
 
 from helpers import (
     all_points,
@@ -30,6 +34,7 @@ from helpers import (
     incidence,
     meet_dim,
     odometer_plane,
+    plane_points_by_arithmetic,
     random_full_rank_rows,
     random_recombination,
 )
@@ -124,6 +129,34 @@ def test_plane_point_counts_sampled(ctx2, ctx3):
             if i >= 100:
                 break
             assert len(set(plane_points(ctx.base, pl))) == k
+
+
+@pytest.mark.parametrize("q, base_modulus", [
+    (2, None), (3, None), (4, None), (5, None), (7, None), (8, None), (8, (1, 0, 1, 1)),
+    (9, None), (16, None),
+])
+def test_plane_points_match_arithmetic_oracle(q, base_modulus):
+    """plane_points reads the point table and scales nothing; on RREF bases
+    it gives the arithmetic points exactly, each with first nonzero
+    coordinate 1.  Planes: J(0), J(inf) and seeded spread elements, André Y
+    and Z graph planes, transversals of a kind-2 cover and seeded planes
+    from plane_from_rows."""
+    ((p, h),) = factorize(q).items()
+    ctx = make_field(p, h, base_modulus=base_modulus)
+    base, q3 = ctx.base, ctx.q3
+    spread = build_spread(ctx, check=False)
+    rng = random.Random(700 + q)
+    f = rng.randrange(1, q)
+    ms = [m for m in range(1, q3) if ctx.norm_table[m] == f]
+    a, b = rng.sample(range(q3), 2)
+    planes = [spread.element(m) for m in [0, q3] + rng.sample(range(1, q3), 7)]
+    planes += [_graph_plane(ctx, a, m, power) for m in rng.sample(ms, 4) for power in (1, 2)]
+    planes += rng.sample(transversal_planes(spread, hyper_regulus(spread, cover_type2(ctx, a, b, f))), 8)
+    planes += [random_full_rank_rows(base, rng)[1] for _ in range(16)]
+    for pl in planes:
+        pts = plane_points(base, pl)
+        assert pts == plane_points_by_arithmetic(base, pl), pl
+        assert all(next(c for c in pt if c) == 1 for pt in pts), pl
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

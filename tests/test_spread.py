@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hyperreguli.gf import make_field
-from hyperreguli.pg5 import plane_points
 from hyperreguli.spread import (
     build_spread,
     format_label,
@@ -13,7 +12,13 @@ from hyperreguli.spread import (
     spread_element,
 )
 
-from helpers import all_points, incidence, meet_dim, verify_regularity
+from helpers import (
+    all_points,
+    incidence,
+    meet_dim,
+    plane_points_by_arithmetic,
+    verify_regularity,
+)
 
 
 def test_j_zero_and_j_infinity_bases(ctx2):
@@ -76,7 +81,7 @@ def test_locate_np_matches_locate_every_point(q):
 def test_locate_recovers_element_label(q, ctx_by_q, spread_by_q):
     ctx, spread = ctx_by_q[q], spread_by_q[q]
     for m in spread.labels():
-        for pt in plane_points(ctx.base, spread.element(m)):
+        for pt in plane_points_by_arithmetic(ctx.base, spread.element(m)):
             assert spread.locate(pt) == m
 
 
@@ -98,7 +103,7 @@ def test_build_spread_check_names_the_bad_element(ctx3, broken_spread):
     spread = build_spread(ctx3, check=False)
     distinct = 27 if broken_spread == "a duplicated element" else 28
     assert len({pl.key for pl in spread.planes}) == distinct
-    pt = plane_points(ctx3.base, spread.element(0))[0]
+    pt = plane_points_by_arithmetic(ctx3.base, spread.element(0))[0]
     label = spread.locate(pt)
     assert label != 0
     want = f"not pairwise disjoint: point {pt} of element 0 locates to {format_label(ctx3, label)}"
@@ -108,7 +113,7 @@ def test_build_spread_check_names_the_bad_element(ctx3, broken_spread):
 
 
 def test_element_point_budget(ctx2, spread2):
-    total = sum(len(plane_points(ctx2.base, pl)) for pl in spread2.planes)
+    total = sum(len(plane_points_by_arithmetic(ctx2.base, pl)) for pl in spread2.planes)
     assert total == 63  # 9 elements x 7 points exhaust PG(5,2)
 
 
