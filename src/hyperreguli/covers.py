@@ -27,9 +27,11 @@ over every x, with x - a from a q x q subtraction table, digit by digit.  N
 is multiplicative (gf.norm_multiplicative in FieldCtx.self_test), so the
 kind-2 row of (a, b) is N(x - a)/N(x - b), a GF(q) quotient of two kind-1
 rows.  The scalar constructors divide in GF(q^3) first: two routes to test.
-Norms are GF(q) indices below q <= 16, so the rows are uint8: a block of
-kind-2 quotients is one gather at u*q + v < 256 in a flat table, and the
-argsort into level sets is a one-pass radix sort.  Keys are written in place.
+Norms are GF(q) indices below q <= 16, so the rows are uint8 and a block of
+kind-2 quotients is one gather at u*q + v < 256 in a flat table.  The gather
+reads a uint16 copy of the table shifted above the x bits, so each entry is
+one key, value << s | x, and one sort of each row of keys gives its level
+sets (_level_keys).  Keys are written in place.
 
 The enumeration holds every key as a row of one (N, q^2+q+1) uint16 array,
 next to an (N, 4) array of the parameters (kind, a, b, f); a Cover object is
@@ -183,28 +185,47 @@ class CoverSet:
         return CoverRows(self.keys, self.params)
 
 
-def _level_keys(vals: np.ndarray, q: int, kind: int, out: np.ndarray) -> np.ndarray:
-    """Write the cover keys of the level sets f = 1..q-1 of each row of vals,
-    by (row, f), into out (rows * (q-1), q^2+q+1).
+def _level_keys(table: np.ndarray, idx: np.ndarray, q: int, kind: int,
+                out: np.ndarray) -> np.ndarray:
+    """Write the cover keys of the level sets f = 1..q-1 of each row of
+    table[idx], by (row, f), into out (rows * (q-1), q^2+q+1).
 
-    A row holds the uint8 norm value of the defining expression at every x
-    of GF(q^3), with 0 at the x that no cover of the row contains (a, and
-    the pole b for kind 2).  Returns a mask of the rows whose level sets
-    have the cover sizes; the keys of the other rows are meaningless.
+    table is a uint8 array of GF(q) values and idx a (rows, q^3) array of
+    indices into it.  A row holds the norm value of the defining expression
+    at every x of GF(q^3), with 0 at the x that no cover of the row contains
+    (a, and the pole b for kind 2).  Returns a mask of the rows whose level
+    sets have the cover sizes; the keys of the other rows are meaningless.
+
+    Each entry is packed into one uint16 key, value << s | x with
+    s = (q^3 - 1).bit_length() <= 12, gathered from a shifted copy of the
+    table.  The keys of a row are distinct, so one sort puts each level set
+    in ascending x, which the low s bits give back.  A value of 2^(16 - s)
+    or more would wrap into a legal level (at q = 16 every uint16 key is
+    legal), so the rows that read a table entry >= q fail the mask here;
+    a value below that and >= q sorts last, where the probe rejects it.
     """
-    q3 = vals.shape[1]
+    q3 = idx.shape[1]
     k = cover_size(q)
-    order = np.argsort(vals, axis=1, kind="stable")  # level sets, each ascending
+    s = np.uint16((q3 - 1).bit_length())
+    keys = (table.astype(np.uint16) << s).take(idx)
+    keys |= np.arange(q3, dtype=np.uint16)
+    keys.sort(axis=1)  # level sets, each ascending
     sizes = np.array([kind, k + 1 - kind] + [k] * (q - 2))  # of the levels 0, 1, ..., q-1
     ends = np.cumsum(sizes)
     # sorted, the values match the levels iff each level's block starts and ends on it
     probe = np.concatenate([ends - sizes, ends - 1])
-    ok = (np.take_along_axis(vals, order[:, probe], axis=1) == np.r_[:q, :q]).all(axis=1)
-    flat = out.reshape(len(vals), (q - 1) * k)  # one row's q-1 keys
+    ok = ((keys[:, probe] >> s) == np.r_[:q, :q]).all(axis=1)
+    wide = table >= q
+    if wide.any():  # a table bug
+        ok &= ~wide.take(idx).any(axis=1)
+    low = np.uint16((1 << int(s)) - 1)  # the x bits
+    flat = out.reshape(len(keys), (q - 1) * k)  # one row's q-1 keys
     if kind == 1:
-        flat[...] = order[:, 1:]
+        np.bitwise_and(keys[:, 1:], low, out=flat)
     else:  # infinity completes the level set f = 1
-        flat[:, : k - 1], flat[:, k - 1], flat[:, k:] = order[:, 2 : k + 1], q3, order[:, k + 1 :]
+        np.bitwise_and(keys[:, 2 : k + 1], low, out=flat[:, : k - 1])
+        flat[:, k - 1] = q3
+        np.bitwise_and(keys[:, k + 1 :], low, out=flat[:, k:])
     return ok
 
 
@@ -219,12 +240,13 @@ def _size_error(vals_row: np.ndarray, q: int, kind: int, a: int, b: int | None) 
 
 
 def _quotients(base) -> np.ndarray:
-    """Flat uint8 table of u/v at u*q + v in GF(q) (v = 0: placeholders), from
-    logs, so it shares no table with the audit's 1/f (base._inv)."""
+    """Flat uint8 table of u/v at u*q + v in GF(q), and 0 where u or v is 0
+    (v = 0 only at a kind-2 row's pole), from logs, so it shares no table
+    with the audit's 1/f (base._inv)."""
     q = base.q
     logs = np.array([0] + base.log[1:])
     table = np.array(base.exp * 2, dtype=np.uint8)[q - 1 + logs[:, None] - logs[None, :]]
-    table[0] = 0
+    table[0] = table[:, 0] = 0
     return table.ravel()
 
 
@@ -269,28 +291,27 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
     norms_q = norms * np.uint8(q)  # u*q + v < q^2 <= 256: the flat index fits uint8
 
     def pole_keys(a: int, bs: slice, out: np.ndarray):
-        """Poles and norm rows of the covers N((x - a)/(x - b)) = f, b in
-        xs[bs], with their keys written into out; and the size mask."""
-        b = xs[bs]
-        vals = bdiv.take(norms_q[a] + norms[bs])  # N is multiplicative
-        vals[np.arange(len(b)), b] = 0  # pole: not a member of any cover
-        return b, vals, _level_keys(vals, q, 2, out[: len(b) * (q - 1)])
+        """Poles and quotient-table indices of the covers N((x - a)/(x - b)) = f,
+        b in xs[bs], with their keys written into out; and the size mask.
+        N is multiplicative, and the quotient at the pole x = b is 0."""
+        idx = norms_q[a] + norms[bs]
+        return xs[bs], idx, _level_keys(bdiv, idx, q, 2, out[: len(idx) * (q - 1)])
 
     n1 = q3 * (q - 1)
     pair_a, pair_b = np.triu_indices(q3, 1)  # a < b, in the order swept
     keys = np.empty((n1 + len(pair_a) * (q - 1), k), dtype=np.uint16)
 
-    ok = _level_keys(norms, q, 1, keys[:n1])
+    ok = _level_keys(ctx.norm_np, diffs, q, 1, keys[:n1])
     if not ok.all():
         a = int(np.argmin(ok))
         raise _size_error(norms[a], q, 1, a, None)  # table bug
 
     start = n1
     for a in range(q3 - 1):
-        b, vals, ok = pole_keys(a, slice(a + 1, q3), keys[start:])
+        b, idx, ok = pole_keys(a, slice(a + 1, q3), keys[start:])
         if not ok.all():
             r = int(np.argmin(ok))
-            raise _size_error(vals[r], q, 2, a, int(b[r]))  # table bug
+            raise _size_error(bdiv[idx[r]], q, 2, a, int(b[r]))  # table bug
         start += len(b) * (q - 1)
 
     fs = np.arange(1, q)

@@ -1,6 +1,8 @@
 """tools/bench_pairs.py: the alternating order of a pair and the claim rule."""
 
 import importlib.util
+import json
+import os
 from argparse import Namespace
 from pathlib import Path
 
@@ -42,3 +44,29 @@ def test_compare_counts_wins_and_the_parent_spread():
     higher = bench_pairs.compare(pairs, "m", "higher")
     assert higher["change_wins"] == 1 and not higher["gap_exceeds_parent_iqr"]
     assert bench_pairs.parse_seeds("1-3,9001") == [1, 2, 3, 9001]
+
+
+def test_every_run_gets_a_fresh_empty_bytecode_cache(monkeypatch):
+    """run_once gives each run.py process its own new, empty
+    PYTHONPYCACHEPREFIX with bytecode writing on, and removes it after."""
+    seen = []
+
+    def fake_subprocess_run(cmd, **kwargs):
+        env = kwargs["env"]
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((prefix, prefix.is_dir() and not any(prefix.iterdir()),
+                     "PYTHONDONTWRITEBYTECODE" in env, env.get("PATH"), kwargs["cwd"]))
+        info = {"info": {"nproc": 2}}
+        result = {"correct": True, "metrics": {"norm_cpu_s": {"value": 1.0}}}
+        return Namespace(returncode=0, stdout=f"{json.dumps(info)}\n{json.dumps(result)}\n",
+                         stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    for checkout in ("p", "c"):
+        info, metrics = bench_pairs.run_once(checkout, "covers-q7", 1, 1.0, 0)
+        assert info == {"nproc": 2} and metrics == {"norm_cpu_s": 1.0}
+    assert [s[1:] for s in seen] == [(True, False, os.environ.get("PATH"), "p"),
+                                     (True, False, os.environ.get("PATH"), "c")]
+    assert seen[0][0] != seen[1][0]
+    assert not any(prefix.exists() for prefix, *_ in seen)

@@ -241,22 +241,29 @@ def test_injected_duplicate_key_counts_one_fewer(ctx3, monkeypatch, multipliers)
 
 @pytest.mark.parametrize("kind", [1, 2])
 def test_level_size_probes_match_the_full_pattern(kind):
-    """The 2q-position probe of the sorted values accepts a row exactly when
-    the row's sorted values are the level pattern, on rows with entries moved
-    between levels, out of range or swapped."""
-    q, q3, k = 3, 27, cover_size(3)
-    sizes = [kind, k + 1 - kind] + [k] * (q - 2)
-    pattern = np.repeat(np.arange(q), sizes)
-    rng = np.random.default_rng(kind)
-    vals = np.tile(pattern, (400, 1))
-    for row in vals[1:]:
-        rng.shuffle(row)
-        for _ in range(rng.integers(0, 3)):
-            row[rng.integers(q3)] = rng.integers(q + 1)  # q itself is out of range
-    ok = _level_keys(vals, q, kind, np.empty((len(vals) * (q - 1), k), dtype=np.uint16))
-    want = (np.sort(vals, axis=1) == pattern).all(axis=1)
-    assert np.array_equal(ok, want)
-    assert want[0] and 0 < want.sum() < len(vals)
+    """The 2q-position probe of the sorted keys accepts a row exactly when
+    the row's sorted values are the level pattern, on uint8 rows with entries
+    moved between levels, out of range or swapped, at q = 3 and 16.  Among
+    the out-of-range values are v + 16, which a uint16 key wraps to v at
+    q = 16 (and a uint8 key at q = 3), and 255."""
+    for q in (3, 16):
+        q3, k = q**3, cover_size(q)
+        sizes = [kind, k + 1 - kind] + [k] * (q - 2)
+        pattern = np.repeat(np.arange(q, dtype=np.uint8), sizes)
+        rng = np.random.default_rng(kind)
+        vals = np.tile(pattern, (400, 1))
+        for row in vals[1:]:
+            rng.shuffle(row)
+            for _ in range(rng.integers(0, 3)):
+                i = rng.integers(q3)
+                row[i] = rng.choice([rng.integers(q + 1), row[i] % 16 + 16, 255])
+        idx = np.arange(vals.size).reshape(vals.shape)
+        out = np.empty((len(vals) * (q - 1), k), dtype=np.uint16)
+        ok = _level_keys(vals.ravel(), idx, q, kind, out)
+        want = (np.sort(vals, axis=1) == pattern).all(axis=1)
+        assert np.array_equal(ok, want)
+        assert want[0] and 0 < want.sum() < len(vals)
+        assert ((np.sort(vals % 16, axis=1) == pattern).all(axis=1) & ~want).any()  # wraps tried
 
 
 def cover_set_digest(cs) -> str:
@@ -290,8 +297,8 @@ def test_audited_enumeration_matches_golden_digest(q, ctx_by_q):
 
 def test_flat_quotient_index_addresses_every_pair_q16():
     """In uint8, u*q + v runs over 0..255 for (u, v) in GF(16)^2 with no
-    wrap, and the flat table holds u/v there (v != 0); the norm rows are
-    uint8."""
+    wrap, and the flat table holds u/v there (v != 0) and 0 at v = 0, a
+    kind-2 row's pole; the norm rows are uint8."""
     ctx = make_field(2, 4)
     base, q = ctx.base, 16
     assert ctx.norm_np.dtype == np.uint8 and ctx.norm_np.tolist() == ctx.norm_table
@@ -301,6 +308,7 @@ def test_flat_quotient_index_addresses_every_pair_q16():
     assert flat.dtype == np.uint8 and flat.tolist() == list(range(q * q))
     table = covers._quotients(base)
     assert table.dtype == np.uint8 and table.shape == (q * q,)
+    assert not table[::q].any()
     got = table[flat].tolist()
     for x, y, quot in zip(u.tolist(), v.tolist(), got):
         if y:

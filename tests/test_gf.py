@@ -232,6 +232,29 @@ def test_self_test_passes(ctx_by_q):
         assert not failures
 
 
+@pytest.mark.parametrize("ph", [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)],
+                         ids=lambda ph: f"q{ph[0] ** ph[1]}")
+def test_self_test_passes_at_larger_q(ph):
+    """The q that make_field accepts beyond ctx_by_q, up to q = 16, where
+    every check is as exhaustive as at q = 2."""
+    checks = make_field(*ph).self_test()
+    assert len(checks) == 8 and [c["name"] for c in checks if not c["pass"]] == []
+
+
+@pytest.mark.parametrize("entry", ["zero", "nonzero"])
+@pytest.mark.parametrize("ph", [(3, 2), (2, 4)], ids=["q9", "q16"])
+def test_self_test_catches_one_wrong_base_product(ph, entry):
+    """One wrong entry of base._mul fails gf.norm_multiplicative and no other
+    check.  The check reads the entry (0, q-1) only at the q^2+q+1 pairs
+    (0, y) with N(y) = q-1, out of q^6 pairs: a sample of pairs would
+    likely miss it."""
+    ctx = make_field(*ph)
+    q = ctx.q
+    u, v = (0, q - 1) if entry == "zero" else (q - 1, q - 1)
+    ctx.base._mul[u][v] ^= 1  # a field of this test's own
+    assert [c["name"] for c in ctx.self_test() if not c["pass"]] == ["gf.norm_multiplicative"]
+
+
 @pytest.mark.parametrize("ph", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_ratio_table_exhaustive(ph):
     """ratio_np[x*q^3 + y] = y/x, and the infinity label q^3 on x = 0."""

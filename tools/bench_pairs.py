@@ -8,7 +8,9 @@ Each of PAIRS pairs runs `perfbench/run.py --trace 0` for BENCHMARK.json's
 run_seconds once in each checkout, one right after the other, and the order
 flips from pair to pair, so a drift of the host's speed falls on both sides
 alike.  Pair i uses the i-th seed, cycling through them when there are fewer
-seeds than pairs.  For every
+seeds than pairs.  Every run gets a fresh, empty PYTHONPYCACHEPREFIX with
+bytecode writing on, so each checkout compiles its own sources once per run
+and neither reads the `__pycache__` directories it carries.  For every
 workload and end-to-end metric in BENCHMARK.json the output gives the values
 of each pair, each side's median and quartiles (as
 `statistics.quantiles(values, n=4)` gives them), the number of pairs the change
@@ -24,9 +26,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,15 +52,27 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+# The bytecode each run reads, recorded with every result.
+BYTECODE_CACHE = (
+    "fresh and empty per run: PYTHONPYCACHEPREFIX is a new directory and "
+    "PYTHONDONTWRITEBYTECODE is unset, so the run's first process compiles "
+    "every module it imports and the later ones (the set-up probes) read those "
+    "files; no __pycache__ of either checkout is read."
+)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int) -> tuple[dict, dict]:
     """One fresh run.py process in checkout; returns its info line and its
     result line's metric values."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        capture_output=True, text=True, cwd=checkout, timeout=1800,
-    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            capture_output=True, text=True, cwd=checkout, timeout=1800,
+            env={**env, "PYTHONPYCACHEPREFIX": pycache},
+        )
     try:
         *_, info, result = map(json.loads, proc.stdout.strip().splitlines())
     except ValueError:
@@ -129,7 +145,8 @@ def main(argv=None) -> int:
     hosts = {}
     out = {"checkouts": hosts, "seconds": args.seconds,
            "seeds": [args.seeds[i % len(args.seeds)] for i in range(PAIRS)],
-           "sampler_caveat": SAMPLER_CAVEAT, "workloads": {}}
+           "sampler_caveat": SAMPLER_CAVEAT, "bytecode_cache": BYTECODE_CACHE,
+           "workloads": {}}
     status = 0
     for workload in names:
         entry = out["workloads"][workload] = {}
