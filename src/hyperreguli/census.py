@@ -28,21 +28,24 @@ the points of a block of planes, for every p alike: coordinate j of a point
 depends on column j of the basis alone, so each point's flat coordinate
 index is a sum of rows of one (q^3, k) table (pg5.point_table), no GF(p)
 product.  A chunk holds whole runs of one pivot pattern's odometer, in which
-only the fastest free column changes, so pg5.planes_block_np broadcasts
-each run's head basis over its planes, and block_labels sums each run's
-other columns once and adds the fast column's codes in one broadcast.  The
-class masks come from one equality pass over the chunk's flat label rows,
-and the B rows go to the trace tally gathered by index.  The sweep, and
-each pool worker, allocates the chunk's arrays once (_ChunkWork: the
-bases, the kernel's work and one buffer for the equality mask and then the
-B rows) and reuses them for every chunk.  The sweep is an
+only the fastest free column changes, so the census builds no plane's
+basis: it passes block_labels one head basis per run (pg5.run_heads).
+block_labels sums each run's other columns once, gathers the run's q
+labels per point (one per value of the point's fast coordinate) from
+FieldCtx.ratio_np, and expands those tables over the chunk's planes with
+one np.take at a fixed index.  The class masks come from one equality pass
+over the chunk's flat label rows, and the B rows go to the trace tally
+gathered by index.  The sweep, and each pool worker, allocates the chunk's
+arrays once (_ChunkWork: the kernel's work and one buffer for the equality
+mask and then the B rows) and reuses them for every chunk.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
 worker count produces the identical report: each of min(jobs, chunks)
 workers reduces its share of the chunks itself (class counts, one
 covers-sized array of trace counts, witnesses) and sends that one result,
 and the main process sums one result per worker.  The shares are balanced
 by plane count, largest chunks first (_shares).  A plane of no class stops
-the census with its basis, pivot pattern and odometer index.
+the census with its basis (rebuilt by pg5.planes_block_np), pivot pattern
+and odometer index.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import numpy as np
 
 from .covers import CoverSet, cover_size, enumerate_covers, row_hash, total_count
 from .gf import FieldCtx
-from .pg5 import PIVOT_PATTERNS, count_planes, enumeration_chunks, planes_block_np
+from .pg5 import PIVOT_PATTERNS, count_planes, enumeration_chunks, planes_block_np, run_heads
 from .spread import LabelWork, Spread, block_labels
 
 # Planes per chunk.  Larger chunks buy no speed: at q = 5, chunks of 2^16
@@ -102,11 +105,11 @@ class CensusReport:
 
 
 def _classify_block(ctx: FieldCtx, B: np.ndarray, work: _ChunkWork | None = None,
-                    pattern=None, start: int = 0):
-    """Sorted located labels (n, k) and A/B/C masks for basis matrices B
-    (n, 3, 6), computed in work's arrays when given and else in arrays
-    sized for B.  With a pattern, B is planes_block_np(q, pattern, start,
-    ...), whose runs block_labels sums once each.
+                    pattern=None, start: int = 0, stop: int | None = None):
+    """Sorted located labels (n, k) and A/B/C masks for a block of planes
+    (see block_labels: the bases B (n, 3, 6), or with a pattern the
+    odometer range [start, stop), B its run heads), computed in work's
+    arrays when given and else in arrays sized for B.
 
     A plane of no class raises, with its basis and labels as the witness
     and, for a pattern's block, the pattern and its odometer index.
@@ -116,34 +119,41 @@ def _classify_block(ctx: FieldCtx, B: np.ndarray, work: _ChunkWork | None = None
         codes = block_labels(ctx, B)
         same = np.empty(codes.size, dtype=bool)
     else:
-        codes = block_labels(ctx, B, work.labels, pattern, start)
+        codes = block_labels(ctx, B, work.labels, pattern, start, stop)
         same = work.rows.view(bool).reshape(-1)[: codes.size]
     n, k = codes.shape
     # repeats per row, from one equality pass over the flat label rows: same[i]
     # compares label i with label i+1, and each row's last slot, where that
     # pair would cross into the next row, is cleared (einsum sums these short
-    # rows about twice as fast as count_nonzero(axis=1))
+    # rows about twice as fast as count_nonzero(axis=1), and twice as fast
+    # again in uint8, which holds the k-1 repeats of an A plane up to q = 13)
     flat = codes.reshape(-1)
     np.equal(flat[1:], flat[:-1], out=same[:-1])
     same[k - 1 :: k] = False
-    repeats = np.einsum("ij->i", same.reshape(n, k).view(np.uint8), dtype=np.uint16)
+    same = same.reshape(n, k)
+    repeats = np.einsum("ij->i", same.view(np.uint8), dtype=np.uint8 if k <= 256 else np.uint16)
     is_a = repeats == cover_size(q) - 1
     is_b = repeats == 0
     # With q^2+1 distinct labels among k (q repeats) the runs' excess over 1
-    # sums to q, so a run of q+1 (a label equal to the one q places on)
-    # leaves every other label single: exactly the C pattern.
+    # sums to q, so a run of q+1 leaves every other label single: exactly the
+    # C pattern.  Such a run holds all q repeats, so it starts at the row's
+    # first repeat j, and the row is C exactly when labels j and j+q are
+    # equal; j+q < k, as the q repeats lie in j .. k-2.
     is_c = np.zeros_like(is_b)
     rows = np.flatnonzero(repeats == q)
-    is_c[rows] = (codes[rows, q:] == codes[rows, :-q]).any(axis=1)
+    j = same[rows].argmax(axis=1)
+    is_c[rows] = codes[rows, j] == codes[rows, j + q]
 
     classified = is_a | is_b | is_c
     if not classified.all():
         bad = int(np.argmin(classified))
-        where = ""
-        if pattern is not None:
+        if pattern is None:
+            basis, where = B[bad], ""
+        else:  # B holds run heads: rebuild the plane's own basis
+            basis = planes_block_np(q, pattern, start + bad, start + bad + 1)[0]
             where = f" (pivot pattern {pattern}, odometer index {start + bad})"
         raise RuntimeError(
-            f"inconsistent intersection tally for plane basis {B[bad].tolist()}{where}: "
+            f"inconsistent intersection tally for plane basis {basis.tolist()}{where}: "
             f"labels {codes[bad].tolist()}"
         )
     return codes, is_a, is_b, is_c
@@ -279,14 +289,13 @@ class TraceCounts(Mapping):
 
 
 class _ChunkWork:
-    """The arrays a census sweep reuses for each chunk of up to n planes: the
-    chunk's bases, block_labels' work, and one buffer of label rows that
-    holds _classify_block's equality mask and then, the mask read, the
-    chunk's B rows for the trace tally.  Sharing it keeps the mask from
-    adding to the peak memory of the tally."""
+    """The arrays a census sweep reuses for each chunk of up to n planes:
+    block_labels' work, and one buffer of label rows that holds
+    _classify_block's equality mask and then, the mask read, the chunk's B
+    rows for the trace tally.  Sharing it keeps the mask from adding to the
+    peak memory of the tally."""
 
     def __init__(self, ctx: FieldCtx, n: int):
-        self.planes = np.empty((n, 3, 6), dtype=np.uint8)
         self.labels = LabelWork(ctx, n)
         self.rows = np.empty((n, cover_size(ctx.q)), dtype=np.uint16)  # as FieldCtx.ratio_np
 
@@ -298,8 +307,8 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
     hits and witnesses are the chunk's CoverTable.tally, None without a table.
     """
     pattern = PIVOT_PATTERNS[pattern_idx]
-    B = planes_block_np(ctx.q, pattern, start, stop, out=work.planes)
-    codes, is_a, is_b, is_c = _classify_block(ctx, B, work, pattern, start)
+    heads = run_heads(ctx.q, pattern, start, stop)
+    codes, is_a, is_b, is_c = _classify_block(ctx, heads, work, pattern, start, stop)
     hits = witnesses = None
     if table is not None:
         b = np.flatnonzero(is_b)

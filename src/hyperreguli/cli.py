@@ -7,9 +7,9 @@ Every subcommand emits a report with the same envelope:
 
 as JSON or as an aligned text table.  The exit status is 0 only when every
 executed check passed, 1 on any mismatch, 2 for an invalid configuration,
-and 3 for an infrastructure failure (a census worker process died), which
-prints no report.  Reports are byte-stable across runs for a fixed
-configuration and seed, apart from the runtime fields.
+and 3 for an infrastructure failure (a census worker process died, or
+memory ran out), which prints no report.  Reports are byte-stable across
+runs for a fixed configuration and seed, apart from the runtime fields.
 """
 
 from __future__ import annotations
@@ -308,6 +308,9 @@ def main(argv=None) -> int:
         return 2
     except BrokenProcessPool as exc:  # a RuntimeError, but no verdict on the math
         print(f"infrastructure failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("infrastructure failure: out of memory", file=sys.stderr)
         return 3
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -13,11 +13,12 @@ entries with an odometer whose last position varies fastest.  The odometer
 is column major: the free entries of a column are consecutive digits, so a
 plane's odometer index is the mixed-radix number of its free columns'
 codes, and a run of consecutive planes steps the last free column through
-every code while the others stay fixed (run_length).  planes_block_np
-builds a range of planes from its runs: the bases of a run share one head,
-broadcast over its planes, and differ only in the fast column, the digits
-of 0 .. s-1.  The enumeration is split into chunks of whole runs that
-reduce deterministically.
+every code while the others stay fixed (run_length).  So a range of planes
+is its runs' head bases (run_heads, one per run) and the offsets in each
+run, the digits of 0 .. s-1 in the fast column: the census kernel
+(spread.block_labels) takes the heads alone, and planes_block_np copies
+each head to its run's planes and writes the fast column.  The enumeration
+is split into chunks of whole runs that reduce deterministically.
 
 Coordinate j of each point of a plane depends on column j of its basis
 alone, so the points of any plane are rows of one (q^3, k) table indexed by
@@ -250,22 +251,11 @@ def run_length(q: int, pattern) -> int:
     return 1 if c is None else q ** sum(r < c for r in pattern)
 
 
-def planes_block_np(q: int, pattern, start: int, stop: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Basis matrices (stop-start, 3, 6) for one odometer range of a pattern,
-    written into the leading rows of out when given (every byte of them).
-
-    Index n in [start, stop) is the plane whose free entries, in
-    free_positions order, are the base-q digits of n, the last the lowest.
-    The range is built run by run (run_length): each run's head, its RREF
-    template with the digits of the run index in the free entries outside
-    fast_column, is broadcast over the run's planes, and the fast column
-    is the digits of 0 .. s-1 in every whole run.  The range may start and
-    stop inside a run: its rows split into the end of a first run, whole
-    runs and the start of a last run, each written the same way.
-    """
-    n = stop - start
-    out = np.empty((n, 3, 6), dtype=np.uint8) if out is None else out[:n]
+def run_heads(q: int, pattern, start: int, stop: int) -> np.ndarray:
+    """The head bases (runs, 3, 6) of the runs (run_length) that meet the
+    odometer range [start, stop), in order.  Run m's head is its RREF
+    template with the digits of m in the free entries outside fast_column
+    and zeros in the fast column's: the basis of its first plane."""
     fast, s = fast_column(pattern), run_length(q, pattern)
     first = start // s
     heads = np.zeros(((stop - 1) // s - first + 1, 3, 6), dtype=np.uint8)
@@ -274,21 +264,47 @@ def planes_block_np(q: int, pattern, start: int, stop: int,
     slow = [(r, c) for r, c in free_positions(pattern) if c != fast]
     for r, c in reversed(slow):  # last position fastest
         np.divmod(run, q, out=(run, heads[:, r, c]), casting="unsafe")
-    # the fast column of offset j in a run: the digits of j, row 0 the lowest
-    # (rows below its free entries get 0, as j < s)
-    fast_part = (np.arange(s)[:, None] // q ** np.arange(3) % q).astype(np.uint8)
+    return heads
 
+
+def run_segments(s: int, start: int, n: int):
+    """The n planes of the odometer range from start, in runs of s planes, as
+    at most three segments (lo, hi, i, j, m): the end of a run begun before
+    start, whole runs and the start of a last run.  Rows lo .. hi-1 of the
+    range are m runs from run i of run_heads(..., start, ...) on, offsets
+    j .. j + (hi-lo)/m - 1 of each."""
     lead = min(n, -start % s)  # rows that end a run begun before start
     body = lead + (n - lead) // s * s  # whole runs end here
     for lo, hi in ((0, lead), (lead, body), (body, n)):
         if hi > lo:
-            i, j = divmod(start + lo - first * s, s)  # heads[i], offset j in its run
-            m = max(1, (hi - lo) // s)  # runs in the segment
-            seg = out[lo:hi].reshape(m, (hi - lo) // m, 3, 6)
-            # one 18-byte copy per plane
-            seg.reshape(m, -1, 18).view("V18")[...] = heads[i : i + m].reshape(m, 1, 18).view("V18")
-            if fast is not None:
-                seg[..., fast] = fast_part[j : j + seg.shape[1]]
+            i, j = divmod(start % s + lo, s)
+            yield lo, hi, i, j, max(1, (hi - lo) // s)
+
+
+def planes_block_np(q: int, pattern, start: int, stop: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Basis matrices (stop-start, 3, 6) for one odometer range of a pattern,
+    written into the leading rows of out when given (every byte of them).
+
+    Index n in [start, stop) is the plane whose free entries, in
+    free_positions order, are the base-q digits of n, the last the lowest.
+    The range is built run by run: each run's head (run_heads) is copied to
+    the run's planes, and the fast column is the digits of the offsets in
+    the run (run_segments).
+    """
+    n = stop - start
+    out = np.empty((n, 3, 6), dtype=np.uint8) if out is None else out[:n]
+    fast, s = fast_column(pattern), run_length(q, pattern)
+    heads = run_heads(q, pattern, start, stop)
+    # the fast column of offset j in a run: the digits of j, row 0 the lowest
+    # (rows below its free entries get 0, as j < s)
+    fast_part = (np.arange(s)[:, None] // q ** np.arange(3) % q).astype(np.uint8)
+    for lo, hi, i, j, m in run_segments(s, start, n):
+        seg = out[lo:hi].reshape(m, (hi - lo) // m, 3, 6)
+        # one 18-byte copy per plane
+        seg.reshape(m, -1, 18).view("V18")[...] = heads[i : i + m].reshape(m, 1, 18).view("V18")
+        if fast is not None:
+            seg[..., fast] = fast_part[j : j + seg.shape[1]]
     return out
 
 

@@ -25,6 +25,7 @@ from .pg5 import (
     normalize_point,
     point_table,
     run_length,
+    run_segments,
 )
 
 
@@ -66,9 +67,10 @@ class Spread:
 
     def label_work(self, n: int) -> LabelWork:
         """A LabelWork for up to n planes, kept for the next span search on
-        this spread (a fresh one per search faults its pages in again)."""
+        this spread (a fresh one per search faults its pages in again).  The
+        search labels bases without a pattern, so it holds no expansion rows."""
         if self._label_work is None or self._label_work.n < n:
-            self._label_work = LabelWork(self.ctx, n)
+            self._label_work = LabelWork(self.ctx, n, range(0))
         return self._label_work
 
     def locate(self, pt) -> int:
@@ -104,9 +106,9 @@ def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
     return ctx.ratio_np[flat]
 
 
-# Planes whose labels block_labels gathers at a time, at most: a tile's flat
-# indices (intp, which np.take reads without a copy) then stay in
-# cache between the sum that writes them and the gather that reads them.
+# Planes whose sums block_labels casts to intp at a time without a fast
+# column: the tile then stays in cache between the cast that writes it and
+# the gather that reads it.
 _GATHER_TILE = 1 << 10
 
 # The columns by falling weight in the flat index x*q^3 + y, x = c0 + c1 q +
@@ -116,74 +118,100 @@ _HORNER_COLUMNS = (2, 1, 0, 5, 4, 3)
 
 
 class LabelWork:
-    """pg5.point_table and the work arrays of block_labels for blocks of up
-    to n planes, allocated once and reused by every call.
+    """pg5.point_table, the expansion index and the work arrays of
+    block_labels for blocks of up to n planes, allocated once and reused by
+    every call.
 
     A census sweep builds one (each pool worker its own), so the kernel
     makes no large temporaries per chunk and its cost does not hang on when
     the C allocator trims its heap and faults it back in.  Only the pages a
-    call writes are resident: a census chunk fills n/q rows of runs at most.
+    call writes are resident: a census chunk with runs of s planes fills
+    about n/s rows of run sums and n*q/s of run tables.  The expansion index
+    holds the rows expand_rows, all q^3 by default: 31 KB at q = 5, 8.9 MB
+    at q = 16.
     """
 
-    def __init__(self, ctx: FieldCtx, n: int):
+    def __init__(self, ctx: FieldCtx, n: int, expand_rows: range | None = None):
+        q = ctx.q
         self.n = n
         self.points = point_table(ctx.base)
         k = self.points.shape[1]
+        # the expansion index, (len(expand_rows), k) intp: entry [c, j] is
+        # j*q + points[c, j], the slot of point j's label in a run's table
+        # when the fast column has code c
+        rows = self.expand_rows = range(q**3) if expand_rows is None else expand_rows
+        self.expand = np.arange(0, k * q, q, dtype=np.intp) + self.points[rows.start : rows.stop]
         self.runs = np.empty(n * k, dtype=_flat_weights(ctx).dtype)
-        self.tile = np.empty(min(n, _GATHER_TILE) * k, dtype=np.intp)
+        # a range of n planes meets at most n/q + 2 runs of s >= q planes
+        runs = min(n, n // q + 2)
+        # the sums of a tile or of those runs, as np.take reads them
+        self.index = np.empty(max(runs, min(n, _GATHER_TILE)) * k, dtype=np.intp)
+        self.tables = np.empty(runs * q * k, dtype=np.uint16)
         self.codes = np.empty(n * k, dtype=np.uint16)  # as FieldCtx.ratio_np
 
 
 def block_labels(ctx: FieldCtx, B: np.ndarray, work: LabelWork | None = None,
-                 pattern=None, start: int = 0) -> np.ndarray:
-    """The located labels of the k points of each plane with basis in B
-    (n, 3, 6), sorted within each row: (n, k), a view of work.codes that the
-    next call with the same work overwrites.
+                 pattern=None, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The located labels of the k points of each plane of a block, sorted
+    within each row: (n, k), a view of work.codes that the next call with
+    the same work overwrites.
+
+    Without a pattern the block is the n bases B (n, 3, 6).  With one, it
+    is the odometer range [start, stop) of the pattern, and B holds the
+    heads of the runs that meet it (pg5.run_heads).
 
     A point's flat index into FieldCtx.ratio_np is a sum over the six columns
     of the column's weight times its coordinate, pg5.point_table's row at the
     column code; coordinates are below q and weights powers of q, so the sum
-    has no carries.  With a pattern, B is planes_block_np(q, pattern, start,
-    start + n): each run (pg5.run_length) sums the columns other than the
-    fast one once, from its first plane in B, and adds the fast column's s
-    codes to it in one broadcast.  Without one, every plane is a run of its
-    own.  A gather in FieldCtx.ratio_np then locates the points, at most
-    _GATHER_TILE planes at a time: whole runs, or part of one run.  Without
-    work, the arrays are sized for B.
+    has no carries.  Each run (pg5.run_length) sums the columns other than
+    the fast one once, from its head.  Across the run, point j's coordinate
+    in the fast column takes only the q values of GF(q), so q gathers in
+    FieldCtx.ratio_np fill the run's table of q labels per point, and one
+    np.take of the tables at the expansion index (row c for the plane whose
+    fast column has code c) writes the label rows of each run segment
+    (pg5.run_segments).  Without a fast column every plane is a run of its
+    own, and its sums are gathered directly, _GATHER_TILE planes at a time.
+    Without work, the arrays are sized for the block, and the expansion
+    index holds the rows the call reads, from the first to the last.
     """
-    q, n = ctx.q, len(B)
+    q = ctx.q
+    fast = None if pattern is None else fast_column(pattern)
+    s = 1 if fast is None else run_length(q, pattern)
+    n = len(B) if pattern is None else stop - start
+    phase = start % s
     if work is None:
-        work = LabelWork(ctx, n)
+        work = LabelWork(ctx, n, range(phase, phase + n) if phase + n <= s else range(s))
     P = work.points
     k = P.shape[1]
-    fast = None if pattern is None else fast_column(pattern)
-    s = 1 if pattern is None else run_length(q, pattern)
-    phase = start % s
-    runs = (phase + n + s - 1) // s
-    codes = column_codes(q, B[np.maximum(np.arange(runs) * s - phase, 0)])
+    codes = column_codes(q, B)
+    runs = len(B)
     G = work.runs[: runs * k].reshape(runs, k)
     G[...] = 0
     for c in _HORNER_COLUMNS:
         G *= q
         if c != fast:
             G += P.take(codes[c], axis=0)
-    # the fast column's part for codes 0 .. s-1 (code 0, the zero row, alone
-    # without a pattern), in G's dtype: uint8 times a weight would wrap
-    W = np.multiply(P[:s], 0 if fast is None else _flat_weights(ctx)[fast], dtype=G.dtype)
     labels = work.codes[: n * k].reshape(n, k)
-    u, end = phase, phase + n  # odometer offsets from run 0's first plane
-    while u < end:  # a tile of whole runs, or else part of one run
-        r, j = divmod(u, s)
-        whole = 0 if j else min(_GATHER_TILE // s, (end - u) // s)
-        rows = whole * s if whole else min(s - j, end - u, _GATHER_TILE)
-        idx = work.tile[: rows * k]
-        if whole:
-            np.add(G[r : r + whole, None], W, out=idx.reshape(whole, s, k))
-        else:
-            np.add(G[r], W[j : j + rows], out=idx.reshape(rows, k))
-        # no index is out of range; with mode="raise" np.take would buffer out
-        np.take(ctx.ratio_np, idx.reshape(rows, k), out=labels[u - phase : u - phase + rows], mode="clip")
-        u += rows
+    # no index is out of range; with mode="raise" np.take would buffer out
+    if fast is None:
+        for t in range(0, n, _GATHER_TILE):
+            rows = min(n - t, _GATHER_TILE)
+            idx = work.index[: rows * k].reshape(rows, k)
+            idx[...] = G[t : t + rows]
+            np.take(ctx.ratio_np, idx, out=labels[t : t + rows], mode="clip")
+    else:
+        w = int(_flat_weights(ctx)[fast])
+        idx = work.index[: runs * k].reshape(runs, k)
+        idx[...] = G
+        tables = work.tables[: runs * k * q].reshape(runs, k, q)
+        for v in range(q):  # entry [r, j, v]: point j of run r at fast coordinate v
+            np.take(ctx.ratio_np, idx, out=tables[..., v], mode="clip")
+            idx += w
+        tables = tables.reshape(runs, k * q)
+        first = work.expand_rows.start
+        for lo, hi, i, j, m in run_segments(s, start, n):
+            X = work.expand[j - first : j - first + (hi - lo) // m]
+            np.take(tables[i : i + m], X, axis=1, out=labels[lo:hi].reshape(m, -1, k), mode="clip")
     labels.sort(axis=1)
     return labels
 

@@ -33,9 +33,17 @@ from hyperreguli.pg5 import (
     plane_from_points,
     plane_from_rows,
     planes_block_np,
+    run_heads,
     run_length,
 )
-from hyperreguli.spread import LabelWork, block_labels, build_spread, locate_np, point_labels
+from hyperreguli.spread import (
+    LabelWork,
+    block_labels,
+    build_spread,
+    locate_np,
+    point_labels,
+    spread_element,
+)
 
 from helpers import (
     classify_by_meets,
@@ -335,45 +343,69 @@ def test_point_labels_match_gather_oracle(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_free_column_kernel_matches_gather_oracle(q):
-    """block_labels on odometer ranges of one pivot pattern, which sum each
-    run's slow columns once and broadcast the fast column's codes over it,
-    give the row-sorted located labels of the table-gather points.  For each
-    pattern: its last chunk of whole runs (as enumeration_chunks with chunks
-    of 1500 planes, so gather tiles of 1024 leave a short last tile), one
-    range with unaligned ends and seeded single planes.  One LabelWork,
-    larger than any range, serves all 20 patterns."""
+    """block_labels on odometer ranges of one pivot pattern, given the run
+    heads, which sum each run's slow columns once, gather each run's table
+    of q labels per point and expand it over the run's planes, give the
+    row-sorted located labels of the table-gather points.  For each pattern,
+    the fast-less (3, 4, 5) among them: its last chunk of whole runs (as
+    enumeration_chunks with chunks of 1500 planes), one range with unaligned
+    ends, one that starts and stops inside one run, one that starts inside a
+    run and stops inside the next, and seeded single planes.  One LabelWork,
+    larger than any range, serves all 20 patterns; the ranges inside runs
+    are also labelled without a work, whose expansion index then holds only
+    the rows they read.  Both kinds of range inside runs are tested at every
+    run length s = q, q^2, q^3 (inside one run from s = 3, as it needs an
+    offset strictly between two others)."""
     ctx = field(q)
     rng = random.Random(300 + q)
     chunk = 1500
     work = LabelWork(ctx, max(chunk, q**3))
+    inside, across = set(), set()
     for pattern in PIVOT_PATTERNS:
         size, s = pattern_block_size(q, pattern), run_length(q, pattern)
         step = max(s, chunk // s * s)
         start = rng.randrange(size)
         ranges = [((size - 1) // step * step, size),
                   (start, min(size, start + rng.randrange(1, chunk)))]
+        mid = []
+        # ends at offsets 0 < a < s into their runs, under 2 * 256 planes apart
+        if s > 2:
+            r, a = rng.randrange(size // s), rng.randrange(1, s - 1)
+            mid.append((r * s + a, r * s + rng.randrange(a + 1, min(s, a + 256))))
+            inside.add(s)
+        if s > 1 and size // s >= 2:
+            r = rng.randrange(1, size // s)
+            mid.append((r * s - rng.randrange(1, min(s, 256)), r * s + rng.randrange(1, min(s, 256))))
+            across.add(s)
+        ranges += mid
         ranges += [(j, j + 1) for j in sorted(rng.randrange(size) for _ in range(8))]
         for start, stop in ranges:
             B = planes_block_np(q, pattern, start, stop)
             want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
-            got = block_labels(ctx, B, work, pattern, start)
+            heads = run_heads(q, pattern, start, stop)
+            got = block_labels(ctx, heads, work, pattern, start, stop)
             assert np.array_equal(got, want), (pattern, start, stop)
+            if (start, stop) in mid:
+                got = block_labels(ctx, heads, None, pattern, start, stop)
+                assert np.array_equal(got, want), (pattern, start, stop)
+    assert {q, q * q, q**3} - {2} <= inside and {q, q * q, q**3} <= across
 
 
 @pytest.mark.parametrize("q", [9, 16])
 def test_one_plane_needs_one_plane_of_work(q):
-    """block_labels without a work sizes its gather tile to the block, not to
-    a run: one plane of each pivot pattern, with the pattern (runs of up to
+    """block_labels without a work sizes its arrays to the block, not to a
+    run: one plane of each pivot pattern, with the pattern (runs of up to
     q^3 planes) and without it, gives the oracle's labels, and one plane
-    without a pattern allocates under 64 KB (tracemalloc; a tile of q^3
-    planes took 8.9 MB at q = 16)."""
+    without a pattern allocates under 64 KB (tracemalloc; a gather tile of
+    q^3 planes took 8.9 MB at q = 16, as does the whole expansion index)."""
     ctx = field(q)
     rng = random.Random(500 + q)
     for pattern in PIVOT_PATTERNS:
         j = rng.randrange(pattern_block_size(q, pattern))
         B = planes_block_np(q, pattern, j, j + 1)
         want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
-        assert np.array_equal(block_labels(ctx, B, None, pattern, j), want), (pattern, j)
+        heads = run_heads(q, pattern, j, j + 1)
+        assert np.array_equal(block_labels(ctx, heads, None, pattern, j, j + 1), want), (pattern, j)
         assert np.array_equal(block_labels(ctx, B), want), (pattern, j)
     tracemalloc.start()
     try:
@@ -415,8 +447,9 @@ def test_classify_block_labels_at_large_q(q):
 
 def test_census_chunk_temporaries_stay_small(ctx5):
     """Beside the sweep's work arrays, a q = 5 chunk of 2^14 planes with the
-    trace tally allocates under 1 MB at a time (tracemalloc; 0.62 MB with
-    the equality mask and the B rows in the work arrays, 1.04 MB with the B
+    trace tally allocates under 1 MB at a time (tracemalloc; 0.41 MB from run
+    heads, 0.62 MB when every plane's basis was built, with the equality
+    mask and the B rows in the work arrays, 1.04 MB with the B
     rows copied out for the tally); with the GF(p) product and its quotient
     made afresh for every chunk it took 6.7 MB."""
     table = cover_table(ctx5)
@@ -465,6 +498,21 @@ def test_repeat_count_stops_at_row_boundaries(ctx3, spread3):
         assert [i for i in range(len(B) - 1) if codes[i, -1] == codes[i + 1, 0]] == [0, 1, 2, 4]
         tags = np.select([is_a, is_b, is_c], ["A", "B", "C"], "-")
         assert tags.tolist() == want
+
+
+def test_repeat_count_of_an_a_plane_at_q16_does_not_wrap():
+    """At q = 16, k = 273, so an A plane has 272 repeats: summed in uint8
+    they would wrap to 16 = q and make the plane a C candidate whose first
+    repeat equals the label q places on.  Spread elements, among them
+    J(inf), come out A and nothing else, in arrays sized for the block and
+    in a chunk's work."""
+    ctx = field(16)
+    planes = [spread_element(ctx, m) for m in (0, 1, 2021, ctx.q3)]
+    B = np.array([pl.basis for pl in planes], dtype=np.uint8)
+    for codes, is_a, is_b, is_c in (_classify_block(ctx, B),
+                                    _classify_block(ctx, B, census._ChunkWork(ctx, 8))):
+        assert (codes == codes[:, :1]).all() and codes.shape[1] == 273
+        assert is_a.all() and not (is_b | is_c).any()
 
 
 def test_sweep_traces_invariant_under_worker_count_q3(ctx3):

@@ -319,3 +319,16 @@ def test_crashed_worker_is_an_infrastructure_failure(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "infrastructure failure" in captured.err
+
+
+def test_memory_exhaustion_is_an_infrastructure_failure(capsys, monkeypatch):
+    """A census that runs out of memory gives exit 3 and no report, not the
+    exit 1 of a failed check."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(census_mod, "run_census", exhausted)
+    assert main(["census", "--q", "2", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "infrastructure failure: out of memory\n"
