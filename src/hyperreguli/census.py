@@ -29,23 +29,23 @@ depends on column j of the basis alone, so each point's flat coordinate
 index is a sum of rows of one (q^3, k) table (pg5.point_table), no GF(p)
 product.  A chunk holds whole runs of one pivot pattern's odometer, in which
 only the fastest free column changes, so the census builds no plane's
-basis: it passes block_labels one head basis per run (pg5.run_heads).
-block_labels sums each run's other columns once, gathers the run's q
-labels per point (one per value of the point's fast coordinate) from
-FieldCtx.ratio_np, and expands those tables over the chunk's planes with
-one np.take at a fixed index.  The class masks come from one equality pass
-over the chunk's flat label rows, and the B rows go to the trace tally
-gathered by index.  The sweep, and each pool worker, allocates the chunk's
-arrays once (_ChunkWork: the kernel's work and one buffer for the equality
-mask and then the B rows) and reuses them for every chunk.  The sweep is an
-order-independent reduction over enumeration chunks, so any chunk split or
-worker count produces the identical report: each of min(jobs, chunks)
-workers reduces its share of the chunks itself (class counts, one
-covers-sized array of trace counts, witnesses) and sends that one result,
-and the main process sums one result per worker.  The shares are balanced
-by plane count, largest chunks first (_shares).  A plane of no class stops
-the census with its basis (rebuilt by pg5.planes_block_np), pivot pattern
-and odometer index.
+basis: it passes block_labels the chunk's pg5.PlaneBlock, one head basis
+per run (pg5.planes_block_np).  block_labels sums each run's other columns
+once, gathers the run's q labels per point (one per value of the point's
+fast coordinate) from FieldCtx.ratio_np, and expands those tables over the
+chunk's planes with one np.take at a fixed index.  The class masks come
+from one equality pass over the chunk's flat label rows, and the B rows go
+to the trace tally gathered by index.  The sweep, and each pool worker,
+allocates the chunk's arrays once (_ChunkWork: the kernel's work and one
+buffer for the equality mask and then the B rows) and reuses them for
+every chunk.  The sweep is an order-independent reduction over
+enumeration chunks, so any chunk split or worker count produces the
+identical report: each of min(jobs, chunks) workers reduces its share of
+the chunks itself (class counts, one covers-sized array of trace counts,
+witnesses) and sends that one result, and the main process sums one result
+per worker.  The shares are balanced by plane count, largest chunks first
+(_shares).  A plane of no class stops the census with its basis (rebuilt
+from its run's head), pivot pattern and odometer index.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 
 from .covers import CoverSet, cover_size, enumerate_covers, row_hash, total_count
 from .gf import FieldCtx
-from .pg5 import PIVOT_PATTERNS, count_planes, enumeration_chunks, planes_block_np, run_heads
+from .pg5 import PIVOT_PATTERNS, PlaneBlock, count_planes, enumeration_chunks, planes_block_np
 from .spread import LabelWork, Spread, block_labels
 
 # Planes per chunk.  Larger chunks buy no speed: at q = 5, chunks of 2^16
@@ -104,22 +104,20 @@ class CensusReport:
         return asdict(self)
 
 
-def _classify_block(ctx: FieldCtx, B: np.ndarray, work: _ChunkWork | None = None,
-                    pattern=None, start: int = 0, stop: int | None = None):
+def _classify_block(ctx: FieldCtx, B, work: _ChunkWork | None = None):
     """Sorted located labels (n, k) and A/B/C masks for a block of planes
-    (see block_labels: the bases B (n, 3, 6), or with a pattern the
-    odometer range [start, stop), B its run heads), computed in work's
-    arrays when given and else in arrays sized for B.
+    (see block_labels: bases B (n, 3, 6) or a pg5.PlaneBlock), computed in
+    work's arrays when given and else in arrays sized for B.
 
     A plane of no class raises, with its basis and labels as the witness
-    and, for a pattern's block, the pattern and its odometer index.
+    and, for a PlaneBlock, its pivot pattern and odometer index.
     """
     q = ctx.q
     if work is None:
         codes = block_labels(ctx, B)
         same = np.empty(codes.size, dtype=bool)
     else:
-        codes = block_labels(ctx, B, work.labels, pattern, start, stop)
+        codes = block_labels(ctx, B, work.labels)
         same = work.rows.view(bool).reshape(-1)[: codes.size]
     n, k = codes.shape
     # repeats per row, from one equality pass over the flat label rows: same[i]
@@ -147,13 +145,11 @@ def _classify_block(ctx: FieldCtx, B: np.ndarray, work: _ChunkWork | None = None
     classified = is_a | is_b | is_c
     if not classified.all():
         bad = int(np.argmin(classified))
-        if pattern is None:
-            basis, where = B[bad], ""
-        else:  # B holds run heads: rebuild the plane's own basis
-            basis = planes_block_np(q, pattern, start + bad, start + bad + 1)[0]
-            where = f" (pivot pattern {pattern}, odometer index {start + bad})"
+        where = ""
+        if isinstance(B, PlaneBlock):
+            where = f" (pivot pattern {B.pattern}, odometer index {B.start + bad})"
         raise RuntimeError(
-            f"inconsistent intersection tally for plane basis {basis.tolist()}{where}: "
+            f"inconsistent intersection tally for plane basis {B[bad].tolist()}{where}: "
             f"labels {codes[bad].tolist()}"
         )
     return codes, is_a, is_b, is_c
@@ -306,9 +302,8 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
 
     hits and witnesses are the chunk's CoverTable.tally, None without a table.
     """
-    pattern = PIVOT_PATTERNS[pattern_idx]
-    heads = run_heads(ctx.q, pattern, start, stop)
-    codes, is_a, is_b, is_c = _classify_block(ctx, heads, work, pattern, start, stop)
+    block = planes_block_np(ctx.q, PIVOT_PATTERNS[pattern_idx], start, stop)
+    codes, is_a, is_b, is_c = _classify_block(ctx, block, work)
     hits = witnesses = None
     if table is not None:
         b = np.flatnonzero(is_b)

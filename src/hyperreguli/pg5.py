@@ -14,11 +14,12 @@ is column major: the free entries of a column are consecutive digits, so a
 plane's odometer index is the mixed-radix number of its free columns'
 codes, and a run of consecutive planes steps the last free column through
 every code while the others stay fixed (run_length).  So a range of planes
-is its runs' head bases (run_heads, one per run) and the offsets in each
-run, the digits of 0 .. s-1 in the fast column: the census kernel
-(spread.block_labels) takes the heads alone, and planes_block_np copies
-each head to its run's planes and writes the fast column.  The enumeration
-is split into chunks of whole runs that reduce deterministically.
+is its runs' head bases, one per run, and the offsets in each run, the
+digits of 0 .. s-1 in the fast column: planes_block_np returns the range
+as a PlaneBlock of those heads, which the census kernel
+(spread.block_labels) reads without building any plane's basis; its
+bases() copies each head to its run's planes.  The enumeration is split
+into chunks of whole runs that reduce deterministically.
 
 Coordinate j of each point of a plane depends on column j of its basis
 alone, so the points of any plane are rows of one (q^3, k) table indexed by
@@ -251,27 +252,11 @@ def run_length(q: int, pattern) -> int:
     return 1 if c is None else q ** sum(r < c for r in pattern)
 
 
-def run_heads(q: int, pattern, start: int, stop: int) -> np.ndarray:
-    """The head bases (runs, 3, 6) of the runs (run_length) that meet the
-    odometer range [start, stop), in order.  Run m's head is its RREF
-    template with the digits of m in the free entries outside fast_column
-    and zeros in the fast column's: the basis of its first plane."""
-    fast, s = fast_column(pattern), run_length(q, pattern)
-    first = start // s
-    heads = np.zeros(((stop - 1) // s - first + 1, 3, 6), dtype=np.uint8)
-    heads[:, range(3), pattern] = 1
-    run = np.arange(first, first + len(heads))
-    slow = [(r, c) for r, c in free_positions(pattern) if c != fast]
-    for r, c in reversed(slow):  # last position fastest
-        np.divmod(run, q, out=(run, heads[:, r, c]), casting="unsafe")
-    return heads
-
-
 def run_segments(s: int, start: int, n: int):
     """The n planes of the odometer range from start, in runs of s planes, as
     at most three segments (lo, hi, i, j, m): the end of a run begun before
     start, whole runs and the start of a last run.  Rows lo .. hi-1 of the
-    range are m runs from run i of run_heads(..., start, ...) on, offsets
+    range are m runs from head i of its PlaneBlock on, offsets
     j .. j + (hi-lo)/m - 1 of each."""
     lead = min(n, -start % s)  # rows that end a run begun before start
     body = lead + (n - lead) // s * s  # whole runs end here
@@ -281,31 +266,59 @@ def run_segments(s: int, start: int, n: int):
             yield lo, hi, i, j, max(1, (hi - lo) // s)
 
 
-def planes_block_np(q: int, pattern, start: int, stop: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Basis matrices (stop-start, 3, 6) for one odometer range of a pattern,
-    written into the leading rows of out when given (every byte of them).
+class PlaneBlock:
+    """The planes of the odometer range [start, stop) of a pivot pattern, held
+    as the head bases of the runs (run_length) that meet it.
 
     Index n in [start, stop) is the plane whose free entries, in
     free_positions order, are the base-q digits of n, the last the lowest.
-    The range is built run by run: each run's head (run_heads) is copied to
-    the run's planes, and the fast column is the digits of the offsets in
-    the run (run_segments).
+    Run m's head, heads[m - start // s], is its RREF template with the
+    digits of m in the free entries outside fast_column and zeros in the
+    fast column's: the basis of its first plane.  The other planes of the
+    run differ from it only in the fast column, the digits of their offset
+    in the run.  block[i] is the basis of plane start + i, and bases()
+    builds them all.
     """
-    n = stop - start
-    out = np.empty((n, 3, 6), dtype=np.uint8) if out is None else out[:n]
-    fast, s = fast_column(pattern), run_length(q, pattern)
-    heads = run_heads(q, pattern, start, stop)
-    # the fast column of offset j in a run: the digits of j, row 0 the lowest
-    # (rows below its free entries get 0, as j < s)
-    fast_part = (np.arange(s)[:, None] // q ** np.arange(3) % q).astype(np.uint8)
-    for lo, hi, i, j, m in run_segments(s, start, n):
-        seg = out[lo:hi].reshape(m, (hi - lo) // m, 3, 6)
-        # one 18-byte copy per plane
-        seg.reshape(m, -1, 18).view("V18")[...] = heads[i : i + m].reshape(m, 1, 18).view("V18")
-        if fast is not None:
-            seg[..., fast] = fast_part[j : j + seg.shape[1]]
-    return out
+
+    def __init__(self, q: int, pattern, start: int, stop: int):
+        self.q, self.pattern, self.start, self.stop = q, tuple(pattern), start, stop
+        self.fast, self.s = fast_column(pattern), run_length(q, pattern)
+        first = start // self.s
+        heads = np.zeros(((stop - 1) // self.s - first + 1, 3, 6), dtype=np.uint8)
+        heads[:, range(3), pattern] = 1
+        run = np.arange(first, first + len(heads))
+        slow = [(r, c) for r, c in free_positions(pattern) if c != self.fast]
+        for r, c in reversed(slow):  # last position fastest
+            np.divmod(run, q, out=(run, heads[:, r, c]), casting="unsafe")
+        self.heads = heads
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        n = range(self.start, self.stop)[i]
+        return PlaneBlock(self.q, self.pattern, n, n + 1).bases()[0]
+
+    def bases(self) -> np.ndarray:
+        """The basis matrices (len(self), 3, 6): each run's head copied to the
+        run's planes, and the offsets' digits in the fast column."""
+        q, fast, s, n = self.q, self.fast, self.s, len(self)
+        out = np.empty((n, 3, 6), dtype=np.uint8)
+        # the fast column of offset j in a run: the digits of j, row 0 the lowest
+        # (rows below its free entries get 0, as j < s)
+        fast_part = (np.arange(s)[:, None] // q ** np.arange(3) % q).astype(np.uint8)
+        heads = self.heads.reshape(-1, 1, 18).view("V18")
+        for lo, hi, i, j, m in run_segments(s, self.start, n):
+            seg = out[lo:hi].reshape(m, (hi - lo) // m, 3, 6)
+            seg.reshape(m, -1, 18).view("V18")[...] = heads[i : i + m]  # one 18-byte copy per plane
+            if fast is not None:
+                seg[..., fast] = fast_part[j : j + seg.shape[1]]
+        return out
+
+
+def planes_block_np(q: int, pattern, start: int, stop: int) -> PlaneBlock:
+    """The block of one odometer range of a pattern: its run heads (PlaneBlock)."""
+    return PlaneBlock(q, pattern, start, stop)
 
 
 def enumeration_chunks(q: int, chunk_size: int) -> list[tuple[int, int, int]]:

@@ -18,13 +18,12 @@ import numpy as np
 from .gf import FieldCtx
 from .pg5 import (
     Plane,
+    PlaneBlock,
     _plane_from_rref,
     block_points,
     column_codes,
-    fast_column,
     normalize_point,
     point_table,
-    run_length,
     run_segments,
 )
 
@@ -67,10 +66,9 @@ class Spread:
 
     def label_work(self, n: int) -> LabelWork:
         """A LabelWork for up to n planes, kept for the next span search on
-        this spread (a fresh one per search faults its pages in again).  The
-        search labels bases without a pattern, so it holds no expansion rows."""
+        this spread (a fresh one per search faults its pages in again)."""
         if self._label_work is None or self._label_work.n < n:
-            self._label_work = LabelWork(self.ctx, n, range(0))
+            self._label_work = LabelWork(self.ctx, n)
         return self._label_work
 
     def locate(self, pt) -> int:
@@ -118,29 +116,24 @@ _HORNER_COLUMNS = (2, 1, 0, 5, 4, 3)
 
 
 class LabelWork:
-    """pg5.point_table, the expansion index and the work arrays of
-    block_labels for blocks of up to n planes, allocated once and reused by
-    every call.
+    """pg5.point_table and the work arrays of block_labels for blocks of up
+    to n planes, allocated once and reused by every call.
 
     A census sweep builds one (each pool worker its own), so the kernel
     makes no large temporaries per chunk and its cost does not hang on when
     the C allocator trims its heap and faults it back in.  Only the pages a
     call writes are resident: a census chunk with runs of s planes fills
     about n/s rows of run sums and n*q/s of run tables.  The expansion index
-    holds the rows expand_rows, all q^3 by default: 31 KB at q = 5, 8.9 MB
-    at q = 16.
+    is built by the first call on a PlaneBlock with a fast column, so the
+    span search, which labels bases, never holds it.
     """
 
-    def __init__(self, ctx: FieldCtx, n: int, expand_rows: range | None = None):
+    def __init__(self, ctx: FieldCtx, n: int):
         q = ctx.q
         self.n = n
         self.points = point_table(ctx.base)
         k = self.points.shape[1]
-        # the expansion index, (len(expand_rows), k) intp: entry [c, j] is
-        # j*q + points[c, j], the slot of point j's label in a run's table
-        # when the fast column has code c
-        rows = self.expand_rows = range(q**3) if expand_rows is None else expand_rows
-        self.expand = np.arange(0, k * q, q, dtype=np.intp) + self.points[rows.start : rows.stop]
+        self.expand = None  # see block_labels
         self.runs = np.empty(n * k, dtype=_flat_weights(ctx).dtype)
         # a range of n planes meets at most n/q + 2 runs of s >= q planes
         runs = min(n, n // q + 2)
@@ -150,41 +143,40 @@ class LabelWork:
         self.codes = np.empty(n * k, dtype=np.uint16)  # as FieldCtx.ratio_np
 
 
-def block_labels(ctx: FieldCtx, B: np.ndarray, work: LabelWork | None = None,
-                 pattern=None, start: int = 0, stop: int | None = None) -> np.ndarray:
+def block_labels(ctx: FieldCtx, B, work: LabelWork | None = None) -> np.ndarray:
     """The located labels of the k points of each plane of a block, sorted
     within each row: (n, k), a view of work.codes that the next call with
     the same work overwrites.
 
-    Without a pattern the block is the n bases B (n, 3, 6).  With one, it
-    is the odometer range [start, stop) of the pattern, and B holds the
-    heads of the runs that meet it (pg5.run_heads).
+    The block is n bases B (n, 3, 6), or a pg5.PlaneBlock of n planes.
 
     A point's flat index into FieldCtx.ratio_np is a sum over the six columns
     of the column's weight times its coordinate, pg5.point_table's row at the
     column code; coordinates are below q and weights powers of q, so the sum
-    has no carries.  Each run (pg5.run_length) sums the columns other than
+    has no carries.  Each run of a PlaneBlock sums the columns other than
     the fast one once, from its head.  Across the run, point j's coordinate
     in the fast column takes only the q values of GF(q), so q gathers in
     FieldCtx.ratio_np fill the run's table of q labels per point, and one
-    np.take of the tables at the expansion index (row c for the plane whose
-    fast column has code c) writes the label rows of each run segment
-    (pg5.run_segments).  Without a fast column every plane is a run of its
-    own, and its sums are gathered directly, _GATHER_TILE planes at a time.
-    Without work, the arrays are sized for the block, and the expansion
-    index holds the rows the call reads, from the first to the last.
+    np.take of the tables at the expansion index writes the label rows of
+    each run segment (pg5.run_segments).  The expansion index, (q^3, k)
+    intp, has entry [c, j] = j*q + point_table[c, j], the slot of point j's
+    label in a run's table when the fast column has code c: 31 KB at q = 5,
+    8.9 MB at q = 16, built once per work.  Bases, and a PlaneBlock without
+    a fast column, are runs of one plane, whose sums are gathered directly,
+    _GATHER_TILE planes at a time.  Without work, the arrays are sized for
+    the block, and the rows of the expansion index that each segment reads
+    are built for it alone.
     """
     q = ctx.q
-    fast = None if pattern is None else fast_column(pattern)
-    s = 1 if fast is None else run_length(q, pattern)
-    n = len(B) if pattern is None else stop - start
-    phase = start % s
-    if work is None:
-        work = LabelWork(ctx, n, range(phase, phase + n) if phase + n <= s else range(s))
+    n = len(B)
+    fast, heads = (B.fast, B.heads) if isinstance(B, PlaneBlock) else (None, B)
+    fresh = work is None
+    if fresh:
+        work = LabelWork(ctx, n)
     P = work.points
     k = P.shape[1]
-    codes = column_codes(q, B)
-    runs = len(B)
+    codes = column_codes(q, heads)
+    runs = len(heads)
     G = work.runs[: runs * k].reshape(runs, k)
     G[...] = 0
     for c in _HORNER_COLUMNS:
@@ -208,9 +200,12 @@ def block_labels(ctx: FieldCtx, B: np.ndarray, work: LabelWork | None = None,
             np.take(ctx.ratio_np, idx, out=tables[..., v], mode="clip")
             idx += w
         tables = tables.reshape(runs, k * q)
-        first = work.expand_rows.start
-        for lo, hi, i, j, m in run_segments(s, start, n):
-            X = work.expand[j - first : j - first + (hi - lo) // m]
+        slots = np.arange(0, k * q, q, dtype=np.intp)  # point j's table starts at j*q
+        if not fresh and work.expand is None:
+            work.expand = slots + P
+        for lo, hi, i, j, m in run_segments(B.s, B.start, n):
+            rows = slice(j, j + (hi - lo) // m)
+            X = slots + P[rows] if fresh else work.expand[rows]
             np.take(tables[i : i + m], X, axis=1, out=labels[lo:hi].reshape(m, -1, k), mode="clip")
     labels.sort(axis=1)
     return labels

@@ -228,9 +228,9 @@ def seeded_blocks(q, rng, size=64):
     blocks = []
     for pattern in PIVOT_PATTERNS[::5]:
         n = pattern_block_size(q, pattern)
-        blocks.append(planes_block_np(q, pattern, max(0, n - size), n))
+        blocks.append(planes_block_np(q, pattern, max(0, n - size), n).bases())
         for i in sorted(rng.randrange(n) for _ in range(size)):
-            blocks.append(planes_block_np(q, pattern, i, i + 1))
+            blocks.append(planes_block_np(q, pattern, i, i + 1).bases())
     return np.concatenate(blocks)
 
 

@@ -33,7 +33,6 @@ from hyperreguli.pg5 import (
     plane_from_points,
     plane_from_rows,
     planes_block_np,
-    run_heads,
     run_length,
 )
 from hyperreguli.spread import (
@@ -343,19 +342,19 @@ def test_point_labels_match_gather_oracle(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_free_column_kernel_matches_gather_oracle(q):
-    """block_labels on odometer ranges of one pivot pattern, given the run
-    heads, which sum each run's slow columns once, gather each run's table
-    of q labels per point and expand it over the run's planes, give the
-    row-sorted located labels of the table-gather points.  For each pattern,
-    the fast-less (3, 4, 5) among them: its last chunk of whole runs (as
-    enumeration_chunks with chunks of 1500 planes), one range with unaligned
-    ends, one that starts and stops inside one run, one that starts inside a
-    run and stops inside the next, and seeded single planes.  One LabelWork,
-    larger than any range, serves all 20 patterns; the ranges inside runs
-    are also labelled without a work, whose expansion index then holds only
-    the rows they read.  Both kinds of range inside runs are tested at every
-    run length s = q, q^2, q^3 (inside one run from s = 3, as it needs an
-    offset strictly between two others)."""
+    """block_labels on odometer ranges of one pivot pattern, given as
+    PlaneBlocks of run heads, which sum each run's slow columns once, gather
+    each run's table of q labels per point and expand it over the run's
+    planes, give the row-sorted located labels of the table-gather points.
+    For each pattern, the fast-less (3, 4, 5) among them: its last chunk of
+    whole runs (as enumeration_chunks with chunks of 1500 planes), one range
+    with unaligned ends, one that starts and stops inside one run, one that
+    starts inside a run and stops inside the next, and seeded single planes.
+    One LabelWork, larger than any range, serves all 20 patterns; the ranges
+    inside runs are also labelled without a work, which builds only the rows
+    of the expansion index that they read.  Both kinds of range inside runs
+    are tested at every run length s = q, q^2, q^3 (inside one run from
+    s = 3, as it needs an offset strictly between two others)."""
     ctx = field(q)
     rng = random.Random(300 + q)
     chunk = 1500
@@ -380,13 +379,12 @@ def test_free_column_kernel_matches_gather_oracle(q):
         ranges += mid
         ranges += [(j, j + 1) for j in sorted(rng.randrange(size) for _ in range(8))]
         for start, stop in ranges:
-            B = planes_block_np(q, pattern, start, stop)
-            want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
-            heads = run_heads(q, pattern, start, stop)
-            got = block_labels(ctx, heads, work, pattern, start, stop)
+            block = planes_block_np(q, pattern, start, stop)
+            want = np.sort(locate_np(ctx, gather_points(ctx.base, block.bases())), axis=1)
+            got = block_labels(ctx, block, work)
             assert np.array_equal(got, want), (pattern, start, stop)
             if (start, stop) in mid:
-                got = block_labels(ctx, heads, None, pattern, start, stop)
+                got = block_labels(ctx, block)
                 assert np.array_equal(got, want), (pattern, start, stop)
     assert {q, q * q, q**3} - {2} <= inside and {q, q * q, q**3} <= across
 
@@ -402,10 +400,10 @@ def test_one_plane_needs_one_plane_of_work(q):
     rng = random.Random(500 + q)
     for pattern in PIVOT_PATTERNS:
         j = rng.randrange(pattern_block_size(q, pattern))
-        B = planes_block_np(q, pattern, j, j + 1)
+        block = planes_block_np(q, pattern, j, j + 1)
+        B = block.bases()
         want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
-        heads = run_heads(q, pattern, j, j + 1)
-        assert np.array_equal(block_labels(ctx, heads, None, pattern, j, j + 1), want), (pattern, j)
+        assert np.array_equal(block_labels(ctx, block), want), (pattern, j)
         assert np.array_equal(block_labels(ctx, B), want), (pattern, j)
     tracemalloc.start()
     try:

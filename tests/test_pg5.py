@@ -173,7 +173,7 @@ def test_batch_blocks_match_stream_order(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
         q = ctx.q
         stream = [pl.key for pl in enumerate_planes(ctx.base)]
-        batch = [planes_block_np(q, pat, 0, pattern_block_size(q, pat)).tobytes()
+        batch = [planes_block_np(q, pat, 0, pattern_block_size(q, pat)).bases().tobytes()
                  for pat in PIVOT_PATTERNS]
         assert b"".join(batch) == b"".join(stream)
 
@@ -186,7 +186,7 @@ def test_odometer_is_column_major(q):
     0 .. s-1; enumeration_chunks cut every pattern at whole runs."""
     for pattern in PIVOT_PATTERNS:
         size, s, fast = pattern_block_size(q, pattern), run_length(q, pattern), fast_column(pattern)
-        codes = column_codes(q, planes_block_np(q, pattern, 0, size))  # (6, size)
+        codes = column_codes(q, planes_block_np(q, pattern, 0, size).bases())  # (6, size)
         index = np.zeros(size, dtype=np.int64)
         for c in free_columns(pattern):
             index = index * q ** sum(r < c for r in pattern) + codes[c]
@@ -206,10 +206,10 @@ def test_odometer_is_column_major(q):
 def test_chunk_split_is_invariant(ctx2):
     whole = []
     for i, s, t in enumeration_chunks(2, 1 << 20):
-        whole.append(planes_block_np(2, PIVOT_PATTERNS[i], s, t))
+        whole.append(planes_block_np(2, PIVOT_PATTERNS[i], s, t).bases())
     small = []
     for i, s, t in enumeration_chunks(2, 37):
-        small.append(planes_block_np(2, PIVOT_PATTERNS[i], s, t))
+        small.append(planes_block_np(2, PIVOT_PATTERNS[i], s, t).bases())
     flat = [bytes(int(x) for x in m.reshape(-1)) for b in whole for m in b]
     flat_small = [bytes(int(x) for x in m.reshape(-1)) for b in small for m in b]
     assert flat == flat_small
@@ -219,8 +219,8 @@ def test_chunk_split_is_invariant(ctx2):
 def test_pattern_blocks_vary_only_in_free_columns(q):
     """Over each pivot pattern's block every column outside free_columns is
     the RREF template's: a unit pivot column or, left of the first pivot,
-    zero.  The blocks are built chunk by chunk into one reused out array."""
-    out = np.full((DEFAULT_CHUNK_SIZE, 3, 6), 7, dtype=np.uint8)  # stale entries
+    zero.  Each chunk's block holds the first plane of each of its runs
+    as that run's head."""
     for i, start, stop in enumeration_chunks(q, DEFAULT_CHUNK_SIZE):
         pattern = PIVOT_PATTERNS[i]
         cols = free_columns(pattern)
@@ -228,21 +228,20 @@ def test_pattern_blocks_vary_only_in_free_columns(q):
         fixed = [c for c in range(6) if c not in cols]
         template = np.zeros((3, 6), dtype=np.uint8)
         template[range(3), pattern] = 1
-        block = planes_block_np(q, pattern, start, stop, out=out)
-        assert np.shares_memory(block, out) and len(block) == stop - start
-        assert (block[:, :, fixed] == template[:, fixed]).all()
-        if q < 5:
-            assert np.array_equal(block, planes_block_np(q, pattern, start, stop))
+        block = planes_block_np(q, pattern, start, stop)
+        bases = block.bases()
+        assert len(block) == len(bases) == stop - start
+        assert (bases[:, :, fixed] == template[:, fixed]).all()
+        assert np.array_equal(bases[:: run_length(q, pattern)], block.heads)
 
 
-def _check_range(q, pattern, start, stop, want, out):
-    """planes_block_np over [start, stop) into out, stale bytes and all,
-    gives the planes want (n, 3, 6) and leaves out's other rows alone."""
-    out[...] = 0xAB
-    block = planes_block_np(q, pattern, start, stop, out=out)
-    assert np.shares_memory(block, out) and len(block) == stop - start
-    assert np.array_equal(block, want), (q, pattern, start, stop)
-    assert (out[stop - start :] == 0xAB).all()
+def _check_range(q, pattern, start, stop, want):
+    """planes_block_np over [start, stop) gives the planes want (n, 3, 6),
+    all at once and its first and last plane one by one."""
+    block = planes_block_np(q, pattern, start, stop)
+    assert len(block) == stop - start
+    assert np.array_equal(block.bases(), want), (q, pattern, start, stop)
+    assert np.array_equal(block[0], want[0]) and np.array_equal(block[-1], want[-1])
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -259,11 +258,10 @@ def test_unaligned_ranges_match_the_stream(q, ctx_by_q):
         offset += size
         assert [odometer_plane(q, pattern, i).basis for i in range(size)] == \
             [tuple(map(tuple, b.tolist())) for b in want]
-        out = np.empty((2 * s + 8, 3, 6), dtype=np.uint8)
         for start in range(size):
             stop = min(size, start + 1 + start % (2 * s + 1))
-            _check_range(q, pattern, start, stop, want[start:stop], out)
-        _check_range(q, pattern, 0, size, want, np.empty((size + 3, 3, 6), dtype=np.uint8))
+            _check_range(q, pattern, start, stop, want[start:stop])
+        _check_range(q, pattern, 0, size, want)
     assert offset == len(stream) == count_planes(q)
 
 
@@ -275,13 +273,12 @@ def test_seeded_unaligned_ranges_match_the_odometer(q):
     rng = random.Random(q)
     for pattern in PIVOT_PATTERNS:
         size, s = pattern_block_size(q, pattern), run_length(q, pattern)
-        out = np.empty((3 * s + 8, 3, 6), dtype=np.uint8)
         for length in (1, max(1, s // 2), s + 1, 2 * s + 1, 3 * s):
             start = rng.randrange(size - min(size, length) + 1)
             stop = start + min(size - start, length)
             want = np.array([odometer_plane(q, pattern, i).basis for i in range(start, stop)],
                             dtype=np.uint8)
-            _check_range(q, pattern, start, stop, want, out)
+            _check_range(q, pattern, start, stop, want)
 
 
 def test_all_points_count_and_normalization(ctx2, ctx3):
