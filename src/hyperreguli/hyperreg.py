@@ -165,12 +165,11 @@ def _transversals_span(spread: Spread, hr: HyperRegulus,
     # the first candidate third plane that line s misses)
     total = len(i) * k
     found = {}
-    work = spread.label_work(min(chunk_size, total))
     for start in range(0, total, chunk_size):
         s, l = np.divmod(np.arange(start, min(start + chunk_size, total)), k)
         B = np.stack([pts1[i[s]], pts2[j[s]], pts3[third[s], l]], axis=1)
         B = B[in_cover[point_labels(ctx, B, line13)].all(axis=1)]
-        for rows in B[(block_labels(ctx, B, work) == target).all(axis=1)]:
+        for rows in B[(block_labels(ctx, B) == target).all(axis=1)]:
             pl = plane_from_rows(base, rows.tolist())
             found.setdefault(pl.key, pl)
     return [found[kk] for kk in sorted(found)]

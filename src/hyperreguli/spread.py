@@ -51,25 +51,21 @@ def spread_element(ctx: FieldCtx, m: int) -> Plane:
 
 
 class Spread:
-    """The q^3+1 pairwise disjoint planes J(m), indexed by circle points."""
+    """The q^3+1 pairwise disjoint planes J(m), indexed by circle points.
+
+    It holds no mutable state: the span search and the spread check label
+    their bases with block_labels, which sizes its arrays to each block.
+    """
 
     def __init__(self, ctx: FieldCtx, planes: tuple[Plane, ...]):
         self.ctx = ctx
         self.planes = planes
-        self._label_work = None  # see label_work
 
     def element(self, m: int) -> Plane:
         return self.planes[m]
 
     def labels(self) -> range:
         return range(self.ctx.q3 + 1)
-
-    def label_work(self, n: int) -> LabelWork:
-        """A LabelWork for up to n planes, kept for the next span search on
-        this spread (a fresh one per search faults its pages in again)."""
-        if self._label_work is None or self._label_work.n < n:
-            self._label_work = LabelWork(self.ctx, n)
-        return self._label_work
 
     def locate(self, pt) -> int:
         """The unique label m with pt in J(m), from coordinates in O(1)."""
@@ -104,130 +100,119 @@ def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
     return ctx.ratio_np[flat]
 
 
-# Planes whose sums block_labels casts to intp at a time without a fast
-# column: the tile then stays in cache between the cast that writes it and
-# the gather that reads it.
-_GATHER_TILE = 1 << 10
-
 # The columns by falling weight in the flat index x*q^3 + y, x = c0 + c1 q +
 # c2 q^2 and y = c3 + c4 q + c5 q^2: the index is Horner's scheme in q over
 # the columns' coordinates in this order.
 _HORNER_COLUMNS = (2, 1, 0, 5, 4, 3)
 
 
-class LabelWork:
-    """pg5.point_table and the work arrays of block_labels for blocks of up
-    to n planes, allocated once and reused by every call.
+def _flat_index(q: int, P: np.ndarray, codes: np.ndarray, out: np.ndarray, skip=None) -> np.ndarray:
+    """Write into out (n, P.shape[1]) the flat indices into FieldCtx.ratio_np
+    of the points with point-table columns P of the n planes with column codes
+    (6, n), leaving out column skip's term, and return it.
 
-    A census sweep builds one (each pool worker its own), so the kernel
-    makes no large temporaries per chunk and its cost does not hang on when
-    the C allocator trims its heap and faults it back in.  Only the pages a
-    call writes are resident: a census chunk with runs of s planes fills
-    about n/s rows of run sums and n*q/s of run tables.  The expansion index
-    is built by the first call on a PlaneBlock with a fast column, so the
-    span search, which labels bases, never holds it.
+    Each column adds its weight times the coordinate, P's row at the column
+    code; coordinates are below q and weights powers of q, so the sum has no
+    carries and out may be any integer dtype that holds q^6.
+    """
+    out[...] = 0
+    for c in _HORNER_COLUMNS:
+        out *= q
+        if c != skip:
+            out += P.take(codes[c], axis=0)
+    return out
+
+
+class LabelWork:
+    """The work arrays of block_labels for PlaneBlocks of up to n planes,
+    allocated once and reused by every call of a census sweep.
+
+    A sweep builds one (each pool worker its own), so the kernel makes no
+    large temporaries per chunk and its cost does not hang on when the C
+    allocator trims its heap and faults it back in.  Only the pages a call
+    writes are resident: a chunk with runs of s planes fills about n/s rows
+    of run sums and n*q/s of run tables.  The expansion index is built by
+    the first call.
     """
 
     def __init__(self, ctx: FieldCtx, n: int):
         q = ctx.q
-        self.n = n
-        self.points = point_table(ctx.base)
-        k = self.points.shape[1]
+        k = q * q + q + 1
         self.expand = None  # see block_labels
-        self.runs = np.empty(n * k, dtype=_flat_weights(ctx).dtype)
         # a range of n planes meets at most n/q + 2 runs of s >= q planes
         runs = min(n, n // q + 2)
-        # the sums of a tile or of those runs, as np.take reads them
-        self.index = np.empty(max(runs, min(n, _GATHER_TILE)) * k, dtype=np.intp)
+        self.index = np.empty(runs * k, dtype=np.intp)  # the run sums, as np.take reads them
         self.tables = np.empty(runs * q * k, dtype=np.uint16)
         self.codes = np.empty(n * k, dtype=np.uint16)  # as FieldCtx.ratio_np
 
 
 def block_labels(ctx: FieldCtx, B, work: LabelWork | None = None) -> np.ndarray:
     """The located labels of the k points of each plane of a block, sorted
-    within each row: (n, k), a view of work.codes that the next call with
-    the same work overwrites.
+    within each row: (n, k).
 
     The block is n bases B (n, 3, 6), or a pg5.PlaneBlock of n planes.
+    Bases, and the PlaneBlock without a fast column (pattern (3, 4, 5), one
+    plane), are labelled by point_labels of all k points; work is not used.
+    Otherwise the result is a view of work.codes that the next call with the
+    same work overwrites.
 
-    A point's flat index into FieldCtx.ratio_np is a sum over the six columns
-    of the column's weight times its coordinate, pg5.point_table's row at the
-    column code; coordinates are below q and weights powers of q, so the sum
-    has no carries.  Each run of a PlaneBlock sums the columns other than
-    the fast one once, from its head.  Across the run, point j's coordinate
-    in the fast column takes only the q values of GF(q), so q gathers in
+    Each run of a PlaneBlock sums the columns other than the fast one once,
+    from its head (_flat_index).  Across the run, point j's coordinate in
+    the fast column takes only the q values of GF(q), so q gathers in
     FieldCtx.ratio_np fill the run's table of q labels per point, and one
     np.take of the tables at the expansion index writes the label rows of
     each run segment (pg5.run_segments).  The expansion index, (q^3, k)
     intp, has entry [c, j] = j*q + point_table[c, j], the slot of point j's
     label in a run's table when the fast column has code c: 31 KB at q = 5,
-    8.9 MB at q = 16, built once per work.  Bases, and a PlaneBlock without
-    a fast column, are runs of one plane, whose sums are gathered directly,
-    _GATHER_TILE planes at a time.  Without work, the arrays are sized for
-    the block, and the rows of the expansion index that each segment reads
-    are built for it alone.
+    8.9 MB at q = 16, built once per work.  Without work, the arrays are
+    sized for the block, and the rows of the expansion index that each
+    segment reads are built for it alone.
     """
-    q = ctx.q
-    n = len(B)
-    fast, heads = (B.fast, B.heads) if isinstance(B, PlaneBlock) else (None, B)
+    if isinstance(B, PlaneBlock) and B.fast is None:
+        B = B.heads  # runs of one plane: the heads are the bases
+    if not isinstance(B, PlaneBlock):
+        labels = point_labels(ctx, B, slice(None))
+        labels.sort(axis=1)
+        return labels
+    q, n, fast, heads = ctx.q, len(B), B.fast, B.heads
     fresh = work is None
     if fresh:
         work = LabelWork(ctx, n)
-    P = work.points
-    k = P.shape[1]
-    codes = column_codes(q, heads)
-    runs = len(heads)
-    G = work.runs[: runs * k].reshape(runs, k)
-    G[...] = 0
-    for c in _HORNER_COLUMNS:
-        G *= q
-        if c != fast:
-            G += P.take(codes[c], axis=0)
-    labels = work.codes[: n * k].reshape(n, k)
+    P = point_table(ctx.base)
+    runs, k = len(heads), P.shape[1]
+    idx = _flat_index(q, P, column_codes(q, heads), work.index[: runs * k].reshape(runs, k), fast)
+    w = int(_flat_weights(ctx)[fast])
+    tables = work.tables[: runs * k * q].reshape(runs, k, q)
     # no index is out of range; with mode="raise" np.take would buffer out
-    if fast is None:
-        for t in range(0, n, _GATHER_TILE):
-            rows = min(n - t, _GATHER_TILE)
-            idx = work.index[: rows * k].reshape(rows, k)
-            idx[...] = G[t : t + rows]
-            np.take(ctx.ratio_np, idx, out=labels[t : t + rows], mode="clip")
-    else:
-        w = int(_flat_weights(ctx)[fast])
-        idx = work.index[: runs * k].reshape(runs, k)
-        idx[...] = G
-        tables = work.tables[: runs * k * q].reshape(runs, k, q)
-        for v in range(q):  # entry [r, j, v]: point j of run r at fast coordinate v
-            np.take(ctx.ratio_np, idx, out=tables[..., v], mode="clip")
-            idx += w
-        tables = tables.reshape(runs, k * q)
-        slots = np.arange(0, k * q, q, dtype=np.intp)  # point j's table starts at j*q
-        if not fresh and work.expand is None:
-            work.expand = slots + P
-        for lo, hi, i, j, m in run_segments(B.s, B.start, n):
-            rows = slice(j, j + (hi - lo) // m)
-            X = slots + P[rows] if fresh else work.expand[rows]
-            np.take(tables[i : i + m], X, axis=1, out=labels[lo:hi].reshape(m, -1, k), mode="clip")
+    for v in range(q):  # entry [r, j, v]: point j of run r at fast coordinate v
+        np.take(ctx.ratio_np, idx, out=tables[..., v], mode="clip")
+        idx += w
+    tables = tables.reshape(runs, k * q)
+    slots = np.arange(0, k * q, q, dtype=np.intp)  # point j's table starts at j*q
+    if not fresh and work.expand is None:
+        work.expand = slots + P
+    labels = work.codes[: n * k].reshape(n, k)
+    for lo, hi, i, j, m in run_segments(B.s, B.start, n):
+        rows = slice(j, j + (hi - lo) // m)
+        X = slots + P[rows] if fresh else work.expand[rows]
+        np.take(tables[i : i + m], X, axis=1, out=labels[lo:hi].reshape(m, -1, k), mode="clip")
     labels.sort(axis=1)
     return labels
 
 
 def point_labels(ctx: FieldCtx, B: np.ndarray, cols) -> np.ndarray:
     """The located labels (n, len(cols)) of the points with coefficient
-    indices cols (pg5.projective_coeffs order) of each plane with basis in
-    B (n, 3, 6), in the order of cols.
+    indices cols (pg5.projective_coeffs order, or a slice of them) of each
+    plane with basis in B (n, 3, 6), in the order of cols.
 
     Each point's flat index into FieldCtx.ratio_np is the Horner sum of
-    block_labels, read from point_table's columns cols alone, so no other
-    point of the plane is built.
+    _flat_index, read from point_table's columns cols alone, so no other
+    point of the plane is built; the sums are uint16 up to q = 5 and
+    uint32 from q = 7 (_flat_weights).
     """
-    q = ctx.q
     P = point_table(ctx.base)[:, cols]
-    codes = column_codes(q, B)
-    flat = np.zeros((len(B), P.shape[1]), dtype=_flat_weights(ctx).dtype)
-    for c in _HORNER_COLUMNS:
-        flat *= q
-        flat += P.take(codes[c], axis=0)
-    return ctx.ratio_np[flat]
+    flat = np.empty((len(B), P.shape[1]), dtype=_flat_weights(ctx).dtype)
+    return ctx.ratio_np[_flat_index(ctx.q, P, column_codes(ctx.q, B), flat)]
 
 
 def check_disjoint(ctx: FieldCtx, planes, labels) -> None:

@@ -33,6 +33,7 @@ from hyperreguli.pg5 import (
     plane_from_points,
     plane_from_rows,
     planes_block_np,
+    point_table,
     run_length,
 )
 from hyperreguli.spread import (
@@ -346,10 +347,12 @@ def test_free_column_kernel_matches_gather_oracle(q):
     PlaneBlocks of run heads, which sum each run's slow columns once, gather
     each run's table of q labels per point and expand it over the run's
     planes, give the row-sorted located labels of the table-gather points.
-    For each pattern, the fast-less (3, 4, 5) among them: its last chunk of
-    whole runs (as enumeration_chunks with chunks of 1500 planes), one range
-    with unaligned ends, one that starts and stops inside one run, one that
-    starts inside a run and stops inside the next, and seeded single planes.
+    For each pattern, the fast-less (3, 4, 5) among them (whose one plane
+    block_labels labels by point_labels, leaving the work unread): its last
+    chunk of whole runs (as enumeration_chunks with chunks of 1500 planes),
+    one range with unaligned ends, one that starts and stops inside one run,
+    one that starts inside a run and stops inside the next, and seeded
+    single planes.
     One LabelWork, larger than any range, serves all 20 patterns; the ranges
     inside runs are also labelled without a work, which builds only the rows
     of the expansion index that they read.  Both kinds of range inside runs
@@ -394,8 +397,9 @@ def test_one_plane_needs_one_plane_of_work(q):
     """block_labels without a work sizes its arrays to the block, not to a
     run: one plane of each pivot pattern, with the pattern (runs of up to
     q^3 planes) and without it, gives the oracle's labels, and one plane
-    without a pattern allocates under 64 KB (tracemalloc; a gather tile of
-    q^3 planes took 8.9 MB at q = 16, as does the whole expansion index)."""
+    without a pattern, labelled by point_labels, allocates under 64 KB
+    (tracemalloc: 7 KB at q = 16, where the whole expansion index takes
+    8.9 MB)."""
     ctx = field(q)
     rng = random.Random(500 + q)
     for pattern in PIVOT_PATTERNS:
@@ -463,6 +467,29 @@ def test_census_chunk_temporaries_stay_small(ctx5):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_census_worker_arrays_at_q16_stay_under_48_mb():
+    """A q = 16 census worker's arrays, a fresh _ChunkWork for 2^14 planes
+    and what it does to classify a 2^14-plane chunk of pattern (0, 1, 2) and
+    the one plane of the fast-less pattern (3, 4, 5) without traces, peak
+    under 48 MiB (tracemalloc: 37.7 MiB with the run sums summed into the
+    gather index, 54.8 MiB when the work also held an n*k uint32 array of
+    run sums, sized for bases).  The field's tables and the point table are
+    built before."""
+    ctx = field(16)
+    ctx.ratio_np, point_table(ctx.base)
+    fastless = PIVOT_PATTERNS.index((3, 4, 5))
+    tracemalloc.start()
+    try:
+        work = census._ChunkWork(ctx, DEFAULT_CHUNK_SIZE)
+        for chunk in ((0, 0, DEFAULT_CHUNK_SIZE), (fastless, 0, 1)):
+            counts = census._census_chunk(ctx, None, work, *chunk)[:3]
+            assert sum(counts) == chunk[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
 
 
 def test_repeat_count_stops_at_row_boundaries(ctx3, spread3):

@@ -257,29 +257,6 @@ def test_span_search_invariant_under_chunk_size_q3(ctx3, spread3, cover_args):
         assert keys(_transversals_span(spread3, hr, chunk_size=chunk_size)) == want
 
 
-def test_span_search_reuses_the_spreads_label_work(ctx3):
-    """Searches on one spread share its stage-2 work, built on the first
-    search and rebuilt only for a larger block; a work left by other
-    covers, or sized for larger blocks, gives the same planes."""
-    spread = build_spread(ctx3, check=False)
-    hr1 = hyper_regulus(spread, cover_type1(ctx3, 0, 1))
-    hr2 = hyper_regulus(spread, cover_type2(ctx3, 0, 1, 2))
-    assert spread._label_work is None
-    first = keys(transversal_planes(spread, hr1))
-    work = spread._label_work
-    assert work is not None
-    second = keys(transversal_planes(spread, hr2))
-    assert spread._label_work is work
-    assert spread.label_work(work.n) is work and spread.label_work(1) is work
-    larger = spread.label_work(work.n + 1)
-    assert larger is not work and larger.n == work.n + 1
-    assert keys(transversal_planes(spread, hr1)) == first
-    assert spread._label_work is larger
-    fresh = build_spread(ctx3, check=False)
-    assert keys(transversal_planes(fresh, hr2)) == second
-    assert len(first) == len(second) == transversal_count(3)
-
-
 def test_span_search_exact_q7():
     """One kind-2 cover at q = 7: 114 transversals, each meeting exactly the
     cover's spread elements, split 57 + 57, in bounded memory (the line
