@@ -19,8 +19,8 @@ Tables are sized for q <= 16 (GF(q^3) <= 4096 elements).  Scalar operations
 run off Python list tables.  Two cached numpy tables back the vectorized
 sweeps: ratio_np (y/x for every pair, (q^3)^2 uint16 entries, 33.5 MB at
 q = 16) is the spread's locate table, read by spread.block_labels and
-spread.point_labels for the census, the spread check and the span search,
-and by spread.locate_np for check_disjoint's witness; norm_np (the norm of
+spread.point_labels for the census, the spread check (and its witness) and
+the span search; norm_np (the norm of
 every element of GF(q^3), uint8, since norms are GF(q) indices below
 q <= 16) gives the cover rows of covers.enumerate_covers.
 """

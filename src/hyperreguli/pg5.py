@@ -13,13 +13,13 @@ entries with an odometer whose last position varies fastest.  The odometer
 is column major: the free entries of a column are consecutive digits, so a
 plane's odometer index is the mixed-radix number of its free columns'
 codes, and a run of consecutive planes steps the last free column through
-every code while the others stay fixed (run_length).  So a range of planes
-is its runs' head bases, one per run, and the offsets in each run, the
-digits of 0 .. s-1 in the fast column: planes_block_np returns the range
-as a PlaneBlock of those heads, which the census kernel
+every code while the others stay fixed (run_length).  A block is a range of
+whole runs, so it is its runs' head bases, one per run, and the offsets in
+each run, the digits of 0 .. s-1 in the fast column: planes_block_np
+returns the range as a PlaneBlock of those heads, which the census kernel
 (spread.block_labels) reads without building any plane's basis; its
-bases() copies each head to its run's planes.  The enumeration is split
-into chunks of whole runs that reduce deterministically.
+bases() repeats each head over its run.  The enumeration is split into
+chunks of whole runs that reduce deterministically.
 
 Coordinate j of each point of a plane depends on column j of its basis
 alone, so the points of any plane are rows of one (q^3, k) table indexed by
@@ -52,18 +52,6 @@ def count_planes(q: int) -> int:
 
 def num_points(q: int) -> int:
     return (q**6 - 1) // (q - 1)
-
-
-def normalize_point(base: BaseField, v) -> tuple[int, ...]:
-    """Scale v so its first nonzero coordinate is 1; rejects the zero vector."""
-    for c in v:
-        if c:
-            if c == 1:
-                return tuple(v)
-            s = base._inv[c]
-            mrow = base._mul[s]
-            return tuple(mrow[x] for x in v)
-    raise ValueError("the zero vector is not a projective point")
 
 
 def _rref(base: BaseField, rows):
@@ -252,23 +240,15 @@ def run_length(q: int, pattern) -> int:
     return 1 if c is None else q ** sum(r < c for r in pattern)
 
 
-def run_segments(s: int, start: int, n: int):
-    """The n planes of the odometer range from start, in runs of s planes, as
-    at most three segments (lo, hi, i, j, m): the end of a run begun before
-    start, whole runs and the start of a last run.  Rows lo .. hi-1 of the
-    range are m runs from head i of its PlaneBlock on, offsets
-    j .. j + (hi-lo)/m - 1 of each."""
-    lead = min(n, -start % s)  # rows that end a run begun before start
-    body = lead + (n - lead) // s * s  # whole runs end here
-    for lo, hi in ((0, lead), (lead, body), (body, n)):
-        if hi > lo:
-            i, j = divmod(start % s + lo, s)
-            yield lo, hi, i, j, max(1, (hi - lo) // s)
+def _offset_digits(q: int, j) -> np.ndarray:
+    """The fast column of offset j in a run, (..., 3) uint8: the digits of j,
+    row 0 the lowest (rows below the column's free entries get 0, as j < s)."""
+    return (np.asarray(j)[..., None] // q ** np.arange(3) % q).astype(np.uint8)
 
 
 class PlaneBlock:
-    """The planes of the odometer range [start, stop) of a pivot pattern, held
-    as the head bases of the runs (run_length) that meet it.
+    """The planes of the odometer range [start, stop) of a pivot pattern, a
+    range of whole runs (run_length), held as the runs' head bases.
 
     Index n in [start, stop) is the plane whose free entries, in
     free_positions order, are the base-q digits of n, the last the lowest.
@@ -277,16 +257,21 @@ class PlaneBlock:
     fast column's: the basis of its first plane.  The other planes of the
     run differ from it only in the fast column, the digits of their offset
     in the run.  block[i] is the basis of plane start + i, and bases()
-    builds them all.
+    builds them all.  Any other range raises ValueError: start and stop
+    must be multiples of s with 0 <= start < stop <= pattern_block_size,
+    itself a multiple of s.
     """
 
     def __init__(self, q: int, pattern, start: int, stop: int):
         self.q, self.pattern, self.start, self.stop = q, tuple(pattern), start, stop
         self.fast, self.s = fast_column(pattern), run_length(q, pattern)
-        first = start // self.s
-        heads = np.zeros(((stop - 1) // self.s - first + 1, 3, 6), dtype=np.uint8)
+        s = self.s
+        if not (0 <= start < stop <= pattern_block_size(q, pattern) and start % s == stop % s == 0):
+            raise ValueError(f"[{start}, {stop}) is not a range of whole runs of {s} planes "
+                             f"of pivot pattern {self.pattern}")
+        heads = np.zeros(((stop - start) // s, 3, 6), dtype=np.uint8)
         heads[:, range(3), pattern] = 1
-        run = np.arange(first, first + len(heads))
+        run = np.arange(start // s, stop // s)
         slow = [(r, c) for r, c in free_positions(pattern) if c != self.fast]
         for r, c in reversed(slow):  # last position fastest
             np.divmod(run, q, out=(run, heads[:, r, c]), casting="unsafe")
@@ -296,28 +281,23 @@ class PlaneBlock:
         return self.stop - self.start
 
     def __getitem__(self, i: int) -> np.ndarray:
-        n = range(self.start, self.stop)[i]
-        return PlaneBlock(self.q, self.pattern, n, n + 1).bases()[0]
+        m, j = divmod(range(len(self))[i], self.s)
+        basis = self.heads[m].copy()
+        if self.fast is not None:
+            basis[:, self.fast] = _offset_digits(self.q, j)
+        return basis
 
     def bases(self) -> np.ndarray:
-        """The basis matrices (len(self), 3, 6): each run's head copied to the
-        run's planes, and the offsets' digits in the fast column."""
-        q, fast, s, n = self.q, self.fast, self.s, len(self)
-        out = np.empty((n, 3, 6), dtype=np.uint8)
-        # the fast column of offset j in a run: the digits of j, row 0 the lowest
-        # (rows below its free entries get 0, as j < s)
-        fast_part = (np.arange(s)[:, None] // q ** np.arange(3) % q).astype(np.uint8)
-        heads = self.heads.reshape(-1, 1, 18).view("V18")
-        for lo, hi, i, j, m in run_segments(s, self.start, n):
-            seg = out[lo:hi].reshape(m, (hi - lo) // m, 3, 6)
-            seg.reshape(m, -1, 18).view("V18")[...] = heads[i : i + m]  # one 18-byte copy per plane
-            if fast is not None:
-                seg[..., fast] = fast_part[j : j + seg.shape[1]]
+        """The basis matrices (len(self), 3, 6): each head repeated over its
+        run, and the offsets' digits in the fast column."""
+        out = np.repeat(self.heads, self.s, axis=0)
+        if self.fast is not None:
+            out.reshape(-1, self.s, 3, 6)[..., self.fast] = _offset_digits(self.q, np.arange(self.s))
         return out
 
 
 def planes_block_np(q: int, pattern, start: int, stop: int) -> PlaneBlock:
-    """The block of one odometer range of a pattern: its run heads (PlaneBlock)."""
+    """The block of one range of whole runs of a pattern: its run heads (PlaneBlock)."""
     return PlaneBlock(q, pattern, start, stop)
 
 

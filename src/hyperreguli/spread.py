@@ -22,9 +22,7 @@ from .pg5 import (
     _plane_from_rref,
     block_points,
     column_codes,
-    normalize_point,
     point_table,
-    run_segments,
 )
 
 
@@ -87,19 +85,6 @@ def _flat_weights(ctx: FieldCtx) -> np.ndarray:
     return np.array([q3, q3 * q, q3 * q * q, 1, q, q * q], dtype=dtype)
 
 
-def locate_np(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
-    """Spread.locate over the last axis of an array of nonzero 6-vectors.
-
-    The vectors need not be normalised: y/x is unchanged by scaling.  One
-    gather at each vector's flat index in FieldCtx.ratio_np, a weighted sum
-    of its coordinates, gives its uint16 label (q^3 where x = 0).
-    """
-    weights = _flat_weights(ctx)
-    # coordinates are below q, so a cast from any integer dtype is exact
-    flat = np.einsum("...d,d->...", v, weights, dtype=weights.dtype, casting="unsafe")
-    return ctx.ratio_np[flat]
-
-
 # The columns by falling weight in the flat index x*q^3 + y, x = c0 + c1 q +
 # c2 q^2 and y = c3 + c4 q + c5 q^2: the index is Horner's scheme in q over
 # the columns' coordinates in this order.
@@ -129,21 +114,23 @@ class LabelWork:
 
     A sweep builds one (each pool worker its own), so the kernel makes no
     large temporaries per chunk and its cost does not hang on when the C
-    allocator trims its heap and faults it back in.  Only the pages a call
-    writes are resident: a chunk with runs of s planes fills about n/s rows
-    of run sums and n*q/s of run tables.  The expansion index is built by
-    the first call.
+    allocator trims its heap and faults it back in.  A block of whole runs
+    of s >= q planes has at most n/q runs, and only the pages a call writes
+    are resident: a block with runs of s planes fills n/s rows of run sums
+    and n*q/s of run tables.  The expansion index (block_labels) gets
+    min(n, q^3) rows, as no run is longer than the block or than q^3.
     """
 
     def __init__(self, ctx: FieldCtx, n: int):
         q = ctx.q
-        k = q * q + q + 1
-        self.expand = None  # see block_labels
-        # a range of n planes meets at most n/q + 2 runs of s >= q planes
-        runs = min(n, n // q + 2)
+        P = point_table(ctx.base)
+        k = P.shape[1]
+        runs = n // q
         self.index = np.empty(runs * k, dtype=np.intp)  # the run sums, as np.take reads them
         self.tables = np.empty(runs * q * k, dtype=np.uint16)
         self.codes = np.empty(n * k, dtype=np.uint16)  # as FieldCtx.ratio_np
+        # entry [c, j]: point j's slot in its run's table, j*q + point_table[c, j]
+        self.expand = np.arange(0, k * q, q, dtype=np.intp) + P[: min(n, q**3)]
 
 
 def block_labels(ctx: FieldCtx, B, work: LabelWork | None = None) -> np.ndarray:
@@ -154,19 +141,17 @@ def block_labels(ctx: FieldCtx, B, work: LabelWork | None = None) -> np.ndarray:
     Bases, and the PlaneBlock without a fast column (pattern (3, 4, 5), one
     plane), are labelled by point_labels of all k points; work is not used.
     Otherwise the result is a view of work.codes that the next call with the
-    same work overwrites.
+    same work overwrites; without work, it is LabelWork(ctx, n)'s.
 
     Each run of a PlaneBlock sums the columns other than the fast one once,
     from its head (_flat_index).  Across the run, point j's coordinate in
     the fast column takes only the q values of GF(q), so q gathers in
     FieldCtx.ratio_np fill the run's table of q labels per point, and one
-    np.take of the tables at the expansion index writes the label rows of
-    each run segment (pg5.run_segments).  The expansion index, (q^3, k)
-    intp, has entry [c, j] = j*q + point_table[c, j], the slot of point j's
-    label in a run's table when the fast column has code c: 31 KB at q = 5,
-    8.9 MB at q = 16, built once per work.  Without work, the arrays are
-    sized for the block, and the rows of the expansion index that each
-    segment reads are built for it alone.
+    np.take of the tables at the expansion index's first s rows writes the
+    label rows of every run.  The expansion index (LabelWork.expand, up to
+    (q^3, k) intp) has entry [c, j] = j*q + point_table[c, j], the slot of
+    point j's label in a run's table when the fast column has code c: 31 KB
+    at q = 5, 8.9 MB at q = 16.
     """
     if isinstance(B, PlaneBlock) and B.fast is None:
         B = B.heads  # runs of one plane: the heads are the bases
@@ -174,9 +159,8 @@ def block_labels(ctx: FieldCtx, B, work: LabelWork | None = None) -> np.ndarray:
         labels = point_labels(ctx, B, slice(None))
         labels.sort(axis=1)
         return labels
-    q, n, fast, heads = ctx.q, len(B), B.fast, B.heads
-    fresh = work is None
-    if fresh:
+    q, n, s, fast, heads = ctx.q, len(B), B.s, B.fast, B.heads
+    if work is None:
         work = LabelWork(ctx, n)
     P = point_table(ctx.base)
     runs, k = len(heads), P.shape[1]
@@ -187,15 +171,9 @@ def block_labels(ctx: FieldCtx, B, work: LabelWork | None = None) -> np.ndarray:
     for v in range(q):  # entry [r, j, v]: point j of run r at fast coordinate v
         np.take(ctx.ratio_np, idx, out=tables[..., v], mode="clip")
         idx += w
-    tables = tables.reshape(runs, k * q)
-    slots = np.arange(0, k * q, q, dtype=np.intp)  # point j's table starts at j*q
-    if not fresh and work.expand is None:
-        work.expand = slots + P
     labels = work.codes[: n * k].reshape(n, k)
-    for lo, hi, i, j, m in run_segments(B.s, B.start, n):
-        rows = slice(j, j + (hi - lo) // m)
-        X = slots + P[rows] if fresh else work.expand[rows]
-        np.take(tables[i : i + m], X, axis=1, out=labels[lo:hi].reshape(m, -1, k), mode="clip")
+    np.take(tables.reshape(runs, k * q), work.expand[:s], axis=1,
+            out=labels.reshape(runs, s, k), mode="clip")
     labels.sort(axis=1)
     return labels
 
@@ -233,12 +211,13 @@ def check_disjoint(ctx: FieldCtx, planes, labels) -> None:
     bad = np.flatnonzero((block_labels(ctx, B) != want[:, None]).any(axis=1))
     if len(bad):
         i = bad[0]
-        pts = block_points(ctx.base, B[i : i + 1])[0]
-        located = locate_np(ctx, pts)
+        # both in coefficient order; the points of an RREF basis come normalised
+        located = point_labels(ctx, B[i : i + 1], slice(None))[0]
         j = np.flatnonzero(located != want[i])[0]
+        pt = block_points(ctx.base, B[i : i + 1])[0, j]
         raise RuntimeError(
             f"spread elements are not pairwise disjoint: point "
-            f"{normalize_point(ctx.base, pts[j].tolist())} of element "
+            f"{tuple(pt.tolist())} of element "
             f"{format_label(ctx, labels[i])} locates to {format_label(ctx, int(located[j]))}")
 
 

@@ -7,9 +7,11 @@ census kernel and pg5.plane_points read, or the located-label tally that
 the package itself relies on.  The rank-based oracles (all_points,
 incidence, meet_dim, enumerate_planes, odometer_plane, verify_regularity,
 classify_by_meets, transversals_brute) and the arithmetic plane points
-(plane_points_by_arithmetic) live only here.  The one exception is
+(plane_points_by_arithmetic) live only here.  The exceptions are
 classify_plane, which runs the package's census kernel on a single plane
-so that tests can compare it plane by plane.
+so that tests can compare it plane by plane, and locate_np, which reads
+the package's locate table (FieldCtx.ratio_np) point by point, so that
+tests check it against Spread.locate and use it as the label oracle.
 """
 
 from __future__ import annotations
@@ -25,12 +27,37 @@ from hyperreguli.pg5 import (
     _plane_from_rref,
     _rref,
     free_positions,
-    normalize_point,
     pattern_block_size,
     plane_from_rows,
     planes_block_np,
     projective_coeffs,
+    run_length,
 )
+
+
+def normalize_point(base, v) -> tuple[int, ...]:
+    """Scale v so its first nonzero coordinate is 1; rejects the zero vector."""
+    for c in v:
+        if c:
+            if c == 1:
+                return tuple(v)
+            s = base._inv[c]
+            mrow = base._mul[s]
+            return tuple(mrow[x] for x in v)
+    raise ValueError("the zero vector is not a projective point")
+
+
+def locate_np(ctx, v):
+    """Spread.locate over the last axis of an array of nonzero 6-vectors.
+
+    The vectors need not be normalised: y/x is unchanged by scaling.  Each
+    vector's flat index x*q^3 + y, x = c0 + c1 q + c2 q^2 and
+    y = c3 + c4 q + c5 q^2, summed in int64, reads its uint16 label from
+    FieldCtx.ratio_np (q^3 where x = 0).
+    """
+    q, q3 = ctx.q, ctx.q3
+    weights = np.array([q3, q3 * q, q3 * q * q, 1, q, q * q], dtype=np.int64)
+    return ctx.ratio_np[np.asarray(v, dtype=np.int64) @ weights]
 
 
 def all_points(base):
@@ -224,13 +251,15 @@ def gather_points(base, B):
 
 def seeded_blocks(q, rng, size=64):
     """Plane bases (n, 3, 6) from every fifth pivot pattern: each pattern's
-    last `size` planes, where free entries are large, and `size` random ones."""
+    last `size` planes, where free entries are large, and `size` random ones
+    (odometer_plane)."""
     blocks = []
     for pattern in PIVOT_PATTERNS[::5]:
-        n = pattern_block_size(q, pattern)
-        blocks.append(planes_block_np(q, pattern, max(0, n - size), n).bases())
-        for i in sorted(rng.randrange(n) for _ in range(size)):
-            blocks.append(planes_block_np(q, pattern, i, i + 1).bases())
+        n, s = pattern_block_size(q, pattern), run_length(q, pattern)
+        blocks.append(planes_block_np(q, pattern, max(0, n - size) // s * s, n).bases()[-size:])
+        blocks.append(np.array([odometer_plane(q, pattern, i).basis
+                                for i in sorted(rng.randrange(n) for _ in range(size))],
+                               dtype=np.uint8))
     return np.concatenate(blocks)
 
 

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the alternating order of a pair and the claim rule."""
+"""tools/bench_pairs.py: the alternating order of a pair, the claim rule and
+the no-regression bound."""
 
 import importlib.util
 import json
@@ -44,6 +45,32 @@ def test_compare_counts_wins_and_the_parent_spread():
     higher = bench_pairs.compare(pairs, "m", "higher")
     assert higher["change_wins"] == 1 and not higher["gap_exceeds_parent_iqr"]
     assert bench_pairs.parse_seeds("1-3,9001") == [1, 2, 3, 9001]
+
+
+def test_compare_checks_the_no_regression_bound():
+    """within_bound holds while the change's median is at most bound times the
+    parent's median worse; resolved holds when the parent's IQR is within
+    bound times its median, or when every change run beats every parent run.
+    Without a bound neither field is recorded."""
+    parent = [1.0, 1.0, 1.0, 1.0, 1.0]
+    worse = bench_pairs.compare(_pairs(parent, [1.2] * 5), "m", "lower", 0.25)
+    assert worse["bound"] == 0.25 and worse["within_bound"] and worse["resolved"]
+    worse = bench_pairs.compare(_pairs(parent, [1.3] * 5), "m", "lower", 0.25)
+    assert not worse["within_bound"] and worse["resolved"]
+    higher = bench_pairs.compare(_pairs(parent, [0.8] * 5), "m", "higher", 0.25)
+    assert higher["within_bound"]
+    higher = bench_pairs.compare(_pairs(parent, [0.7] * 5), "m", "higher", 0.25)
+    assert not higher["within_bound"]
+    # quartiles 0.65 and 1.35 of the parent: an IQR of 0.7 against a slack of 0.1
+    noisy = [0.5, 0.8, 1.0, 1.2, 1.5]
+    assert not bench_pairs.compare(_pairs(noisy, [1.0] * 5), "m", "lower", 0.1)["resolved"]
+    beats = bench_pairs.compare(_pairs(noisy, [0.4] * 5), "m", "lower", 0.1)
+    assert beats["resolved"] and beats["within_bound"]
+    beats = bench_pairs.compare(_pairs(noisy, [1.6] * 5), "m", "higher", 0.1)
+    assert beats["resolved"] and beats["within_bound"]
+    tie = bench_pairs.compare(_pairs(noisy, [1.5] * 5), "m", "higher", 0.1)
+    assert not tie["resolved"]  # 1.5 ties the parent's best run, so it does not beat it
+    assert "within_bound" not in bench_pairs.compare(_pairs(noisy, noisy), "m", "lower")
 
 
 def test_every_run_gets_a_fresh_empty_bytecode_cache(monkeypatch):

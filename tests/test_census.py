@@ -40,7 +40,6 @@ from hyperreguli.spread import (
     LabelWork,
     block_labels,
     build_spread,
-    locate_np,
     point_labels,
     spread_element,
 )
@@ -50,6 +49,8 @@ from helpers import (
     classify_plane,
     enumerate_planes,
     gather_points,
+    locate_np,
+    odometer_plane,
     plane_points_by_arithmetic,
     seeded_blocks,
     trace_check_oracle,
@@ -343,72 +344,63 @@ def test_point_labels_match_gather_oracle(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_free_column_kernel_matches_gather_oracle(q):
-    """block_labels on odometer ranges of one pivot pattern, given as
+    """block_labels on ranges of whole runs of one pivot pattern, given as
     PlaneBlocks of run heads, which sum each run's slow columns once, gather
     each run's table of q labels per point and expand it over the run's
     planes, give the row-sorted located labels of the table-gather points.
     For each pattern, the fast-less (3, 4, 5) among them (whose one plane
     block_labels labels by point_labels, leaving the work unread): its last
     chunk of whole runs (as enumeration_chunks with chunks of 1500 planes),
-    one range with unaligned ends, one that starts and stops inside one run,
-    one that starts inside a run and stops inside the next, and seeded
-    single planes.
-    One LabelWork, larger than any range, serves all 20 patterns; the ranges
-    inside runs are also labelled without a work, which builds only the rows
-    of the expansion index that they read.  Both kinds of range inside runs
-    are tested at every run length s = q, q^2, q^3 (inside one run from
-    s = 3, as it needs an offset strictly between two others)."""
+    where the pattern has two runs or more, each under 750 planes, a seeded
+    range of two or more runs and up to 1500 planes, and a seeded single
+    run.
+    One LabelWork, larger than any range, serves all 20 patterns; the single
+    runs are also labelled without a work, in a LabelWork sized for the
+    block.  Single runs are tested at every run length s = q, q^2, q^3."""
     ctx = field(q)
     rng = random.Random(300 + q)
     chunk = 1500
     work = LabelWork(ctx, max(chunk, q**3))
-    inside, across = set(), set()
+    lengths = set()
     for pattern in PIVOT_PATTERNS:
         size, s = pattern_block_size(q, pattern), run_length(q, pattern)
-        step = max(s, chunk // s * s)
-        start = rng.randrange(size)
-        ranges = [((size - 1) // step * step, size),
-                  (start, min(size, start + rng.randrange(1, chunk)))]
-        mid = []
-        # ends at offsets 0 < a < s into their runs, under 2 * 256 planes apart
-        if s > 2:
-            r, a = rng.randrange(size // s), rng.randrange(1, s - 1)
-            mid.append((r * s + a, r * s + rng.randrange(a + 1, min(s, a + 256))))
-            inside.add(s)
-        if s > 1 and size // s >= 2:
-            r = rng.randrange(1, size // s)
-            mid.append((r * s - rng.randrange(1, min(s, 256)), r * s + rng.randrange(1, min(s, 256))))
-            across.add(s)
-        ranges += mid
-        ranges += [(j, j + 1) for j in sorted(rng.randrange(size) for _ in range(8))]
-        for start, stop in ranges:
+        runs, step = size // s, max(1, chunk // s)
+        ranges = [((runs - 1) // step * step * s, size)]
+        if step > 1 and runs > 1:
+            start = rng.randrange(runs - 1)
+            ranges.append((start * s, min(runs, start + rng.randrange(2, step + 1)) * s))
+        single = rng.randrange(runs) * s
+        lengths.add(s)
+        for start, stop in ranges + [(single, single + s)]:
             block = planes_block_np(q, pattern, start, stop)
             want = np.sort(locate_np(ctx, gather_points(ctx.base, block.bases())), axis=1)
             got = block_labels(ctx, block, work)
             assert np.array_equal(got, want), (pattern, start, stop)
-            if (start, stop) in mid:
+            if start == single:
                 got = block_labels(ctx, block)
                 assert np.array_equal(got, want), (pattern, start, stop)
-    assert {q, q * q, q**3} - {2} <= inside and {q, q * q, q**3} <= across
+    assert {q, q * q, q**3} <= lengths
 
 
 @pytest.mark.parametrize("q", [9, 16])
 def test_one_plane_needs_one_plane_of_work(q):
-    """block_labels without a work sizes its arrays to the block, not to a
-    run: one plane of each pivot pattern, with the pattern (runs of up to
-    q^3 planes) and without it, gives the oracle's labels, and one plane
-    without a pattern, labelled by point_labels, allocates under 64 KB
+    """block_labels without a work sizes its arrays to the block: one run of
+    each pivot pattern (up to q^3 planes), given with the pattern and as
+    bases, gives the oracle's labels, and the one plane of the fast-less
+    pattern (3, 4, 5), labelled by point_labels, allocates under 64 KB
     (tracemalloc: 7 KB at q = 16, where the whole expansion index takes
     8.9 MB)."""
     ctx = field(q)
     rng = random.Random(500 + q)
     for pattern in PIVOT_PATTERNS:
-        j = rng.randrange(pattern_block_size(q, pattern))
-        block = planes_block_np(q, pattern, j, j + 1)
+        size, s = pattern_block_size(q, pattern), run_length(q, pattern)
+        j = rng.randrange(size // s) * s
+        block = planes_block_np(q, pattern, j, j + s)
         B = block.bases()
         want = np.sort(locate_np(ctx, gather_points(ctx.base, B)), axis=1)
         assert np.array_equal(block_labels(ctx, block), want), (pattern, j)
         assert np.array_equal(block_labels(ctx, B), want), (pattern, j)
+    assert len(B) == 1
     tracemalloc.start()
     try:
         block_labels(ctx, B)
@@ -448,14 +440,15 @@ def test_classify_block_labels_at_large_q(q):
 
 
 def test_census_chunk_temporaries_stay_small(ctx5):
-    """Beside the sweep's work arrays, a q = 5 chunk of 2^14 planes with the
+    """Beside the sweep's work arrays, a q = 5 chunk of 16,375 planes (the
+    whole runs of 125 in 2^14, as enumeration_chunks cuts them) with the
     trace tally allocates under 1 MB at a time (tracemalloc; 0.41 MB from run
     heads, 0.62 MB when every plane's basis was built, with the equality
     mask and the B rows in the work arrays, 1.04 MB with the B
     rows copied out for the tally); with the GF(p) product and its quotient
     made afresh for every chunk it took 6.7 MB."""
     table = cover_table(ctx5)
-    n = DEFAULT_CHUNK_SIZE
+    n = DEFAULT_CHUNK_SIZE // 125 * 125  # whole runs of pattern (0, 1, 2), as enumeration_chunks
     work = census._ChunkWork(ctx5, n)
     census._census_chunk(ctx5, table, work, 0, 0, n)  # builds ratio_np
     tracemalloc.start()
@@ -807,7 +800,7 @@ def test_census_chunk_names_the_plane_of_a_bad_tally(ctx3, monkeypatch):
     """A label row of no class, put into the kernel's output for one plane
     of a chunk, stops the chunk with that plane's basis (its row of the
     chunk's block), its pivot pattern and its odometer index."""
-    pattern_idx, start, stop, bad = 3, 40, 400, 123  # pattern (0, 1, 5), unaligned
+    pattern_idx, start, stop, bad = 3, 36, 405, 123  # pattern (0, 1, 5), runs of 9
     block_labels_of = census.block_labels
 
     def injected(ctx, B, *block):
@@ -817,7 +810,7 @@ def test_census_chunk_names_the_plane_of_a_bad_tally(ctx3, monkeypatch):
 
     monkeypatch.setattr(census, "block_labels", injected)
     pattern = PIVOT_PATTERNS[pattern_idx]
-    basis = planes_block_np(3, pattern, start + bad, start + bad + 1)[0].tolist()
+    basis = [list(row) for row in odometer_plane(3, pattern, start + bad).basis]
     with pytest.raises(RuntimeError, match="inconsistent intersection tally") as err:
         census._census_chunk(ctx3, None, census._ChunkWork(ctx3, stop - start),
                              pattern_idx, start, stop)

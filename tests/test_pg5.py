@@ -17,7 +17,6 @@ from hyperreguli.pg5 import (
     free_columns,
     free_positions,
     gaussian_binomial,
-    normalize_point,
     num_points,
     pattern_block_size,
     plane_from_points,
@@ -33,6 +32,7 @@ from helpers import (
     enumerate_planes,
     incidence,
     meet_dim,
+    normalize_point,
     odometer_plane,
     plane_points_by_arithmetic,
     random_full_rank_rows,
@@ -236,20 +236,36 @@ def test_pattern_blocks_vary_only_in_free_columns(q):
 
 
 def _check_range(q, pattern, start, stop, want):
-    """planes_block_np over [start, stop) gives the planes want (n, 3, 6),
-    all at once and its first and last plane one by one."""
-    block = planes_block_np(q, pattern, start, stop)
-    assert len(block) == stop - start
-    assert np.array_equal(block.bases(), want), (q, pattern, start, stop)
-    assert np.array_equal(block[0], want[0]) and np.array_equal(block[-1], want[-1])
+    """The planes [start, stop) of a pattern are want (n, 3, 6), read from
+    the PlaneBlock of the whole runs that meet them: all at once through
+    bases() and the first and last one by one through block[i], the last
+    from the block's end.  The range itself is a PlaneBlock only when its
+    ends are run boundaries."""
+    s = run_length(q, pattern)
+    lo, hi = start // s * s, -(-stop // s) * s
+    block = planes_block_np(q, pattern, lo, hi)
+    assert len(block) == hi - lo
+    assert np.array_equal(block.bases()[start - lo : stop - lo], want), (q, pattern, start, stop)
+    assert np.array_equal(block[start - lo], want[0]) and np.array_equal(block[stop - 1 - hi], want[-1])
+    if (lo, hi) != (start, stop):
+        with pytest.raises(ValueError, match="whole runs"):
+            planes_block_np(q, pattern, start, stop)
+
+
+def _check_every_plane(block, want):
+    """block[i] is want[i] for every plane of the block, and bases() is want."""
+    assert np.array_equal(np.array([block[i] for i in range(len(block))]), want)
+    assert np.array_equal(block.bases(), want)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_unaligned_ranges_match_the_stream(q, ctx_by_q):
     """Every start of every pattern, with a length from 1 to 2s+1 that
     cycles with the start: ranges inside one run, single planes, and ranges
-    that start and stop mid-run around zero, one or two whole runs, against
-    enumerate_planes.  odometer_plane, the oracle at larger q, agrees."""
+    that start and stop mid-run around zero, one or two whole runs, read
+    from the whole runs that meet them, against enumerate_planes; each
+    pattern's whole range plane by plane.  odometer_plane, the oracle at
+    larger q, agrees."""
     stream = np.array([pl.basis for pl in enumerate_planes(ctx_by_q[q].base)], dtype=np.uint8)
     offset = 0
     for pattern in PIVOT_PATTERNS:
@@ -261,7 +277,7 @@ def test_unaligned_ranges_match_the_stream(q, ctx_by_q):
         for start in range(size):
             stop = min(size, start + 1 + start % (2 * s + 1))
             _check_range(q, pattern, start, stop, want[start:stop])
-        _check_range(q, pattern, 0, size, want)
+        _check_every_plane(planes_block_np(q, pattern, 0, size), want)
     assert offset == len(stream) == count_planes(q)
 
 
@@ -269,16 +285,41 @@ def test_unaligned_ranges_match_the_stream(q, ctx_by_q):
 def test_seeded_unaligned_ranges_match_the_odometer(q):
     """Seeded ranges of every pattern at larger q: single planes, ranges
     inside one run, and ranges that start and stop mid-run around whole
-    runs, against odometer_plane plane by plane."""
+    runs, read from the whole runs that meet them, and a seeded range of up
+    to three whole runs plane by plane, against odometer_plane."""
     rng = random.Random(q)
+
+    def odometer(start, stop):
+        return np.array([odometer_plane(q, pattern, i).basis for i in range(start, stop)],
+                        dtype=np.uint8)
+
     for pattern in PIVOT_PATTERNS:
         size, s = pattern_block_size(q, pattern), run_length(q, pattern)
         for length in (1, max(1, s // 2), s + 1, 2 * s + 1, 3 * s):
             start = rng.randrange(size - min(size, length) + 1)
             stop = start + min(size - start, length)
-            want = np.array([odometer_plane(q, pattern, i).basis for i in range(start, stop)],
-                            dtype=np.uint8)
-            _check_range(q, pattern, start, stop, want)
+            _check_range(q, pattern, start, stop, odometer(start, stop))
+        runs = rng.randrange(1, min(3, size // s) + 1)
+        start = rng.randrange(size // s - runs + 1) * s
+        stop = start + runs * s
+        _check_every_plane(planes_block_np(q, pattern, start, stop), odometer(start, stop))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_partial_run_ranges_are_refused(q):
+    """A PlaneBlock holds whole runs only: a range that starts or stops
+    inside a run, is empty or leaves its pattern raises ValueError, and
+    each pattern's first and last run are blocks."""
+    for pattern in PIVOT_PATTERNS:
+        size, s = pattern_block_size(q, pattern), run_length(q, pattern)
+        bad = [(0, 0), (s, s), (s, 0), (-s, s), (0, size + s)]
+        if s > 1:
+            bad += [(1, s), (0, s - 1), (s - 1, 2 * s), (0, size - 1), (size - s + 1, size)]
+        for start, stop in bad:
+            with pytest.raises(ValueError, match="whole runs"):
+                planes_block_np(q, pattern, start, stop)
+        for start in (0, size - s):
+            assert len(planes_block_np(q, pattern, start, start + s)) == s
 
 
 def test_all_points_count_and_normalization(ctx2, ctx3):

@@ -8,13 +8,13 @@ from hyperreguli.spread import (
     build_spread,
     format_label,
     infinity_label,
-    locate_np,
     spread_element,
 )
 
 from helpers import (
     all_points,
     incidence,
+    locate_np,
     meet_dim,
     plane_points_by_arithmetic,
     verify_regularity,
@@ -65,8 +65,8 @@ def test_locate_matches_brute_force(q, ctx_by_q, spread_by_q):
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_locate_np_matches_locate_every_point(q):
-    """Both flat-index widths: uint16 up to q = 5, uint32 from q = 7
-    (q^6 = 117649 would wrap in uint16)."""
+    """The tests' label oracle agrees with Spread.locate at every point, on
+    both sides of q^6 = 2^16 (q^6 = 117649 at q = 7), and under scaling."""
     ctx = make_field(q)
     spread = build_spread(ctx, check=False)
     pts = np.array(list(all_points(ctx.base)), dtype=np.uint8)

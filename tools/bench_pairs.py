@@ -14,7 +14,9 @@ and neither reads the `__pycache__` directories it carries.  For every
 workload and end-to-end metric in BENCHMARK.json the output gives the values
 of each pair, each side's median and quartiles (as
 `statistics.quantiles(values, n=4)` gives them), the number of pairs the change
-wins, and whether the median gap exceeds the parent's interquartile range.
+wins, and whether the median gap exceeds the parent's interquartile range;
+each end-to-end metric also gets the no-regression verdict of its bound
+(compare).
 With --trace, each pair is also run once traced in each checkout, and the
 per-layer metrics named there are summarised the same way.  The exit status
 is 1 when any run failed its correctness gate or crashed.  The summary is
@@ -89,12 +91,26 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def compare(pairs: list[dict], name: str, better: str) -> dict:
-    """Per-pair values of one metric and the verdict of the claim rule."""
+def compare(pairs: list[dict], name: str, better: str, bound: float | None = None) -> dict:
+    """Per-pair values of one metric and the verdict of the claim rule; with
+    the metric's no-regression bound, also that rule's verdict:
+    within_bound when the change's median is no worse than the parent's by
+    more than bound times the parent's median, and resolved when the
+    parent's interquartile range is within bound times its median or every
+    change run beats every parent run."""
     parent = [p["parent"][name] for p in pairs]
     change = [p["change"][name] for p in pairs]
     sign = 1 if better == "lower" else -1
     p, c = quartiles(parent), quartiles(change)
+    verdict = {}
+    if bound is not None:
+        slack = bound * abs(p["median"])
+        verdict = {
+            "bound": bound,
+            "within_bound": sign * (c["median"] - p["median"]) <= slack,
+            "resolved": p["q3"] - p["q1"] <= slack
+            or all(sign * (a - b) > 0 for a in parent for b in change),
+        }
     return {
         "better": better,
         "parent": parent,
@@ -104,6 +120,7 @@ def compare(pairs: list[dict], name: str, better: str) -> dict:
         "median_change_ratio": c["median"] / p["median"] - 1 if p["median"] else 0.0,
         "change_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
         "gap_exceeds_parent_iqr": sign * (p["median"] - c["median"]) > p["q3"] - p["q1"],
+        **verdict,
     }
 
 
@@ -152,7 +169,7 @@ def main(argv=None) -> int:
         entry = out["workloads"][workload] = {}
         try:
             pairs = run_pairs(args, workload, 0, hosts)
-            entry["end_to_end"] = {m["name"]: compare(pairs, m["name"], m["better"])
+            entry["end_to_end"] = {m["name"]: compare(pairs, m["name"], m["better"], m["bound"])
                                    for m in bench["end_to_end"]}
             if traced:
                 pairs = run_pairs(args, workload, 1, hosts)
