@@ -18,7 +18,10 @@ meets; each such trace must be a cover and each cover must occur exactly
 keeps the others as witnesses, so with distinct keys that holds exactly
 when no witness is left and every count is 2(q^2+q+1).  The main process
 keeps one copy of the keys (CoverSet.keys, shared by the forked pool
-workers) and no Python object per cover.
+workers) and no Python object per cover.  Each chunk's B rows are looked
+up in one pass (CoverTable): a hash of 12 of each row's labels, a slot
+read that gives one candidate key row, and a compare of every label, which
+is the proof; the key rows are gathered into the chunk's label buffer.
 
 A plane is classified without any rank computations: each of its q^2+q+1
 points lies in exactly one spread element, located arithmetically, so the
@@ -36,12 +39,12 @@ fast coordinate) from FieldCtx.ratio_np, and expands those tables over the
 chunk's planes with one np.take at a fixed index.  The class masks come
 from one equality pass over the chunk's flat label rows, and the B rows go
 to the trace tally gathered by index.  The sweep, and each pool worker,
-allocates the chunk's arrays once (_ChunkWork: the kernel's work and one
-buffer for the equality mask and then the B rows) and reuses them for
-every chunk.  The sweep is an order-independent reduction over
-enumeration chunks, so any chunk split or worker count produces the
-identical report: each of min(jobs, chunks) workers reduces its share of
-the chunks itself (class counts, one covers-sized array of trace counts,
+allocates the chunk's arrays once (_ChunkWork: the kernel's work, one
+buffer for the equality mask and then the B rows, and the tally's lookup
+arrays) and reuses them for every chunk.  The sweep is an
+order-independent reduction over enumeration chunks, so any chunk split or
+worker count produces the identical report: each of min(jobs, chunks)
+workers reduces its share of the chunks itself (class counts, one covers-sized array of trace counts,
 witnesses) and sends that one result, and the main process sums one result
 per worker.  The shares are balanced by plane count, largest chunks first
 (_shares).  A plane of no class stops the census with its basis (rebuilt
@@ -160,28 +163,59 @@ def trace_key_bytes(labels) -> bytes:
     return np.asarray(labels, dtype="<u2").tobytes()
 
 
-# Rows per block of CoverTable.lookup.  A block's temporaries (hashes, the
-# candidate key rows and their comparison) then stay a fraction of a census
-# chunk's label rows; at 2^14 rows, those of a q = 5 chunk's trace tally made
-# the C allocator give its heap top back and fault it in again every chunk.
-_LOOKUP_ROWS = 1 << 11
+# Steps a probe takes along the sorted hashes from its slot before it
+# binary-searches them instead.  With at least two slots per key, 79% of the
+# keys at q = 5 (88% at q = 9) are their slot's first, and 11 (64 at q = 9)
+# are 4 or more deep; crowded hashes (equal or zero multipliers in the
+# tests) all go to the search, which bounds the cost.
+_PROBE_STEPS = 4
+
+
+class _LookupWork:
+    """The arrays of a CoverTable lookup of up to n rows of k labels, reused
+    by every chunk of a census sweep: the row hashes, their slots (then, as
+    an integer view, the hashes found there), the positions in the sorted
+    hashes, the key row indices, and the key rows gathered for the label
+    compare, n * k uint16 that may be a buffer of the caller's."""
+
+    def __init__(self, n: int, k: int, keys: np.ndarray | None = None):
+        self.hashes = np.empty(n, dtype=np.uint64)
+        self.slots = np.empty(n, dtype=np.intp)
+        self.at = np.empty(n, dtype=np.int32)
+        self.idx = np.empty(n, dtype=np.int32)
+        self.keys = np.empty(n * k, dtype=np.uint16) if keys is None else keys
 
 
 class CoverTable(Set):
     """The cover keys of a CoverSet, as a set of key bytes, with exact lookup
-    of sorted label rows: a row's hash is found among the cover hashes from
-    the bucket of its top bits (about one hash each), and the row matches a
-    cover only when all its labels equal the cover's key row, so hash
-    collisions cost time, never exactness."""
+    of label rows.
+
+    A row's one candidate is the first cover whose row_hash is at least the
+    row's.  The slot table has at least two int32 slots per key, indexed by
+    the top bits of a hash; slot s holds the position in the sorted hashes
+    of the first hash at or above s, so a probe reads its slot, then the
+    hash there, and steps on while the hashes are smaller: mostly no step,
+    at most _PROBE_STEPS before a binary search.  The row matches when all
+    its labels equal the candidate's key row (read through the row order),
+    and when every row of a chunk matches, one pass over the XOR of the
+    gathered keys and the rows proves it, with no per-row mask.  A row that
+    fails the compare but shares its hash with covers (a hash tie) is
+    matched among all of them, so ties cost time, never exactness.  The
+    table holds no mutable state: a census passes its chunk's work arrays
+    (_LookupWork), and other lookups size theirs to the rows.
+    """
 
     def __init__(self, cover_set: CoverSet):
         self.keys, self.hashes, self.order = cover_set.keys, cover_set.hashes, cover_set.order
         self.total = cover_set.total  # distinct keys
-        bits = len(self.hashes).bit_length()  # 2^bits buckets: 128 KB at q = 5, 16 MB at q = 9
-        self._shift, self._starts = 64 - bits, np.empty(2**bits, dtype=np.int32)
-        for t in range(0, 2**bits, 1 << 18):  # bucket t starts at the first hash >= t << shift
+        n = len(self.hashes)
+        # 2^bits >= 2n slots (int32): 256 KB at q = 5, 32 MB at q = 9
+        bits = n.bit_length() + 1
+        self._shift = np.uint64(64 - bits)
+        self._slots = np.empty(2**bits, dtype=np.int32)
+        for t in range(0, 2**bits, 1 << 18):  # slot t: the first hash >= t << shift
             tops = np.arange(t, min(t + (1 << 18), 2**bits), dtype=np.uint64)
-            self._starts[t : t + len(tops)] = np.searchsorted(self.hashes, tops << self._shift)
+            self._slots[t : t + len(tops)] = np.searchsorted(self.hashes, tops << self._shift)
 
     def __len__(self) -> int:
         return self.total
@@ -190,50 +224,68 @@ class CoverTable(Set):
         return self.find(key) >= 0
 
     def __iter__(self):  # the key rows that lookup finds at their own index
-        return map(trace_key_bytes, self.keys[self.lookup(self.keys) == np.arange(len(self.keys))])
+        n, k = len(self.keys), self.keys.shape[1]
+        work = _LookupWork(min(n, DEFAULT_CHUNK_SIZE), k)
+        for start in range(0, n, DEFAULT_CHUNK_SIZE):
+            block = self.keys[start : start + DEFAULT_CHUNK_SIZE]
+            own = self.lookup(block, work) == np.arange(start, start + len(block))
+            yield from (trace_key_bytes(block[i]) for i in np.flatnonzero(own))
 
     @classmethod
     def _from_iterable(cls, it) -> set:
         return set(it)
 
-    def lookup(self, rows: np.ndarray) -> np.ndarray:
+    def lookup(self, rows: np.ndarray, work: _LookupWork | None = None) -> np.ndarray:
         """Key row index of each row's cover (int32), or -1 where the row is no cover.
 
-        The rows are looked up _LOOKUP_ROWS at a time, so the temporaries
-        stay small next to a census chunk's arrays.
+        With work, the result is a view of its arrays that the next lookup
+        with the same work overwrites.
         """
-        out = np.empty(len(rows), dtype=np.int32)
-        for start in range(0, len(rows), _LOOKUP_ROWS):
-            block = slice(start, start + _LOOKUP_ROWS)
-            out[block] = self._lookup_block(rows[block])
-        return out
+        return self._lookup(rows, work)[0]
 
-    def _first_at_least(self, h: np.ndarray) -> np.ndarray:
-        """np.searchsorted(self.hashes, h): the start of each h's bucket, one
-        step into it, and a search of all hashes for the few h further in."""
-        cand = self._starts[h >> self._shift]
-        cand += self.hashes.take(cand, mode="clip") < h
-        behind = np.flatnonzero(self.hashes.take(cand, mode="clip") < h)
-        cand[behind] = np.searchsorted(self.hashes, h[behind])
-        return cand
+    def _probe(self, h: np.ndarray, work: _LookupWork) -> np.ndarray:
+        """np.searchsorted(self.hashes, h) (left), written into work.at: the
+        slot's position, at most _PROBE_STEPS steps from it, and a binary
+        search for the rows still behind."""
+        n = len(h)
+        slots = work.slots[:n]
+        np.right_shift(h, self._shift, out=slots, casting="unsafe")
+        at = np.take(self._slots, slots, out=work.at[:n])
+        found = np.take(self.hashes, at, out=slots.view(np.uint64), mode="clip")
+        behind = np.flatnonzero(found < h)
+        for _ in range(_PROBE_STEPS):
+            if not len(behind):
+                return at
+            at[behind] += 1
+            behind = behind[self.hashes.take(at[behind], mode="clip") < h[behind]]
+        if len(behind):
+            at[behind] = np.searchsorted(self.hashes, h[behind])
+        return at
 
-    def _lookup_block(self, rows: np.ndarray) -> np.ndarray:
-        h = row_hash(rows)
-        last = len(self.keys) - 1
-        cand = np.minimum(self._first_at_least(h), last)
-        idx = self.order[cand]
-        same_hash = self.hashes[cand] == h
-        found = self.keys.take(idx, axis=0)
-        if same_hash.all() and np.array_equal(found, rows):  # every row a cover
-            return idx
-        hit = same_hash & ~(found != rows).any(axis=1)
-        out = np.where(hit, idx, np.int32(-1))
+    def _lookup(self, rows: np.ndarray, work: _LookupWork | None) -> tuple[np.ndarray, np.ndarray]:
+        """lookup's result and the positions of the rows that are no cover."""
+        n, k = rows.shape
+        if work is None:
+            work = _LookupWork(n, k)
+        h = row_hash(rows, out=work.hashes[:n])
+        at = self._probe(h, work)
+        idx = np.take(self.order, at, out=work.idx[:n], mode="clip")
+        found = np.take(self.keys, idx, axis=0, out=work.keys[: n * k].reshape(n, k), mode="clip")
+        if rows.dtype == found.dtype:
+            diff = np.bitwise_xor(found, rows, out=found)
+        else:  # query rows of another dtype are compared as they are, not cast
+            diff = found != rows
+        if not diff.any():  # every row a cover
+            return idx, np.empty(0, dtype=np.intp)
+        missed = np.flatnonzero(diff.any(axis=1))
         # a miss may share its hash with further covers; one whose hash is
         # no cover's is no cover
-        tied = np.flatnonzero(same_hash & ~hit)
-        if tied.size:
-            out[tied] = self._lookup_tied(rows[tied], cand[tied], h[tied])
-        return out
+        at, h = at[missed], h[missed]
+        tied = self.hashes.take(at, mode="clip") == h
+        idx[missed] = -1
+        if tied.any():
+            idx[missed[tied]] = self._lookup_tied(rows[missed[tied]], at[tied], h[tied])
+        return idx, missed[idx[missed] < 0]
 
     def _lookup_tied(self, rows: np.ndarray, first: np.ndarray, h: np.ndarray) -> np.ndarray:
         """lookup of rows whose hash h some cover has, first being the
@@ -256,12 +308,15 @@ class CoverTable(Set):
         ok = isinstance(key, bytes) and len(key) == 2 * self.keys.shape[1]
         return int(self.lookup(np.frombuffer(key, dtype="<u2")[None])[0]) if ok else -1
 
-    def tally(self, rows: np.ndarray) -> tuple[np.ndarray, Counter]:
+    def tally(self, rows: np.ndarray, work: _LookupWork | None = None) -> tuple[np.ndarray, Counter]:
         """The key row index of each row that is a cover (one entry per row,
-        not per cover), and a Counter of the rows that are no cover."""
-        idx = self.lookup(rows)
-        witnesses = Counter(trace_key_bytes(r) for r in rows[idx < 0])
-        return idx[idx >= 0], witnesses
+        not per cover), and a Counter of the rows that are no cover.
+
+        With work, the indices are a view of its arrays, as lookup's."""
+        idx, missed = self._lookup(rows, work)
+        if not len(missed):
+            return idx, Counter()
+        return idx[idx >= 0], Counter(map(trace_key_bytes, rows[missed]))
 
 
 class TraceCounts(Mapping):
@@ -286,14 +341,18 @@ class TraceCounts(Mapping):
 
 class _ChunkWork:
     """The arrays a census sweep reuses for each chunk of up to n planes:
-    block_labels' work, and one buffer of label rows that holds
+    block_labels' work, one buffer of label rows that holds
     _classify_block's equality mask and then, the mask read, the chunk's B
-    rows for the trace tally.  Sharing it keeps the mask from adding to the
-    peak memory of the tally."""
+    rows for the trace tally, and the tally's lookup arrays, whose gathered
+    key rows reuse the label buffer, free once the B rows are copied out.
+    Sharing them keeps the mask and the tally from adding to the chunk's
+    peak memory."""
 
     def __init__(self, ctx: FieldCtx, n: int):
+        k = cover_size(ctx.q)
         self.labels = LabelWork(ctx, n)
-        self.rows = np.empty((n, cover_size(ctx.q)), dtype=np.uint16)  # as FieldCtx.ratio_np
+        self.rows = np.empty((n, k), dtype=np.uint16)  # as FieldCtx.ratio_np
+        self.lookup = _LookupWork(n, k, keys=self.labels.codes)
 
 
 def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
@@ -308,7 +367,8 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
     if table is not None:
         b = np.flatnonzero(is_b)
         # no index is out of range; with mode="raise" np.take would buffer out
-        hits, witnesses = table.tally(codes.take(b, axis=0, out=work.rows[: len(b)], mode="clip"))
+        rows = codes.take(b, axis=0, out=work.rows[: len(b)], mode="clip")
+        hits, witnesses = table.tally(rows, work.lookup)  # overwrites codes
     return int(is_a.sum()), int(is_b.sum()), int(is_c.sum()), hits, witnesses
 
 

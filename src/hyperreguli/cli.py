@@ -109,10 +109,17 @@ def _checked_spread(ctx: FieldCtx, checks: list):
 
 # ----------------------------------------------------------------------
 # Subcommands.  Each returns (checks, data).  When the spread fails its
-# check, the checks end with that failing check and the data is {}.
+# check, or a later stage of verify raises, the checks end with that failing
+# check and the data is {}.
 # ----------------------------------------------------------------------
 
 def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
+    """The whole pipeline.  A RuntimeError past the spread check, such as a
+    plane of no class in the census, keeps the checks made before it and
+    ends them with a failing check of its stage, whose actual value is the
+    error's message and witness; the data is then {}.  A crashed census
+    worker (BrokenProcessPool, also a RuntimeError) stays an infrastructure
+    failure."""
     q = ctx.q
     checks = []
     for rec in ctx.self_test():
@@ -123,26 +130,35 @@ def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
         return checks, {}
     _check(checks, "spread_partition", True, True)
 
-    cover_set = covers_mod.enumerate_covers(ctx, check_dedup=True)
-    _cover_count_checks(checks, q, cover_set)
-    _check(checks, "covers_dedup_exact", True, cover_set.dedup_exact)
+    stage = "covers"
+    try:
+        cover_set = covers_mod.enumerate_covers(ctx, check_dedup=True)
+        _cover_count_checks(checks, q, cover_set)
+        _check(checks, "covers_dedup_exact", True, cover_set.dedup_exact)
 
-    report = census_mod.run_census(ctx, spread, jobs=args.jobs, cover_set=cover_set)
-    _census_checks(checks, q, report)
-    if report.trace_check.checked:
-        _check(checks, "trace_matched", True, report.trace_check.matched)
-        _check(checks, "trace_multiplicity", True, report.trace_check.multiplicity_ok)
+        stage = "census"
+        report = census_mod.run_census(ctx, spread, jobs=args.jobs, cover_set=cover_set)
+        _census_checks(checks, q, report)
+        if report.trace_check.checked:
+            _check(checks, "trace_matched", True, report.trace_check.matched)
+            _check(checks, "trace_multiplicity", True, report.trace_check.multiplicity_ok)
 
-    expected_tv = hyperreg_mod.transversal_count(q)
-    if q <= 3:
-        targets = list(cover_set.covers)
-    else:
-        targets = _sample_covers(cover_set, args.sample or DEFAULT_SAMPLE, args.seed)
-    bad = 0
-    for cover in targets:
-        hr = hyperreg_mod.hyper_regulus(spread, cover)
-        if len(hyperreg_mod.transversal_planes(spread, hr)) != expected_tv:
-            bad += 1
+        stage = "transversals"
+        expected_tv = hyperreg_mod.transversal_count(q)
+        if q <= 3:
+            targets = list(cover_set.covers)
+        else:
+            targets = _sample_covers(cover_set, args.sample or DEFAULT_SAMPLE, args.seed)
+        bad = 0
+        for cover in targets:
+            hr = hyperreg_mod.hyper_regulus(spread, cover)
+            if len(hyperreg_mod.transversal_planes(spread, hr)) != expected_tv:
+                bad += 1
+    except BrokenProcessPool:
+        raise
+    except RuntimeError as exc:
+        _check(checks, f"{stage}_completed", True, str(exc))
+        return checks, {}
     _check(
         checks,
         "transversals_exact",

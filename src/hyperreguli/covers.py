@@ -35,8 +35,11 @@ sets (_level_keys).  Keys are written in place.
 
 The enumeration holds every key as a row of one (N, q^2+q+1) uint16 array,
 next to an (N, 4) array of the parameters (kind, a, b, f); a Cover object is
-built only when CoverSet.covers is indexed.  The rows' order by row_hash
-serves where a sorted copy of the keys would.
+built only when CoverSet.covers is indexed.  The rows' order by row_hash,
+a hash of 12 strided labels of each row, serves where a sorted copy of the
+keys would: the distinct counts compare whole rows only where hashes tie,
+and the census's cover table finds each trace's one candidate row by its
+hash.
 
 Counting both families: q^3(q-1) covers of kind 1, q^3(q^3-1)(q-1)/2 of
 kind 2, and q^3(q-1)(q^3+1)/2 in total.
@@ -70,19 +73,34 @@ def cover_size(q: int) -> int:
     return q * q + q + 1
 
 
-# Multipliers of the key-row hash, one seeded odd integer per label column
-# (stdlib random: numpy.random would add about 15 ms to every import).
+# The key-row hash reads the labels at _HASH_POSITIONS strided positions,
+# with one seeded odd multiplier each (stdlib random: numpy.random would add
+# about 15 ms to every import).
+_HASH_POSITIONS = 12
 _HASH_MULTIPLIERS = np.array([rng.getrandbits(64) | 1 for rng in [random.Random(1973)]
-                              for _ in range(cover_size(MAX_Q))], dtype=np.uint64)
+                              for _ in range(_HASH_POSITIONS)], dtype=np.uint64)
 
 
-def row_hash(rows: np.ndarray) -> np.ndarray:
-    """64-bit hash of each label row (wrapping sum of label times multiplier).
+def hashed_labels(rows: np.ndarray) -> np.ndarray:
+    """The labels of each row that row_hash reads, as a view: positions 0,
+    s, 2s, ... (up to _HASH_POSITIONS of them) with s = max(1, (k-1) // 12),
+    all before the last label, which is infinity in every kind-2 cover
+    with f = 1."""
+    k = rows.shape[1]
+    return rows[:, : k - 1 : max(1, (k - 1) // _HASH_POSITIONS)][:, :_HASH_POSITIONS]
+
+
+def row_hash(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """64-bit hash of each label row: the wrapping sum of its hashed_labels
+    times the multipliers, written into out when given.
 
     einsum widens the labels to uint64 a buffer at a time, with no uint64
-    copy of the rows."""
-    return np.einsum("ij,j->i", rows, _HASH_MULTIPLIERS[: rows.shape[1]],
-                     dtype=np.uint64, casting="unsafe")
+    copy of the rows.  No two cover keys share a hash at q = 3..9, so a
+    sample serves as well as all k labels; a tie only costs time, as every
+    user compares the labels too."""
+    sample = hashed_labels(rows)
+    return np.einsum("ij,j->i", sample, _HASH_MULTIPLIERS[: sample.shape[1]],
+                     dtype=np.uint64, casting="unsafe", out=out)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ import numpy as np
 from .census import DEFAULT_CHUNK_SIZE
 from .covers import Cover, cover_type1
 from .gf import FieldCtx
-from .pg5 import Plane, _plane_from_rref, block_points, plane_from_rows, plane_points
+from .pg5 import Plane, _plane_from_rref, block_points, plane_from_rows
 from .spread import Spread, block_labels, check_disjoint, point_labels
 
 
@@ -190,27 +190,37 @@ def split_switching_classes(
     planes meet there and nowhere else.  A plane's k = q^2+q+1 points are its
     edges, one to each plane of the other side, so both sides have k planes,
     disjoint within a side and meeting in exactly one point across.
+
+    The points come from block_points, normalised as the bases are RREF,
+    and each is one flat index (its coordinates as base-q digits); one
+    np.unique gives every point's incidence count, its first plane, and,
+    with every count 2, its second plane by the sum of the planes on it.  A
+    bad count names the point that comes first in the planes' order.
     """
     n = len(planes)
     if n == 0 or n % 2:
         raise RuntimeError(f"transversal set of size {n} cannot split into two classes")
-    on_point: dict[tuple[int, ...], list[int]] = {}
-    for i, pl in enumerate(planes):
-        for pt in plane_points(ctx.base, pl):
-            on_point.setdefault(pt, []).append(i)
-    meets = [set() for _ in range(n)]
-    for on in on_point.values():
-        if len(on) != 2:
-            raise RuntimeError(f"a point lies on {len(on)} planes of the set, not 2")
-        i, j = on
-        if j in meets[i]:
-            raise RuntimeError("two planes of the set share more than one point")
-        meets[i].add(j)
-        meets[j].add(i)
-    second = meets[0]
-    first = set(range(n)) - second
-    if any(meets[i] != second for i in first) or any(meets[j] != first for j in second):
+    q = ctx.q
+    pts = block_points(ctx.base, np.array([pl.basis for pl in planes], dtype=np.uint8))
+    k = pts.shape[1]
+    flat = (pts.astype(np.int64) * q ** np.arange(6)).sum(axis=2).ravel()
+    plane_of = np.repeat(np.arange(n), k)
+    _, first, inverse, counts = np.unique(flat, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    if (counts != 2).any():
+        bad = np.flatnonzero(counts != 2)
+        on = int(counts[bad[np.argmin(first[bad])]])
+        raise RuntimeError(f"a point lies on {on} planes of the set, not 2")
+    i = plane_of[first]
+    j = np.bincount(inverse.ravel(), weights=plane_of).astype(np.int64) - i
+    meets = np.zeros((n, n), dtype=np.int64)
+    np.add.at(meets, (i, j), 1)
+    if (meets > 1).any():
+        raise RuntimeError("two planes of the set share more than one point")
+    meets = (meets + meets.T) > 0
+    second = meets[0]  # side B; side A is planes[0] and the planes disjoint from it
+    if not np.array_equal(meets, second[:, None] != second[None, :]):
         raise RuntimeError("the meet graph of the set is not complete bipartite")
-    a = tuple(sorted((planes[i] for i in first), key=lambda p: p.key))
-    b = tuple(sorted((planes[j] for j in second), key=lambda p: p.key))
+    a = tuple(sorted((planes[i] for i in np.flatnonzero(~second)), key=lambda p: p.key))
+    b = tuple(sorted((planes[j] for j in np.flatnonzero(second)), key=lambda p: p.key))
     return (a, b) if a[0].key <= b[0].key else (b, a)

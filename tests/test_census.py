@@ -669,16 +669,18 @@ def test_census_exact_under_hash_collisions(ctx2, ctx3, monkeypatch, multipliers
 
 
 def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
-    # with equal multipliers the hash is the label sum: shift two labels
-    # of a cover apart by one each to keep the hash and leave the covers
+    # with equal multipliers the hash is the sum of the hashed labels: shift
+    # two of them apart by one each to keep the hash and leave the covers
     monkeypatch.setattr(covers, "_HASH_MULTIPLIERS",
                         np.ones_like(covers._HASH_MULTIPLIERS))
     table = cover_table(ctx2)
+    k = table.keys.shape[1]
+    first, last = covers.hashed_labels(np.arange(k)[None])[0, [0, -1]]
     for cover in table.keys:
         row = cover.astype(np.int32)
-        row[0] -= 1
-        row[-1] += 1
-        if row[0] >= 0 and trace_key_bytes(row) not in cover_keys2:
+        row[first] -= 1
+        row[last] += 1
+        if row[first] >= 0 and trace_key_bytes(row) not in cover_keys2:
             break
     else:
         pytest.fail("no cover gives a non-cover row with the same hash")
@@ -694,43 +696,63 @@ def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
     assert tc.matched is False and tc.multiplicity_ok is False
 
 
-def test_cover_table_hashes_in_row_blocks(ctx3):
+def test_cover_table_holds_sorted_hashes_and_no_key_copy(ctx3):
     """The table holds the row hashes of the keys ascending, in the order of
-    its permutation, and no copy of the keys."""
+    its permutation, no copy of the keys, and a slot table of
+    2^(bit_length(N) + 1) int32 positions, at most two slots per key; it
+    finds every key at its own row."""
     cover_set = enumerate_covers(ctx3)
     keys = cover_set.keys
     table = CoverTable(cover_set)
     assert table.keys is keys  # no copy
     assert np.array_equal(table.hashes, np.sort(row_hash(keys)))
     assert np.array_equal(table.hashes, row_hash(keys[table.order]))
-    assert table.order.dtype == np.int32
+    assert table.order.dtype == table._slots.dtype == np.int32
+    assert len(table._slots) == 2 ** (len(keys).bit_length() + 1) >= 2 * len(keys)
     assert np.array_equal(table.lookup(keys), np.arange(len(keys)))
 
 
-def test_lookup_in_row_blocks_matches_one_block(ctx3, monkeypatch):
-    """Looking rows up a few at a time gives the one-block answer, with
-    covers, non-covers and hash collisions (equal multipliers) mixed in
-    each block."""
+def lookup_oracle(table, rows):
+    """The first key row equal to each row, or -1, from a dict of the key
+    bytes: no hash, no slot."""
+    index = {}
+    for i, key in enumerate(map(trace_key_bytes, table.keys)):
+        index.setdefault(key, i)
+    return np.array([index.get(trace_key_bytes(r), -1) for r in rows], dtype=np.int32)
+
+
+def test_lookup_with_chunk_work_matches_a_fresh_lookup(ctx3, monkeypatch):
+    """A lookup in a census chunk's work arrays, which hold the last
+    chunk's bytes, gives the answer of a lookup in fresh arrays and of the
+    oracle, with covers, non-covers and hash collisions (equal multipliers)
+    mixed in one chunk; tally returns the hits and the witnesses of it."""
     monkeypatch.setattr(covers, "_HASH_MULTIPLIERS", np.ones_like(covers._HASH_MULTIPLIERS))
     table = cover_table(ctx3)
     rng = np.random.default_rng(3)
-    shifted = table.keys[:300].astype(np.int32)
+    shifted = table.keys[:300].copy()
     shifted[:, 0] += 1  # mostly no cover
-    rows = np.concatenate([table.keys.astype(np.int32), shifted])
-    rows = rows[rng.permutation(len(rows))]
-    want = table.lookup(rows)
-    monkeypatch.setattr(census, "_LOOKUP_ROWS", 5)
-    assert np.array_equal(table.lookup(rows), want)
+    rows = np.concatenate([table.keys, shifted])[rng.permutation(len(table.keys) + 300)]
+    want = lookup_oracle(table, rows)
     assert (want >= 0).sum() >= len(table.keys) and (want < 0).any()
-    assert np.array_equal(table.keys[want[want >= 0]], rows[want >= 0])
+    work = census._ChunkWork(ctx3, len(rows))
+    work.lookup.keys[:] = 0xFFFF  # stale bytes
+    for part in (rows[::-1], rows):
+        got = table.lookup(part, work.lookup)
+    assert np.array_equal(got, want)
+    assert np.array_equal(table.lookup(rows), want)
+    hits, witnesses = table.tally(rows, work.lookup)
+    assert np.array_equal(hits, want[want >= 0])
+    assert witnesses == Counter(trace_key_bytes(r) for r in rows[want < 0])
 
 
 @pytest.mark.parametrize("multipliers", ["seeded", "equal", "zero"])
 @pytest.mark.parametrize("q", [3, 5])
 def test_bucket_search_is_searchsorted(q, multipliers, ctx_by_q, monkeypatch):
-    """The bucket-start search gives np.searchsorted(hashes, h) (left) for
-    random hashes, every stored hash and its neighbours, and both ends of the
-    range; also when degenerate multipliers put every key in one bucket."""
+    """The slot probe gives np.searchsorted(hashes, h) (left) for random
+    hashes, every stored hash and its neighbours, and both ends of the
+    range, also when degenerate multipliers crowd every key into one slot;
+    and a lookup gives the answer of a dict of the key bytes, for the keys
+    and for rows one label off them."""
     if multipliers != "seeded":
         value = 1 if multipliers == "equal" else 0
         monkeypatch.setattr(covers, "_HASH_MULTIPLIERS",
@@ -743,10 +765,50 @@ def test_bucket_search_is_searchsorted(q, multipliers, ctx_by_q, monkeypatch):
         stored, stored - one, stored + one,  # wrapping at 0 and 2^64 - 1
         np.array([0, 2**64 - 1, 2**63, 2**63 - 1], dtype=np.uint64),
     ])
-    assert np.array_equal(table._first_at_least(h), np.searchsorted(stored, h))
+    work = census._LookupWork(len(h), table.keys.shape[1])
+    assert np.array_equal(table._probe(h, work), np.searchsorted(stored, h))
+    rows = table.keys[::7].copy()
+    rows[::2, -1] += 1  # no cover, or another cover
+    assert np.array_equal(table.lookup(rows), lookup_oracle(table, rows))
     if multipliers == "seeded":  # tied hashes: test_census_exact_under_hash_collisions
         assert np.array_equal(table.lookup(table.keys), np.arange(len(table.keys)))
-    assert len(table._starts) == 2 ** len(stored).bit_length()
+
+
+def test_crowded_slots_stay_exact_and_fast_q5(ctx5, monkeypatch):
+    """With equal multipliers the q = 5 hashes are sums of 12 labels, all
+    below 2^11, so every key has slot 0 and many keys share a hash.  Every
+    key is still found at its own row, and rows one label off are no cover
+    or the cover they now equal, in under 0.5 s."""
+    monkeypatch.setattr(covers, "_HASH_MULTIPLIERS", np.ones_like(covers._HASH_MULTIPLIERS))
+    table = cover_table(ctx5)
+    assert not (table.hashes >> table._shift).any()
+    assert len(np.unique(table.hashes)) < len(table.keys) // 10
+    off = table.keys.copy()
+    off[:, 0] += 1
+    t0 = time.process_time()
+    found, moved = table.lookup(table.keys), table.lookup(off)
+    assert time.process_time() - t0 < 0.5
+    assert np.array_equal(found, np.arange(len(table.keys)))
+    assert np.array_equal(moved, lookup_oracle(table, off))
+
+
+def test_cover_table_keeps_no_state_between_lookups(ctx3):
+    """Lookups, tallies, membership tests and iteration, with a chunk's work
+    and without, leave the table's attributes and arrays as built."""
+    table = cover_table(ctx3)
+    before = {name: (value.copy() if isinstance(value, np.ndarray) else value)
+              for name, value in vars(table).items()}
+    work = census._ChunkWork(ctx3, 64)
+    rows = table.keys[:64].copy()
+    rows[::3, 0] += 1
+    table.lookup(rows, work.lookup)
+    table.tally(rows)
+    assert table.keys[0].tobytes() in table and set(table) == set(table)
+    assert vars(table).keys() == before.keys()
+    for name, value in before.items():
+        now = getattr(table, name)
+        assert (np.array_equal(now, value) and now.dtype == value.dtype
+                if isinstance(value, np.ndarray) else now == value), name
 
 
 def test_lookup_cost_does_not_hang_on_hash_ties(ctx_by_q, monkeypatch):

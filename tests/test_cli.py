@@ -332,3 +332,55 @@ def test_memory_exhaustion_is_an_infrastructure_failure(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "infrastructure failure: out of memory\n"
+
+
+def test_verify_keeps_its_checks_when_the_census_raises(capsys, monkeypatch):
+    """A RuntimeError in the census, such as a plane of no class, ends the
+    report with a failing census_completed check that carries the message
+    and its witness, after every check made before it; the exit is 1 and
+    the data {}."""
+    code, want = run_json(capsys, ["verify", "--q", "2"])
+    assert code == 0
+    witness = ("inconsistent intersection tally for plane basis [[1, 0, 0, 0, 0, 0]] "
+               "(pivot pattern (0, 1, 2), odometer index 7): labels [0, 0, 1, 2, 3, 4, 5]")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError(witness)
+
+    monkeypatch.setattr(census_mod, "run_census", broken)
+    code, report = run_json(capsys, ["verify", "--q", "2"])
+    assert code == 1 and report["data"] == {}
+    names = [c["name"] for c in want["checks"]]
+    earlier = want["checks"][: names.index("census_count_a")]
+    assert report["checks"][:-1] == earlier and earlier[-1]["name"] == "covers_dedup_exact"
+    assert report["checks"][-1] == {"name": "census_completed", "expected": True,
+                                    "actual": witness, "pass": False}
+
+
+def test_verify_names_the_stage_that_raised(capsys, monkeypatch):
+    """A RuntimeError of the cover enumeration or of the span search is
+    reported as the failing check of its stage."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("table bug")
+
+    for owner, name, stage in ((covers_mod, "enumerate_covers", "covers"),
+                               (hyperreg_mod, "transversal_planes", "transversals")):
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, broken)
+            code, report = run_json(capsys, ["verify", "--q", "2"])
+        assert code == 1 and report["data"] == {}
+        assert report["checks"][-1] == {"name": f"{stage}_completed", "expected": True,
+                                        "actual": "table bug", "pass": False}
+        assert all(c["pass"] for c in report["checks"][:-1])
+
+
+def test_verify_with_a_crashed_worker_is_still_an_infrastructure_failure(capsys, monkeypatch):
+    """BrokenProcessPool is a RuntimeError, but verify does not report it
+    as a failing check: exit 3 and no report."""
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(census_mod, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor, mp_context=fork))
+    monkeypatch.setattr(census_mod, "_pool_share", _crash_worker)
+    assert main(["verify", "--q", "2", "--jobs", "2", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "infrastructure failure" in captured.err

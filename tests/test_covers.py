@@ -276,14 +276,16 @@ def cover_set_digest(cs) -> str:
     return h.hexdigest()
 
 
-# cover_set_digest of the audited enumeration under the default moduli, as
-# produced by the uint16 row kernel before its move to uint8 norm rows
+# cover_set_digest of the audited enumeration under the default moduli.
+# The hashes and their order are those of row_hash over 12 strided labels;
+# with the earlier hash of all k labels, the same keys, params, counts and
+# audit verdicts gave the digests that the uint16 row kernel produced first.
 GOLDEN_COVER_SETS = {
-    2: "1119d8e933622194168d5dbe65cf0a62ed499114a6ba9936dbdd74b98fdb5fdf",
-    3: "f28049af52d22e720866dda8fe7af870d34f94842b44498ddd72559b5494ee8d",
-    4: "fc8ed198ea05982fec678ee0b8161399b22dbf9aed4d10cc992708036eef6ef7",
-    5: "a87ce6200a1a5e02b2021449cd4f61403e4c3e758d60f3a78586f838db0dab2a",
-    7: "30b7521423165a354e26d0c54ceaebd59cccec8d754c7381b930ad85e0073d60",
+    2: "3b630e6faef8001423d5690a1518ee23c3a866f8eab65f2709b203f6023e1ba4",
+    3: "f80201680034ff180fac2dca41480644885bd4a835db55ac2c91920b79b29005",
+    4: "7aa426040f8e02ff6cbe2947abf2eac8b4c637e53d0d4532255b78bba0d34635",
+    5: "dea206b6503625973ede4a60caa1d17d99d94a635f71420094642743c1cde5b0",
+    7: "e0e6ddf24a8ca6b9ee0abc75e6a386e8fc1cf898f60ca7c555377d4fdd7fad5b",
 }
 
 
@@ -330,13 +332,52 @@ def test_params_rows_follow_the_sweep_order(q, ctx_by_q):
 @pytest.mark.parametrize("q", [3, 4])
 def test_row_hash_is_the_wrapping_sum_of_labels_times_multipliers(q, ctx_by_q):
     """row_hash, with no uint64 copy of the rows, is sum(label * multiplier)
-    mod 2^64 for uint16 key rows and for int32 query rows alike."""
+    mod 2^64 over the 12 hashed positions 0, s, ..., 11s (s = (k-1) // 12),
+    for uint16 key rows and for int32 query rows alike; hashed_labels is a
+    view of those positions."""
     keys = enumerate_covers(ctx_by_q[q]).keys[::37]
-    mult = covers._HASH_MULTIPLIERS[: keys.shape[1]].tolist()
-    want = [sum(x * m for x, m in zip(row, mult)) % 2**64 for row in keys.tolist()]
+    k = keys.shape[1]
+    step = (k - 1) // 12
+    positions = list(range(0, 12 * step, step))
+    assert positions[-1] < k - 1 and covers.hashed_labels(np.arange(k)[None]).tolist() == [positions]
+    assert np.shares_memory(covers.hashed_labels(keys), keys)
+    mult = covers._HASH_MULTIPLIERS.tolist()
+    want = [sum(row[p] * m for p, m in zip(positions, mult)) % 2**64 for row in keys.tolist()]
     assert covers.row_hash(keys).dtype == np.uint64
     assert covers.row_hash(keys).tolist() == want
     assert covers.row_hash(keys.astype(np.int32)).tolist() == want
+    out = np.empty(len(keys), dtype=np.uint64)
+    assert covers.row_hash(keys, out=out) is out and out.tolist() == want
+
+
+@pytest.mark.parametrize("k", [7, 13, 31, 91, 273])
+def test_row_hash_reads_twelve_labels_before_the_last(k):
+    """At every cover size (q = 2, 3, 5, 9, 16) the hash reads
+    min(12, k - 1) positions, strided over the labels and never the last,
+    which is infinity in every kind-2 cover with f = 1."""
+    positions = covers.hashed_labels(np.arange(k)[None])[0].tolist()
+    assert len(positions) == min(12, k - 1)
+    assert positions[0] == 0 and max(positions) < k - 1
+    assert len(set(np.diff(positions).tolist())) == 1
+
+
+# rows of the enumeration whose row_hash another row shares: none at q = 3..9
+# (q = 9 took 3 s); with 8 hashed positions instead of 12, q = 8 had 7,168
+TIED_COVER_ROWS = {3: 0, 4: 0, 5: 0, 7: 0, 8: 0}
+
+
+@pytest.mark.parametrize("q", sorted(TIED_COVER_ROWS))
+def test_few_cover_rows_share_a_row_hash(q, ctx_by_q):
+    """Hash ties only cost time, but the census's table reads one
+    candidate per trace and searches among the covers of a hash only after
+    a tie, so fewer than 0.1% of the cover rows may share a hash; the count
+    is pinned."""
+    ctx = ctx_by_q[q] if q in ctx_by_q else make_field(*{7: (7, 1), 8: (2, 3)}[q])
+    h = enumerate_covers(ctx).hashes
+    new = h[1:] != h[:-1]
+    tied = int((~(np.r_[True, new] & np.r_[new, True])).sum())
+    assert tied < len(h) / 1000
+    assert tied == TIED_COVER_ROWS[q]
 
 
 def test_cover_rows_view(ctx3):
@@ -393,3 +434,22 @@ def test_enumeration_q7_sample_matches_scalar_constructors(covers7):
             rebuilt = cover_type2(ctx, cov.a, cov.b, cov.f)
         assert rebuilt == cov
     assert {cs.covers[i].kind for i in rows} == {1, 2}
+
+
+def test_cover_table_iterates_keys_without_copying_them(covers7):
+    """Iterating the census's CoverTable over all 353,976 q = 7 keys (40 MB)
+    yields each key's bytes once, in row order, from lookups a chunk of
+    rows at a time: it allocates under 4 MB (tracemalloc)."""
+    from hyperreguli.census import CoverTable
+
+    _, cs, _ = covers7
+    table = CoverTable(cs)
+    first = next(iter(table))
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == len(cs.keys) == cs.total and first == cs.keys[0].tobytes()
+    assert peak < 4 << 20 < cs.keys.nbytes // 8

@@ -181,7 +181,8 @@ def test_split_rejects_a_set_that_is_not_two_switching_sets(ctx3, spread3, break
     plane and its copy form K_{1,1} with every point on two planes, but
     share all k points; N(x) = 1 and N(x) = 2 give disjoint covers, whose 4k
     transversals put every point on two planes, no pair sharing two, but
-    meet as two K_{k,k}."""
+    meet as two K_{k,k}.  Each case raises the error of the condition it
+    breaks first, the count naming the first bad point in the planes' order."""
     pair = andre_switching_sets(ctx3, spread3, 0, 1)
     other = andre_switching_sets(ctx3, spread3, 0, 2)
     ys, zs = list(pair.y_planes), list(pair.z_planes)
@@ -194,7 +195,16 @@ def test_split_rejects_a_set_that_is_not_two_switching_sets(ctx3, spread3, break
         "the transversals of two point-disjoint hyper-reguli":
             ys + zs + list(other.y_planes + other.z_planes),
     }[break_]
-    with pytest.raises(RuntimeError):
+    match = {
+        "a Z plane replaced by a copy of a Y plane": "a point lies on 3 planes of the set, not 2",
+        "a Z plane replaced by a hyper-regulus plane": "a point lies on 3 planes of the set, not 2",
+        "an odd number of planes": "transversal set of size 25 cannot split",
+        "two planes of each switching set": "a point lies on 1 planes of the set, not 2",
+        "a plane and its copy": "two planes of the set share more than one point",
+        "the transversals of two point-disjoint hyper-reguli":
+            "the meet graph of the set is not complete bipartite",
+    }[break_]
+    with pytest.raises(RuntimeError, match=match):
         split_switching_classes(ctx3, planes)
 
 
