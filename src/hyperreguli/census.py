@@ -38,17 +38,20 @@ once, gathers the run's q labels per point (one per value of the point's
 fast coordinate) from FieldCtx.ratio_np, and expands those tables over the
 chunk's planes with one np.take at a fixed index.  The class masks come
 from one equality pass over the chunk's flat label rows, and the B rows go
-to the trace tally gathered by index.  The sweep, and each pool worker,
+to the trace tally gathered by index.  Each process of the sweep
 allocates the chunk's arrays once (_ChunkWork: the kernel's work, one
 buffer for the equality mask and then the B rows, and the tally's lookup
 arrays) and reuses them for every chunk.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
-worker count produces the identical report: each of min(jobs, chunks)
-workers reduces its share of the chunks itself (class counts, one covers-sized array of trace counts,
-witnesses) and sends that one result, and the main process sums one result
-per worker.  The shares are balanced by plane count, largest chunks first
-(_shares).  A plane of no class stops the census with its basis (rebuilt
-from its run's head), pivot pattern and odometer index.
+job count produces the identical report.  The chunks are cut into
+min(jobs, chunks) shares, balanced by plane count, largest chunks first
+(_shares), and each share is reduced by one process (class counts, one
+covers-sized array of trace counts, witnesses): the main process reduces
+the first share while a pool of one worker fewer reduces the others, each
+sending its one result, and the main process sums the results in share
+order.  A plane of no class stops the census with its basis (rebuilt from
+its run's head), pivot pattern and odometer index; the first failing
+share's plane is the one reported.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import time
 from collections import Counter
 from collections.abc import Mapping, Set
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -212,10 +216,12 @@ class CoverTable(Set):
         # 2^bits >= 2n slots (int32): 256 KB at q = 5, 32 MB at q = 9
         bits = n.bit_length() + 1
         self._shift = np.uint64(64 - bits)
-        self._slots = np.empty(2**bits, dtype=np.int32)
-        for t in range(0, 2**bits, 1 << 18):  # slot t: the first hash >= t << shift
-            tops = np.arange(t, min(t + (1 << 18), 2**bits), dtype=np.uint64)
-            self._slots[t : t + len(tops)] = np.searchsorted(self.hashes, tops << self._shift)
+        # slot t: the first hash >= t << shift, i.e. the number of hashes whose
+        # top bits are below t, so position i fills the slots from the top bits
+        # of hash i - 1 (exclusive) to its own (inclusive)
+        tops = (self.hashes >> self._shift).astype(np.int64)
+        fill = np.diff(tops, prepend=-1, append=2**bits - 1)
+        self._slots = np.repeat(np.arange(n + 1, dtype=np.int32), fill)
 
     def __len__(self) -> int:
         return self.total
@@ -332,7 +338,8 @@ class TraceCounts(Mapping):
         raise KeyError(key)
 
     def __iter__(self):
-        yield from map(trace_key_bytes, self.table.keys[np.flatnonzero(self.hits)])
+        keys = self.table.keys
+        yield from (trace_key_bytes(keys[i]) for i in np.flatnonzero(self.hits))
         yield from self.witnesses
 
     def __len__(self) -> int:
@@ -433,25 +440,28 @@ def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
     """Classify every plane; returns (nA, nB, nC, hits, witnesses).
 
     hits[i] counts the traces equal to key row i of table (None without one), witnesses the rest.
-    Each of min(jobs, chunks) workers reduces its share of the chunks
-    (_shares) itself, and the shares' results are summed here.
+    The chunks are cut into min(jobs, chunks) shares (_shares): a pool of
+    one worker fewer reduces every share but the first, which this process
+    reduces meanwhile, and the shares' results are summed here in share
+    order.  One share makes no pool.
     """
     chunks = enumeration_chunks(ctx.q, chunk_size)
     chunk_planes = max(stop - start for _, start, stop in chunks)
-    workers = min(jobs, len(chunks))  # start no idle worker
-    if workers == 1:
-        results = [_census_share(ctx, table, chunk_planes, chunks)]
-    else:
-        # fork: the workers inherit the field's tables and share the cover
-        # table copy-on-write, as initargs are not pickled; forkserver (Python
-        # 3.14's default on Linux) and spawn would pickle them into each worker
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(ctx, table, chunk_planes),
-        ) as pool:
-            results = list(pool.map(_pool_share, _shares(chunks, workers)))
+    shares = _shares(chunks, min(jobs, len(chunks)))  # start no idle worker
+    # fork: the workers inherit the field's tables and share the cover table
+    # copy-on-write, as initargs are not pickled; forkserver (Python 3.14's
+    # default on Linux) and spawn would pickle them into each worker
+    pool = ProcessPoolExecutor(
+        max_workers=len(shares) - 1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(ctx, table, chunk_planes),
+    ) if len(shares) > 1 else nullcontext()
+    with pool:
+        # the workers fork at the first submit, before this process allocates its work
+        futures = [pool.submit(_pool_share, share) for share in shares[1:]]
+        results = [_census_share(ctx, table, chunk_planes, shares[0])]
+        results += [future.result() for future in futures]
 
     na, nb, nc, hits, witnesses = results[0]
     for ca, cb, cc, share_hits, share_witnesses in results[1:]:

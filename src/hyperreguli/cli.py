@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated coefficients, low degree first")
 
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, help="census worker processes")
+    jobs.add_argument("--jobs", type=int, default=1,
+                      help="census processes, the main process included: N forks N - 1 workers")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
     p_ver = sub.add_parser("verify", parents=[common, jobs],

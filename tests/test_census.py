@@ -1,9 +1,12 @@
 import dataclasses
+import multiprocessing
 import pickle
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -237,6 +240,24 @@ def test_trace_multiplicities_are_constant_q2(table2, sweep2, cover_keys2):
     # what the benchmark's trace hook computes: a plain set, never a view
     matched = set(traces) & table2
     assert type(matched) is set and matched == cover_keys2
+
+
+def test_iterating_the_traces_copies_no_key_rows_q5(ctx5):
+    """Iterating the traces of a passing q = 5 census (every one of the
+    31,500 covers hit 2k times, no witness) allocates under 1 MB: the keys
+    take 1.95 MB, and only the indices of the hit rows are made."""
+    table = cover_table(ctx5)
+    traces = TraceCounts(table, np.full(len(table.keys), 2 * cover_size(5)), Counter())
+    assert trace_is_cover_check(ctx5, traces, table).multiplicity_ok
+    assert table.keys.nbytes > 1 << 20
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == len(table.keys) == 31500
+    assert peak < 1 << 20
 
 
 def test_trace_views_answer_lookups_q2(table2, sweep2, cover_keys2):
@@ -555,7 +576,7 @@ def test_sweep_uneven_shares_match_one_job_q3(ctx3):
 
 class _InProcessPool:
     """A ProcessPoolExecutor stand-in that runs each task in this process
-    and records max_workers and the tasks."""
+    when it is submitted and records max_workers and the tasks."""
 
     made = []
 
@@ -570,16 +591,21 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        self.tasks = list(tasks)
-        return map(fn, self.tasks)
+    def submit(self, fn, task):
+        self.tasks.append(task)
+        future = Future()
+        future.set_result(fn(task))
+        return future
 
 
 @pytest.mark.parametrize("q, jobs, chunk_size", [(2, 3, DEFAULT_CHUNK_SIZE), (2, 64, 1 << 30),
-                                                 (3, 3, 4096)])
+                                                 (3, 3, 4096), (2, 1, DEFAULT_CHUNK_SIZE),
+                                                 (2, 2, 1 << 30)])
 def test_pool_shares_cover_every_chunk_once(ctx_by_q, monkeypatch, q, jobs, chunk_size):
-    """Each worker's share is its _shares share of the chunks, every chunk
-    is in exactly one share, and no more workers start than there are chunks."""
+    """The chunks are cut into min(jobs, chunks) shares (_shares): the pool
+    gets one worker fewer and every share but the first, which the main
+    process reduces, so every chunk is reduced exactly once and no worker
+    starts idle; one share makes no pool."""
     ctx = ctx_by_q[q]
     table = cover_table(ctx)
     monkeypatch.setattr(_InProcessPool, "made", [])
@@ -588,12 +614,45 @@ def test_pool_shares_cover_every_chunk_once(ctx_by_q, monkeypatch, q, jobs, chun
     got = _sweep(ctx, jobs, table, chunk_size)
 
     chunks = enumeration_chunks(q, chunk_size)
-    (pool,) = _InProcessPool.made
-    assert pool.max_workers == min(jobs, len(chunks)) == len(pool.tasks)
-    assert pool.tasks == census._shares(chunks, pool.max_workers)
-    assert sorted(c for share in pool.tasks for c in share) == sorted(chunks)
+    shares = census._shares(chunks, min(jobs, len(chunks)))
+    assert sorted(c for share in shares for c in share) == sorted(chunks)
+    if len(shares) == 1:
+        assert _InProcessPool.made == [] and census._worker is None
+    else:
+        (pool,) = _InProcessPool.made
+        assert pool.max_workers == min(jobs, len(chunks)) - 1 == len(pool.tasks)
+        assert pool.tasks == shares[1:]
     want = _sweep(ctx, 1, table, chunk_size)
     assert got[:3] == want[:3] and got[4] == want[4] and np.array_equal(got[3], want[3])
+
+
+def test_pooled_witness_is_the_first_failing_share_and_no_worker_is_left(ctx3, monkeypatch):
+    """With a plane of no class in a chunk of each of the two shares, a
+    two-job census raises the plane of the first share, which the main
+    process reduces: the first failing share in share order.  With only the
+    second share's, the worker's error reaches the caller.  No worker
+    outlives the census, failed or passed."""
+    chunks = enumeration_chunks(3, 4096)
+    shares = census._shares(chunks, 2)
+    bad = {shares[0][1][:2], shares[1][0][:2]}  # (pattern index, start)
+    real = census._classify_block
+
+    def classify(ctx, B, work=None):
+        if (PIVOT_PATTERNS.index(B.pattern), B.start) in bad:
+            raise RuntimeError(f"no class: pivot pattern {B.pattern}, odometer index {B.start}")
+        return real(ctx, B, work)
+
+    monkeypatch.setattr(census, "_classify_block", classify)
+    for first, name in ((shares[0][1], "main"), (shares[1][0], "worker")):
+        pattern = PIVOT_PATTERNS[first[0]]
+        with pytest.raises(RuntimeError, match=rf"pivot pattern {re.escape(str(pattern))}, "
+                                               rf"odometer index {first[1]}$"):
+            _sweep(ctx3, 2, None, 4096)
+        assert multiprocessing.active_children() == [], name
+        bad.discard(shares[0][1][:2])
+    monkeypatch.setattr(census, "_classify_block", real)
+    assert _sweep(ctx3, 2, None, 4096)[:3] == (28, 19656, 14196)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -746,19 +805,22 @@ def test_lookup_with_chunk_work_matches_a_fresh_lookup(ctx3, monkeypatch):
 
 
 @pytest.mark.parametrize("multipliers", ["seeded", "equal", "zero"])
-@pytest.mark.parametrize("q", [3, 5])
-def test_bucket_search_is_searchsorted(q, multipliers, ctx_by_q, monkeypatch):
-    """The slot probe gives np.searchsorted(hashes, h) (left) for random
-    hashes, every stored hash and its neighbours, and both ends of the
-    range, also when degenerate multipliers crowd every key into one slot;
-    and a lookup gives the answer of a dict of the key bytes, for the keys
-    and for rows one label off them."""
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_bucket_search_is_searchsorted(q, multipliers, monkeypatch):
+    """Slot t holds np.searchsorted(hashes, t << shift), and the slot probe
+    gives np.searchsorted(hashes, h) (left) for random hashes, every stored
+    hash and its neighbours, and both ends of the range, also when
+    degenerate multipliers crowd every key into one slot; and a lookup
+    gives the answer of a dict of the key bytes, for the keys and for rows
+    one label off them."""
     if multipliers != "seeded":
         value = 1 if multipliers == "equal" else 0
         monkeypatch.setattr(covers, "_HASH_MULTIPLIERS",
                             np.full_like(covers._HASH_MULTIPLIERS, value))
-    table = cover_table(ctx_by_q[q])
+    table = cover_table(field(q))
     stored = table.hashes
+    tops = np.arange(len(table._slots), dtype=np.uint64) << table._shift
+    assert np.array_equal(table._slots, np.searchsorted(stored, tops))
     one = np.uint64(1)
     h = np.concatenate([
         np.random.default_rng(q).integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False),

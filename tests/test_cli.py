@@ -309,16 +309,24 @@ def _crash_worker(chunk):
     os._exit(1)
 
 
-def test_crashed_worker_is_an_infrastructure_failure(capsys, monkeypatch):
-    """A census worker that dies gives exit 3 and no report, not a mismatch."""
+def crash_workers(monkeypatch):
+    """Make every census pool worker die on its share."""
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(census_mod, "ProcessPoolExecutor",
                         functools.partial(ProcessPoolExecutor, mp_context=fork))
     monkeypatch.setattr(census_mod, "_pool_share", _crash_worker)
-    assert main(["census", "--q", "2", "--jobs", "2", "--format", "json"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "infrastructure failure" in captured.err
+
+
+def test_crashed_worker_is_an_infrastructure_failure(capsys, monkeypatch):
+    """A census worker that dies gives exit 3 and no report, not a mismatch,
+    beside the main process alone (two jobs) and beside a second worker
+    (three jobs)."""
+    crash_workers(monkeypatch)
+    for jobs in ("2", "3"):
+        assert main(["census", "--q", "2", "--jobs", jobs, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "infrastructure failure" in captured.err
 
 
 def test_memory_exhaustion_is_an_infrastructure_failure(capsys, monkeypatch):
@@ -376,11 +384,9 @@ def test_verify_names_the_stage_that_raised(capsys, monkeypatch):
 
 def test_verify_with_a_crashed_worker_is_still_an_infrastructure_failure(capsys, monkeypatch):
     """BrokenProcessPool is a RuntimeError, but verify does not report it
-    as a failing check: exit 3 and no report."""
-    fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(census_mod, "ProcessPoolExecutor",
-                        functools.partial(ProcessPoolExecutor, mp_context=fork))
-    monkeypatch.setattr(census_mod, "_pool_share", _crash_worker)
-    assert main(["verify", "--q", "2", "--jobs", "2", "--format", "json"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "infrastructure failure" in captured.err
+    as a failing check: exit 3 and no report, with two jobs and with three."""
+    crash_workers(monkeypatch)
+    for jobs in ("2", "3"):
+        assert main(["verify", "--q", "2", "--jobs", jobs, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "infrastructure failure" in captured.err
