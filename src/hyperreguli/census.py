@@ -19,9 +19,11 @@ keeps the others as witnesses, so with distinct keys that holds exactly
 when no witness is left and every count is 2(q^2+q+1).  The main process
 keeps one copy of the keys (CoverSet.keys, shared by the forked pool
 workers) and no Python object per cover.  Each chunk's B rows are looked
-up in one pass (CoverTable): a hash of 12 of each row's labels, a slot
-read that gives one candidate key row, and a compare of every label, which
-is the proof; the key rows are gathered into the chunk's label buffer.
+up in one pass (CoverTable): a hash of three 64-bit words (12 labels) of
+each row, a slot read that gives one candidate key row, and a compare of
+every label, which is the proof; the key rows are gathered into the
+chunk's label buffer and compared with the B rows as one flat array of
+64-bit words.
 
 A plane is classified without any rank computations: each of its q^2+q+1
 points lies in exactly one spread element, located arithmetically, so the
@@ -201,12 +203,16 @@ class CoverTable(Set):
     hash there, and steps on while the hashes are smaller: mostly no step,
     at most _PROBE_STEPS before a binary search.  The row matches when all
     its labels equal the candidate's key row (read through the row order),
-    and when every row of a chunk matches, one pass over the XOR of the
-    gathered keys and the rows proves it, with no per-row mask.  A row that
-    fails the compare but shares its hash with covers (a hash tie) is
-    matched among all of them, so ties cost time, never exactness.  The
-    table holds no mutable state: a census passes its chunk's work arrays
-    (_LookupWork), and other lookups size theirs to the rows.
+    and when every row of a chunk matches, one compare of the gathered keys
+    and the rows as flat arrays proves it, four labels to a uint64 word and
+    the n*k mod 4 labels after the last word as uint16, with no per-row
+    mask.  Only when that fails are the rows compared one by one, uncast,
+    so a query label that wraps to a key's in uint16, and hashes as it,
+    still differs.  A row that fails the compare but shares its hash with
+    covers (a hash tie; none at q = 3..11) is matched among all of them, so
+    ties cost time, never exactness.  The table holds no mutable state: a
+    census passes its chunk's work arrays (_LookupWork), and other lookups
+    size theirs to the rows.
     """
 
     def __init__(self, cover_set: CoverSet):
@@ -278,12 +284,14 @@ class CoverTable(Set):
         idx = np.take(self.order, at, out=work.idx[:n], mode="clip")
         found = np.take(self.keys, idx, axis=0, out=work.keys[: n * k].reshape(n, k), mode="clip")
         if rows.dtype == found.dtype:
-            diff = np.bitwise_xor(found, rows, out=found)
-        else:  # query rows of another dtype are compared as they are, not cast
-            diff = found != rows
-        if not diff.any():  # every row a cover
-            return idx, np.empty(0, dtype=np.intp)
-        missed = np.flatnonzero(diff.any(axis=1))
+            # every row a cover: the flat label arrays agree, four labels to a
+            # uint64 word, the n*k mod 4 labels after the last word as uint16
+            got, want, words = found.reshape(-1), rows.reshape(-1), n * k // 4 * 4
+            if (np.array_equal(got[:words].view(np.uint64), want[:words].view(np.uint64))
+                    and np.array_equal(got[words:], want[words:])):
+                return idx, np.empty(0, dtype=np.intp)
+        # query rows of another dtype are compared as they are, not cast
+        missed = np.flatnonzero((found != rows).any(axis=1))
         # a miss may share its hash with further covers; one whose hash is
         # no cover's is no cover
         at, h = at[missed], h[missed]

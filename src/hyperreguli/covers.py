@@ -14,10 +14,11 @@ points, which the test suite verifies exhaustively.
 
 Swapping a and b inverts f without changing the point set, so the ordered
 kind-2 parameter grid covers each point set exactly twice.  Enumeration
-iterates a < b to halve it.  The optional audit sweeps the other half: it
-checks that the a < b keys are pairwise distinct, and that for every a > b
-the key of (a, b, f), recomputed from the tables, equals the stored key of
-the swap (b, a, 1/f).  Together these say that every key comes from exactly
+iterates a < b to halve it, in blocks of pairs.  The optional audit sweeps
+the other half, the same blocks with a and b swapped: it checks that the
+a < b keys are pairwise distinct, and that for every a > b the key of
+(a, b, f), recomputed from the tables, equals the stored key of the swap
+(b, a, 1/f).  Together these say that every key comes from exactly
 two triples of the full grid, and that the two are a swap pair: any other
 triple is either of the a < b half, whose keys are distinct, or the swap of
 one, which reproduces that triple's own key.
@@ -36,10 +37,10 @@ sets (_level_keys).  Keys are written in place.
 The enumeration holds every key as a row of one (N, q^2+q+1) uint16 array,
 next to an (N, 4) array of the parameters (kind, a, b, f); a Cover object is
 built only when CoverSet.covers is indexed.  The rows' order by row_hash,
-a hash of 12 strided labels of each row, serves where a sorted copy of the
-keys would: the distinct counts compare whole rows only where hashes tie,
-and the census's cover table finds each trace's one candidate row by its
-hash.
+a hash of three 64-bit words (12 labels) of each row, serves where a sorted
+copy of the keys would: the distinct counts compare whole rows only where
+hashes tie, and the census's cover table finds each trace's one candidate
+row by its hash.
 
 Counting both families: q^3(q-1) covers of kind 1, q^3(q^3-1)(q-1)/2 of
 kind 2, and q^3(q-1)(q^3+1)/2 in total.
@@ -73,34 +74,54 @@ def cover_size(q: int) -> int:
     return q * q + q + 1
 
 
-# The key-row hash reads the labels at _HASH_POSITIONS strided positions,
-# with one seeded odd multiplier each (stdlib random: numpy.random would add
-# about 15 ms to every import).
-_HASH_POSITIONS = 12
+# The key-row hash reads three 64-bit words of each row, with one seeded odd
+# multiplier each (stdlib random: numpy.random would add about 15 ms to
+# every import).  It takes _HASH_BLOCK rows at a time (a census chunk's B
+# rows are one block), so each block's words stay in cache from the first
+# product to the last: over all q = 9 keys, three whole-array passes were
+# slower than the 12-label hash, and blocks of 2^14 rows faster.
 _HASH_MULTIPLIERS = np.array([rng.getrandbits(64) | 1 for rng in [random.Random(1973)]
-                              for _ in range(_HASH_POSITIONS)], dtype=np.uint64)
+                              for _ in range(3)], dtype=np.uint64)
+_HASH_BLOCK = 1 << 14
+
+# The kind-2 keys are built in blocks of pairs (a, b) of about this many
+# quotient-table reads, q^3 per pair: the audited enumeration took longer
+# with blocks of 2^14 reads at q = 7 and 9, and of 2^18 at q = 9.
+_PAIR_BLOCK_READS = 1 << 16
 
 
-def hashed_labels(rows: np.ndarray) -> np.ndarray:
-    """The labels of each row that row_hash reads, as a view: positions 0,
-    s, 2s, ... (up to _HASH_POSITIONS of them) with s = max(1, (k-1) // 12),
-    all before the last label, which is infinity in every kind-2 cover
-    with f = 1."""
-    k = rows.shape[1]
-    return rows[:, : k - 1 : max(1, (k - 1) // _HASH_POSITIONS)][:, :_HASH_POSITIONS]
+def hashed_words(rows: np.ndarray) -> np.ndarray:
+    """The words of each label row that row_hash reads: an (n, 3) uint64
+    view of the rows as uint16 (a C-contiguous uint16 copy of them when they
+    are not one already, so other integer labels are hashed as their uint16
+    cast).  Word i holds the four labels from i*d, d = (k - 5) // 2, in the
+    host's byte order: 12 labels, all before the last one, which is
+    infinity in every kind-2 cover with f = 1.  The words are unaligned,
+    and at k = 7 they overlap."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint16)
+    n, k = rows.shape
+    return np.ndarray((n, 3), dtype=np.uint64, buffer=rows, strides=(2 * k, k - 5))
 
 
 def row_hash(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """64-bit hash of each label row: the wrapping sum of its hashed_labels
+    """64-bit hash of each label row: the wrapping sum of its hashed_words
     times the multipliers, written into out when given.
 
-    einsum widens the labels to uint64 a buffer at a time, with no uint64
-    copy of the rows.  No two cover keys share a hash at q = 3..9, so a
-    sample serves as well as all k labels; a tie only costs time, as every
-    user compares the labels too."""
-    sample = hashed_labels(rows)
-    return np.einsum("ij,j->i", sample, _HASH_MULTIPLIERS[: sample.shape[1]],
-                     dtype=np.uint64, casting="unsafe", out=out)
+    No label is widened: each word is one uint64 product.  No two cover
+    keys share a hash at q = 3..11, so a sample serves as well as all k
+    labels; a tie only costs time, as every user compares the labels too.
+    Hashes are never written out or reported, so the byte order need only
+    agree between the keys and the queries of one host."""
+    words = hashed_words(rows)
+    out = np.empty(len(words), dtype=np.uint64) if out is None else out
+    term = np.empty(min(len(words), _HASH_BLOCK), dtype=np.uint64)
+    m0, m1, m2 = _HASH_MULTIPLIERS
+    for lo in range(0, len(words), _HASH_BLOCK):
+        w, h = words[lo : lo + _HASH_BLOCK], out[lo : lo + _HASH_BLOCK]
+        np.multiply(w[:, 0], m0, out=h)
+        h += np.multiply(w[:, 1], m1, out=term[: len(h)])
+        h += np.multiply(w[:, 2], m2, out=term[: len(h)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -308,29 +329,32 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
     bdiv = _quotients(base)
     norms_q = norms * np.uint8(q)  # u*q + v < q^2 <= 256: the flat index fits uint8
 
-    def pole_keys(a: int, bs: slice, out: np.ndarray):
-        """Poles and quotient-table indices of the covers N((x - a)/(x - b)) = f,
-        b in xs[bs], with their keys written into out; and the size mask.
-        N is multiplicative, and the quotient at the pole x = b is 0."""
-        idx = norms_q[a] + norms[bs]
-        return xs[bs], idx, _level_keys(bdiv, idx, q, 2, out[: len(idx) * (q - 1)])
-
     n1 = q3 * (q - 1)
     pair_a, pair_b = np.triu_indices(q3, 1)  # a < b, in the order swept
     keys = np.empty((n1 + len(pair_a) * (q - 1), k), dtype=np.uint16)
+    step = max(1, _PAIR_BLOCK_READS // q3)  # pairs per block
+
+    def pair_keys(lo: int, swap: bool, out: np.ndarray):
+        """Quotient-table indices of the pairs lo .. lo+step-1, (a, b) or
+        swapped to (b, a), with the keys of their covers
+        N((x - a)/(x - b)) = f written into out; and the size mask.  N is
+        multiplicative, and the quotient at the pole x = b is 0."""
+        a, b = pair_a[lo : lo + step], pair_b[lo : lo + step]
+        if swap:
+            a, b = b, a
+        idx = norms_q[a] + norms[b]
+        return idx, _level_keys(bdiv, idx, q, 2, out[: len(idx) * (q - 1)])
 
     ok = _level_keys(ctx.norm_np, diffs, q, 1, keys[:n1])
     if not ok.all():
         a = int(np.argmin(ok))
         raise _size_error(norms[a], q, 1, a, None)  # table bug
 
-    start = n1
-    for a in range(q3 - 1):
-        b, idx, ok = pole_keys(a, slice(a + 1, q3), keys[start:])
+    for lo in range(0, len(pair_a), step):
+        idx, ok = pair_keys(lo, False, keys[n1 + lo * (q - 1) :])
         if not ok.all():
             r = int(np.argmin(ok))
-            raise _size_error(bdiv[idx[r]], q, 2, a, int(b[r]))  # table bug
-        start += len(b) * (q - 1)
+            raise _size_error(bdiv[idx[r]], q, 2, int(pair_a[lo + r]), int(pair_b[lo + r]))  # table bug
 
     fs = np.arange(1, q)
     params = np.empty((len(keys), 4), dtype=np.int32)
@@ -349,16 +373,15 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
                       count_kind1=count_kind1, count_kind2=count_kind2, total=total)
 
     if check_dedup:
-        swap_f = np.array([base._inv[f] for f in fs])
+        swap_f = np.array([base._inv[f] for f in fs]) - 1  # the row of 1/f in its pair's rows
         exact = count_kind2 == len(keys) - n1  # the a < b keys are pairwise distinct
-        rows = np.empty(((q3 - 1) * (q - 1), k), dtype=np.uint16)  # reused by every a
-        for a in range(1, q3):
+        rows = np.empty((min(step, len(pair_a)) * (q - 1), k), dtype=np.uint16)  # reused by every block
+        for lo in range(0, len(pair_a), step):
             if not exact:
                 break
-            b, _, ok = pole_keys(a, slice(0, a), rows)
-            # stored row of the swap (b, a, 1/f): pair (b, a) in sweep order, then f
-            pair = b * q3 - b * (b + 1) // 2 + (a - b - 1)
-            swap_rows = n1 + pair[:, None] * (q - 1) + (swap_f[None, :] - 1)
+            idx, ok = pair_keys(lo, True, rows)
+            # stored row of the swap (a, b, 1/f) of (b, a, f): pair i's row of 1/f
+            swap_rows = n1 + np.arange(lo, lo + len(idx))[:, None] * (q - 1) + swap_f
             stored = keys[swap_rows.ravel()]
             exact = bool(ok.all() and np.array_equal(rows[: len(stored)], stored))
         result.dedup_exact = exact

@@ -727,22 +727,14 @@ def test_census_exact_under_hash_collisions(ctx2, ctx3, monkeypatch, multipliers
         assert report(ctx) == want[q]
 
 
-def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
-    # with equal multipliers the hash is the sum of the hashed labels: shift
-    # two of them apart by one each to keep the hash and leave the covers
-    monkeypatch.setattr(covers, "_HASH_MULTIPLIERS",
-                        np.ones_like(covers._HASH_MULTIPLIERS))
+def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2):
+    # the hash never reads a row's last label: a cover ending in infinity,
+    # with that label moved past it, keeps the cover's hash and is no cover
     table = cover_table(ctx2)
-    k = table.keys.shape[1]
-    first, last = covers.hashed_labels(np.arange(k)[None])[0, [0, -1]]
-    for cover in table.keys:
-        row = cover.astype(np.int32)
-        row[first] -= 1
-        row[last] += 1
-        if row[first] >= 0 and trace_key_bytes(row) not in cover_keys2:
-            break
-    else:
-        pytest.fail("no cover gives a non-cover row with the same hash")
+    cover = table.keys[table.keys[:, -1] == 8][0]
+    row = cover.astype(np.int32)
+    row[-1] += 1
+    assert trace_key_bytes(row) not in cover_keys2
     assert row_hash(row[None]) == row_hash(cover[None])
 
     rows = np.stack([cover.astype(np.int32), row])
@@ -753,6 +745,45 @@ def test_row_sharing_a_cover_hash_is_a_witness(ctx2, cover_keys2, monkeypatch):
     counts = np.bincount(hits, minlength=len(table.keys))
     tc = trace_is_cover_check(ctx2, TraceCounts(table, counts, witnesses), table)
     assert tc.matched is False and tc.multiplicity_ok is False
+
+
+def test_label_past_uint16_is_a_witness(ctx3):
+    """An int32 row whose first label is a cover's plus 2^16 is hashed as
+    its uint16 cast, the cover's hash, but compared uncast: a witness, not
+    a hit, through lookup and tally alike."""
+    table = cover_table(ctx3)
+    cover = table.keys[5]
+    row = cover.astype(np.int32)
+    row[0] += 1 << 16
+    assert row_hash(row[None]) == row_hash(cover[None])
+    rows = np.stack([row, cover.astype(np.int32)])
+    assert table.lookup(rows).tolist() == [-1, 5]
+    hits, witnesses = table.tally(rows)
+    assert hits.tolist() == [5] and witnesses == Counter({trace_key_bytes(row): 1})
+
+
+@pytest.mark.parametrize("where", ["tail", "word"])
+def test_flat_compare_agrees_with_the_row_compare(ctx3, where):
+    """The all-cover check compares n*k labels as uint64 words and the
+    n*k mod 4 after the last word as uint16.  With n*k = 1 mod 4 at q = 3,
+    one row placed last in the lookup and no cover, through its last label
+    (the one tail label, which the hash never reads) or its first (in a
+    word), is found by both compares, with a chunk's work arrays or without."""
+    table = cover_table(ctx3)
+    rows = table.keys[:101].copy()
+    assert rows.size % 4 == 1
+    if where == "tail":
+        rows[-1, -1] = 28  # past infinity: the same hash, so the cover is the candidate
+    else:
+        rows[-1, 0] = rows[-1, 1]  # a repeated label: no cover
+    want = lookup_oracle(table, rows)
+    assert want[:-1].tolist() == list(range(100)) and want[-1] == -1
+    work = census._ChunkWork(ctx3, len(rows))
+    for got in (table.lookup(rows), table.lookup(rows, work.lookup)):
+        assert np.array_equal(got, want)
+    hits, witnesses = table.tally(rows, work.lookup)
+    assert hits.tolist() == list(range(100))
+    assert witnesses == Counter({trace_key_bytes(rows[-1]): 1})
 
 
 def test_cover_table_holds_sorted_hashes_and_no_key_copy(ctx3):
@@ -837,11 +868,17 @@ def test_bucket_search_is_searchsorted(q, multipliers, monkeypatch):
 
 
 def test_crowded_slots_stay_exact_and_fast_q5(ctx5, monkeypatch):
-    """With equal multipliers the q = 5 hashes are sums of 12 labels, all
-    below 2^11, so every key has slot 0 and many keys share a hash.  Every
-    key is still found at its own row, and rows one label off are no cover
-    or the cover they now equal, in under 0.5 s."""
-    monkeypatch.setattr(covers, "_HASH_MULTIPLIERS", np.ones_like(covers._HASH_MULTIPLIERS))
+    """With every hash shifted down to its top 11 bits, the q = 5 hashes
+    all lie below 2^11, so every key has slot 0 and many keys share a hash.
+    Every key is still found at its own row, and rows one label off are no
+    cover or the cover they now equal, in under 0.5 s."""
+    real = covers.row_hash
+
+    def crowded(rows, out=None):
+        return np.right_shift(real(rows), np.uint64(53), out=out)
+
+    monkeypatch.setattr(covers, "row_hash", crowded)
+    monkeypatch.setattr(census, "row_hash", crowded)
     table = cover_table(ctx5)
     assert not (table.hashes >> table._shift).any()
     assert len(np.unique(table.hashes)) < len(table.keys) // 10
