@@ -45,15 +45,16 @@ allocates the chunk's arrays once (_ChunkWork: the kernel's work, one
 buffer for the equality mask and then the B rows, and the tally's lookup
 arrays) and reuses them for every chunk.  The sweep is an
 order-independent reduction over enumeration chunks, so any chunk split or
-job count produces the identical report.  The chunks are cut into
-min(jobs, chunks) shares, balanced by plane count, largest chunks first
-(_shares), and each share is reduced by one process (class counts, one
-covers-sized array of trace counts, witnesses): the main process reduces
-the first share while a pool of one worker fewer reduces the others, each
-sending its one result, and the main process sums the results in share
-order.  A plane of no class stops the census with its basis (rebuilt from
-its run's head), pivot pattern and odometer index; the first failing
-share's plane is the one reported.
+job count produces the identical report.  The enumeration is cut into
+min(jobs, q^6) shares, share j of n taking runs floor(jR/n) ..
+floor((j+1)R/n) of each pivot pattern's R runs (a pg5.ChunkPlan of one
+range of chunk starts per pattern), and each share is reduced by one
+process (class counts, one covers-sized array of trace counts, witnesses):
+the main process reduces the first share while a pool of one worker fewer
+reduces the others, each sending its one result, and the main process sums
+the results in share order.  A plane of no class stops the census with its
+basis (rebuilt from its run's head), pivot pattern and odometer index; the
+first failing share's plane is the one reported.
 """
 
 from __future__ import annotations
@@ -387,38 +388,36 @@ def _census_chunk(ctx: FieldCtx, table: CoverTable | None, work: _ChunkWork,
     return int(is_a.sum()), int(is_b.sum()), int(is_c.sum()), hits, witnesses
 
 
-def _census_share(ctx: FieldCtx, table: CoverTable | None, chunk_planes: int, chunks):
-    """Classify a share of the enumeration chunks in one _ChunkWork; returns
-    (nA, nB, nC, hits, witnesses) summed over the share.
+def _census_share(ctx: FieldCtx, table: CoverTable | None, plan):
+    """Classify the chunks of a pg5.ChunkPlan in one _ChunkWork sized for the
+    largest (a range's first); returns (nA, nB, nC, hits, witnesses) summed.
 
     hits[i] counts the share's traces equal to key row i of table (None
     without one), so a pool worker sends one covers-sized count array.
     """
-    work = _ChunkWork(ctx, chunk_planes)
+    work = _ChunkWork(ctx, max(min(r.step, r.stop - r.start) for _, r in plan.ranges))
     na = nb = nc = 0
     hits = np.zeros(len(table.keys), dtype=np.int64) if table is not None else None
     witnesses = Counter()
-    for chunk in chunks:
+    for chunk in plan:
         ca, cb, cc, chunk_hits, chunk_witnesses = _census_chunk(ctx, table, work, *chunk)
-        na += ca
-        nb += cb
-        nc += cc
+        na, nb, nc = na + ca, nb + cb, nc + cc
         if table is not None:
             np.add.at(hits, chunk_hits, 1)
             witnesses.update(chunk_witnesses)
     return na, nb, nc, hits, witnesses
 
 
-_worker = None  # (ctx, table, chunk_planes) of a census pool worker, set by _init_worker
+_worker = None  # (ctx, table) of a census pool worker, set by _init_worker
 
 
-def _init_worker(ctx, table, chunk_planes):
+def _init_worker(ctx, table):
     global _worker
-    _worker = (ctx, table, chunk_planes)
+    _worker = (ctx, table)
 
 
-def _pool_share(chunks):
-    return _census_share(*_worker, chunks)
+def _pool_share(plan):
+    return _census_share(*_worker, plan)
 
 
 def trace_is_cover_check(
@@ -431,54 +430,37 @@ def trace_is_cover_check(
     return TraceCheck(checked=True, matched=matched, multiplicity_ok=multiplicity_ok)
 
 
-def _shares(chunks, workers: int) -> list[list[tuple[int, int, int]]]:
-    """Split the chunks into shares of about equal plane counts, each in
-    enumeration order: the chunks by falling plane count, each to the share
-    with the fewest planes so far (the first such share on a tie)."""
-    shares = [[] for _ in range(workers)]
-    planes = [0] * workers
-    for chunk in sorted(chunks, key=lambda c: c[2] - c[1], reverse=True):
-        i = planes.index(min(planes))
-        shares[i].append(chunk)
-        planes[i] += chunk[2] - chunk[1]
-    return [sorted(share) for share in shares]
-
-
 def _sweep(ctx: FieldCtx, jobs: int, table: CoverTable | None, chunk_size: int):
     """Classify every plane; returns (nA, nB, nC, hits, witnesses).
 
     hits[i] counts the traces equal to key row i of table (None without one), witnesses the rest.
-    The chunks are cut into min(jobs, chunks) shares (_shares): a pool of
-    one worker fewer reduces every share but the first, which this process
-    reduces meanwhile, and the shares' results are summed here in share
-    order.  One share makes no pool.
+    The enumeration is cut into n = min(jobs, q^6) shares (enumeration_chunks,
+    the q^6 runs of pattern (0, 1, 2) giving each share one, so no worker
+    starts idle): a pool of n - 1 workers reduces every share but the first,
+    which this process reduces meanwhile, and the results are summed here in
+    share order.  One share makes no pool.
     """
-    chunks = enumeration_chunks(ctx.q, chunk_size)
-    chunk_planes = max(stop - start for _, start, stop in chunks)
-    shares = _shares(chunks, min(jobs, len(chunks)))  # start no idle worker
+    n = min(jobs, ctx.q**6)
+    shares = [enumeration_chunks(ctx.q, chunk_size, j, n) for j in range(n)]
     # fork: the workers inherit the field's tables and share the cover table
     # copy-on-write, as initargs are not pickled; forkserver (Python 3.14's
     # default on Linux) and spawn would pickle them into each worker
     pool = ProcessPoolExecutor(
-        max_workers=len(shares) - 1,
+        max_workers=n - 1,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(ctx, table, chunk_planes),
-    ) if len(shares) > 1 else nullcontext()
+        initargs=(ctx, table),
+    ) if n > 1 else nullcontext()
     with pool:
         # the workers fork at the first submit, before this process allocates its work
         futures = [pool.submit(_pool_share, share) for share in shares[1:]]
-        results = [_census_share(ctx, table, chunk_planes, shares[0])]
-        results += [future.result() for future in futures]
-
-    na, nb, nc, hits, witnesses = results[0]
-    for ca, cb, cc, share_hits, share_witnesses in results[1:]:
-        na += ca
-        nb += cb
-        nc += cc
-        if table is not None:
-            hits += share_hits
-            witnesses.update(share_witnesses)
+        na, nb, nc, hits, witnesses = _census_share(ctx, table, shares[0])
+        for future in futures:
+            ca, cb, cc, share_hits, share_witnesses = future.result()
+            na, nb, nc = na + ca, nb + cb, nc + cc
+            if table is not None:
+                hits += share_hits
+                witnesses.update(share_witnesses)
     return na, nb, nc, hits, witnesses
 
 

@@ -19,7 +19,8 @@ each run, the digits of 0 .. s-1 in the fast column: planes_block_np
 returns the range as a PlaneBlock of those heads, which the census kernel
 (spread.block_labels) reads without building any plane's basis; its
 bases() repeats each head over its run.  The enumeration is split into
-chunks of whole runs that reduce deterministically.
+chunks of whole runs that reduce deterministically: a ChunkPlan holds one
+range of chunk starts per pattern, a share slicing every pattern's runs.
 
 Coordinate j of each point of a plane depends on column j of its basis
 alone, so the points of any plane are rows of one (q^3, k) table indexed by
@@ -301,16 +302,33 @@ def planes_block_np(q: int, pattern, start: int, stop: int) -> PlaneBlock:
     return PlaneBlock(q, pattern, start, stop)
 
 
-def enumeration_chunks(q: int, chunk_size: int) -> list[tuple[int, int, int]]:
-    """Deterministic (pattern_index, start, stop) cover of the enumeration.
+@dataclass(frozen=True)
+class ChunkPlan:
+    """Enumeration chunks, lazily: (pattern_index, range of chunk starts)
+    pairs, a chunk running to the next start or to the range's stop."""
 
-    Each pattern is stepped by whole runs (run_length): chunk_size rounded
+    ranges: tuple[tuple[int, range], ...]
+
+    def __len__(self) -> int:
+        return sum(len(starts) for _, starts in self.ranges)
+
+    def __iter__(self):  # the (pattern_index, start, stop) chunks, in enumeration order
+        for i, starts in self.ranges:
+            yield from ((i, a, min(a + starts.step, starts.stop)) for a in starts)
+
+
+def enumeration_chunks(q: int, chunk_size: int, share: int = 0, shares: int = 1) -> ChunkPlan:
+    """Share `share` of `shares` of a deterministic cover of the enumeration.
+
+    It takes runs floor(share*R/shares) .. floor((share+1)*R/shares) of each
+    pattern's R runs (run_length), stepped by whole runs: chunk_size rounded
     down to a multiple of the run length, and never below it.
     """
-    chunks = []
+    ranges = []
     for i, pattern in enumerate(PIVOT_PATTERNS):
-        size, s = pattern_block_size(q, pattern), run_length(q, pattern)
-        step = max(s, chunk_size // s * s)
-        for start in range(0, size, step):
-            chunks.append((i, start, min(start + step, size)))
-    return chunks
+        s = run_length(q, pattern)
+        runs = pattern_block_size(q, pattern) // s
+        lo, hi = share * runs // shares * s, (share + 1) * runs // shares * s
+        if lo < hi:
+            ranges.append((i, range(lo, hi, max(s, chunk_size // s * s))))
+    return ChunkPlan(tuple(ranges))

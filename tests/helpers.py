@@ -6,8 +6,9 @@ lookups) without touching the exp/log tables, the point table that the
 census kernel and pg5.plane_points read, or the located-label tally that
 the package itself relies on.  The rank-based oracles (all_points,
 incidence, meet_dim, enumerate_planes, odometer_plane, verify_regularity,
-classify_by_meets, transversals_brute) and the arithmetic plane points
-(plane_points_by_arithmetic) live only here.  The exceptions are
+classify_by_meets, transversals_brute), the eager chunk list
+(eager_chunks) and the arithmetic plane points (plane_points_by_arithmetic)
+live only here.  The exceptions are
 classify_plane, which runs the package's census kernel on a single plane
 so that tests can compare it plane by plane, and locate_np, which reads
 the package's locate table (FieldCtx.ratio_np) point by point, so that
@@ -109,6 +110,19 @@ def odometer_plane(q, pattern, index):
     for r, c in reversed(free_positions(pattern)):
         index, template[r][c] = divmod(index, q)
     return _plane_from_rref(template)
+
+
+def eager_chunks(q, chunk_size) -> list[tuple[int, int, int]]:
+    """The (pattern_index, start, stop) chunks of the whole enumeration as
+    one list: each pattern stepped from 0 by chunk_size rounded down to a
+    multiple of its run length, and never below it."""
+    chunks = []
+    for i, pattern in enumerate(PIVOT_PATTERNS):
+        size, s = pattern_block_size(q, pattern), run_length(q, pattern)
+        step = max(s, chunk_size // s * s)
+        for start in range(0, size, step):
+            chunks.append((i, start, min(start + step, size)))
+    return chunks
 
 
 def plane_points_by_arithmetic(base, pl) -> list[tuple[int, ...]]:

@@ -564,10 +564,12 @@ def test_sweep_traces_invariant_under_worker_count_q3(ctx3):
 
 
 def test_sweep_uneven_shares_match_one_job_q3(ctx3):
-    """Three workers over 25 chunks (shares of 5, 8 and 12) give the one-job
-    counts, hits and witnesses."""
+    """Three shares of uneven size (17, 17 and 21 chunks; 11,280, 11,280
+    and 11,320 planes) give the one-job counts, hits and witnesses."""
     table = cover_table(ctx3)
-    assert len(enumeration_chunks(3, 4096)) % 3
+    plans = [enumeration_chunks(3, 4096, j, 3) for j in range(3)]
+    assert [len(plan) for plan in plans] == [17, 17, 21]
+    assert [sum(stop - start for _, start, stop in plan) for plan in plans] == [11280, 11280, 11320]
     one = _sweep(ctx3, 1, table, 4096)
     three = _sweep(ctx3, 3, table, 4096)
     assert three[:3] == one[:3] and three[4] == one[4] == Counter()
@@ -600,12 +602,13 @@ class _InProcessPool:
 
 @pytest.mark.parametrize("q, jobs, chunk_size", [(2, 3, DEFAULT_CHUNK_SIZE), (2, 64, 1 << 30),
                                                  (3, 3, 4096), (2, 1, DEFAULT_CHUNK_SIZE),
-                                                 (2, 2, 1 << 30)])
+                                                 (2, 2, 1 << 30), (2, 100, 1 << 30)])
 def test_pool_shares_cover_every_chunk_once(ctx_by_q, monkeypatch, q, jobs, chunk_size):
-    """The chunks are cut into min(jobs, chunks) shares (_shares): the pool
-    gets one worker fewer and every share but the first, which the main
-    process reduces, so every chunk is reduced exactly once and no worker
-    starts idle; one share makes no pool."""
+    """The enumeration is cut into min(jobs, q^6) shares (enumeration_chunks):
+    the pool gets one worker fewer and the plans of every share but the
+    first, which the main process reduces, so every plane is reduced exactly
+    once and no worker starts idle, not even at 64 shares of q = 2, where
+    pattern (0, 1, 2) has one run per share; one share makes no pool."""
     ctx = ctx_by_q[q]
     table = cover_table(ctx)
     monkeypatch.setattr(_InProcessPool, "made", [])
@@ -613,14 +616,17 @@ def test_pool_shares_cover_every_chunk_once(ctx_by_q, monkeypatch, q, jobs, chun
     monkeypatch.setattr(census, "_worker", None)
     got = _sweep(ctx, jobs, table, chunk_size)
 
-    chunks = enumeration_chunks(q, chunk_size)
-    shares = census._shares(chunks, min(jobs, len(chunks)))
-    assert sorted(c for share in shares for c in share) == sorted(chunks)
-    if len(shares) == 1:
+    n = min(jobs, q**6)
+    shares = [enumeration_chunks(q, chunk_size, j, n) for j in range(n)]
+    assert all(len(share) for share in shares)
+    planes = sorted((i, p) for share in shares for i, start, stop in share for p in range(start, stop))
+    assert planes == [(i, p) for i, pattern in enumerate(PIVOT_PATTERNS)
+                      for p in range(pattern_block_size(q, pattern))]
+    if n == 1:
         assert _InProcessPool.made == [] and census._worker is None
     else:
         (pool,) = _InProcessPool.made
-        assert pool.max_workers == min(jobs, len(chunks)) - 1 == len(pool.tasks)
+        assert pool.max_workers == n - 1 == len(pool.tasks)
         assert pool.tasks == shares[1:]
     want = _sweep(ctx, 1, table, chunk_size)
     assert got[:3] == want[:3] and got[4] == want[4] and np.array_equal(got[3], want[3])
@@ -632,8 +638,7 @@ def test_pooled_witness_is_the_first_failing_share_and_no_worker_is_left(ctx3, m
     process reduces: the first failing share in share order.  With only the
     second share's, the worker's error reaches the caller.  No worker
     outlives the census, failed or passed."""
-    chunks = enumeration_chunks(3, 4096)
-    shares = census._shares(chunks, 2)
+    shares = [list(enumeration_chunks(3, 4096, j, 2)) for j in range(2)]
     bad = {shares[0][1][:2], shares[1][0][:2]}  # (pattern index, start)
     real = census._classify_block
 
@@ -657,18 +662,17 @@ def test_pooled_witness_is_the_first_failing_share_and_no_worker_is_left(ctx3, m
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_shares_balance_planes_q4(ctx4, workers):
-    """At q = 4, where the smaller pivot patterns are one chunk each and
-    interleaved shares put 7.4% (2 workers) and 8.7% (3 workers) above the
-    mean: every chunk is in exactly one share, each share is in enumeration
-    order, the shares of 2 workers are within 1% of the mean (5% for 3),
-    and the pooled sweep gives the one-job counts, hits and witnesses."""
-    chunks = enumeration_chunks(4, DEFAULT_CHUNK_SIZE)
-    shares = census._shares(chunks, workers)
-    assert len(shares) == workers
-    assert sorted(c for share in shares for c in share) == sorted(chunks)
+    """At q = 4, where the smaller pivot patterns are one chunk each (so
+    whole chunks dealt out put 4.4% above the mean for 3 workers, and
+    interleaved ones 7.4% and 8.7% for 2 and 3), each share takes the same
+    slice of every pattern's runs: the shares are within 1% of the mean,
+    each in enumeration order, and the pooled sweep gives the one-job
+    counts, hits and witnesses."""
+    shares = [list(enumeration_chunks(4, DEFAULT_CHUNK_SIZE, j, workers)) for j in range(workers)]
     assert all(share == sorted(share) for share in shares)
     planes = [sum(stop - start for _, start, stop in share) for share in shares]
-    assert max(planes) / (count_planes(4) / workers) - 1 < (0.01 if workers == 2 else 0.05)
+    assert sum(planes) == count_planes(4)
+    assert max(planes) / (count_planes(4) / workers) - 1 < 0.01
 
     table = cover_table(ctx4)
     one = _sweep(ctx4, 1, table, DEFAULT_CHUNK_SIZE)

@@ -1,4 +1,6 @@
+import pickle
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -29,6 +31,7 @@ from hyperreguli.spread import build_spread
 
 from helpers import (
     all_points,
+    eager_chunks,
     enumerate_planes,
     incidence,
     meet_dim,
@@ -201,6 +204,59 @@ def test_odometer_is_column_major(q):
             s = run_length(q, PIVOT_PATTERNS[i])
             assert start % s == 0 and stop % s == 0
             assert s <= stop - start <= max(s, chunk_size)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_single_share_plan_is_the_eager_chunk_list(q):
+    """With one share the lazy plan iterates the eager list's chunks, in its
+    order, and its len is theirs."""
+    for chunk_size in (1, 37, 100, 4096, DEFAULT_CHUNK_SIZE, 1 << 30):
+        plan, want = enumeration_chunks(q, chunk_size), eager_chunks(q, chunk_size)
+        assert list(plan) == want and len(plan) == len(want)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("shares", [2, 3, 4])
+def test_share_plans_cover_every_plane_once(q, shares):
+    """The shares' chunks, of whole runs, cover every plane of every pattern
+    exactly once; each share holds less than one run per pattern more or
+    fewer than the pattern's mean, and at q = 4 is within 1% of the mean
+    plane count; each share's largest chunk is the first of one of its
+    ranges."""
+    seen = {i: np.zeros(pattern_block_size(q, p), dtype=int) for i, p in enumerate(PIVOT_PATTERNS)}
+    for j in range(shares):
+        plan = enumeration_chunks(q, DEFAULT_CHUNK_SIZE, j, shares)
+        chunks = list(plan)
+        assert len(plan) == len(chunks) > 0
+        per_pattern = np.zeros(len(PIVOT_PATTERNS), dtype=int)
+        for i, start, stop in chunks:
+            s = run_length(q, PIVOT_PATTERNS[i])
+            assert start % s == stop % s == 0 and start < stop
+            seen[i][start:stop] += 1
+            per_pattern[i] += stop - start
+        for i, pattern in enumerate(PIVOT_PATTERNS):
+            assert abs(per_pattern[i] - pattern_block_size(q, pattern) / shares) < run_length(q, pattern)
+        if q == 4:
+            assert per_pattern.sum() / (count_planes(q) / shares) - 1 < 0.01
+        assert max(stop - start for _, start, stop in chunks) == max(
+            min(r.step, r.stop - r.start) for _, r in plan.ranges)
+    assert all((counts == 1).all() for counts in seen.values())
+
+
+def test_q16_plan_is_lazy():
+    """At q = 16 the plan has 4,492,499 chunks, yet the whole plan and two
+    share plans are built and pickled in under 1 MB of traced memory."""
+    tracemalloc.start()
+    try:
+        plans = [enumeration_chunks(16, DEFAULT_CHUNK_SIZE)]
+        plans += [enumeration_chunks(16, DEFAULT_CHUNK_SIZE, j, 2) for j in range(2)]
+        sizes = [len(pickle.dumps(plan)) for plan in plans]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plans[0]) == 4_492_499
+    assert peak < 1 << 20 and max(sizes) < 4096
+    assert all(len(plan.ranges) <= len(PIVOT_PATTERNS) for plan in plans)
 
 
 def test_chunk_split_is_invariant(ctx2):

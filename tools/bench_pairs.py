@@ -38,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # the fewest that a claimed gain may rest on
 
-# Recorded with every result until perfbench/speed.py is mended (ROADMAP item 5).
+# Recorded with every result until perfbench/speed.py is mended (ROADMAP item 6).
 SAMPLER_CAVEAT = (
     "perfbench/speed.py times its sampler with time.process_time() inside the "
     "SIGPROF handler; on some hosts it under-subtracts its own CPU, which biases "
