@@ -67,6 +67,9 @@ def _census_checks(checks: list, q: int, report) -> None:
     _check(checks, "census_count_c", census_mod.type_c_count(q), report.count_c)
     _check(checks, "census_total", count_planes(q), report.total)
     _check(checks, "identity_x_eq_y", True, report.identity_x_eq_y)
+    if report.trace_check.checked:
+        _check(checks, "trace_matched", True, report.trace_check.matched)
+        _check(checks, "trace_multiplicity", True, report.trace_check.multiplicity_ok)
 
 
 def _make_ctx(args) -> FieldCtx:
@@ -85,11 +88,11 @@ def _label_list(ctx: FieldCtx, labels) -> list:
 def _sample_covers(cover_set, sample: int, seed: int):
     """Deterministic sample containing both kinds when both exist.
 
-    Rows are sampled per kind (kind 1 comes first), and only the sampled
-    covers are built.
+    Rows are sampled per kind (the kind1_count rows of kind 1 come first),
+    and only the sampled covers are built.
     """
     covers = cover_set.covers
-    n_kind1 = int((cover_set.params[:, 0] == 1).sum())
+    n_kind1 = covers_mod.kind1_count(cover_set.q)
     kind1, kind2 = range(n_kind1), range(n_kind1, len(covers))
     rng = random.Random(seed)
     n1 = min(len(kind1), max(1, sample // 2))
@@ -139,9 +142,6 @@ def cmd_verify(ctx: FieldCtx, args) -> tuple[list, dict]:
         stage = "census"
         report = census_mod.run_census(ctx, spread, jobs=args.jobs, cover_set=cover_set)
         _census_checks(checks, q, report)
-        if report.trace_check.checked:
-            _check(checks, "trace_matched", True, report.trace_check.matched)
-            _check(checks, "trace_multiplicity", True, report.trace_check.multiplicity_ok)
 
         stage = "transversals"
         expected_tv = hyperreg_mod.transversal_count(q)
@@ -190,7 +190,7 @@ def cmd_covers(ctx: FieldCtx, args) -> tuple[list, dict]:
         "kind2": cover_set.count_kind2,
     }
     if args.list:
-        data["covers"] = [_label_list(ctx, c.key) for c in cover_set.covers]
+        data["covers"] = [_label_list(ctx, key) for key in cover_set.keys.tolist()]
     return checks, data
 
 

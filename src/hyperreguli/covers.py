@@ -34,13 +34,13 @@ reads a uint16 copy of the table shifted above the x bits, so each entry is
 one key, value << s | x, and one sort of each row of keys gives its level
 sets (_level_keys).  Keys are written in place.
 
-The enumeration holds every key as a row of one (N, q^2+q+1) uint16 array,
-next to an (N, 4) array of the parameters (kind, a, b, f); a Cover object is
-built only when CoverSet.covers is indexed.  The rows' order by row_hash,
-a hash of three 64-bit words (12 labels) of each row, serves where a sorted
-copy of the keys would: the distinct counts compare whole rows only where
-hashes tie, and the census's cover table finds each trace's one candidate
-row by its hash.
+The enumeration holds every key as a row of one (N, q^2+q+1) uint16 array
+and stores no parameters: the row index encodes (kind, a, b, f), as the
+audit's swap rows use, and CoverSet.covers decodes them when indexed.  The
+rows' order by row_hash, a hash of three 64-bit words (12 labels) of each
+row, serves where a sorted copy of the keys would: the distinct counts
+compare whole rows only where hashes tie, and the census's cover table
+finds each trace's one candidate row by its hash.
 
 Counting both families: q^3(q-1) covers of kind 1, q^3(q^3-1)(q-1)/2 of
 kind 2, and q^3(q-1)(q^3+1)/2 in total.
@@ -48,6 +48,7 @@ kind 2, and q^3(q-1)(q^3+1)/2 in total.
 
 from __future__ import annotations
 
+import bisect
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -183,12 +184,14 @@ def cover_type2(ctx: FieldCtx, a: int, b: int, f: int) -> Cover:
 class CoverRows(Sequence):
     """Read-only sequence of a CoverSet's covers, one per key row.
 
-    Its length is free; a Cover object is built only when indexed.
+    Row i's parameters come from i alone, in the order of enumerate_covers:
+    kind 1 by (a, f), then kind 2 by (a < b, f).  Its length is free; a
+    Cover object is built only when indexed.
     """
 
-    def __init__(self, keys: np.ndarray, params: np.ndarray):
+    def __init__(self, q: int, keys: np.ndarray):
+        self._q = q
         self._keys = keys
-        self._params = params
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -196,22 +199,31 @@ class CoverRows(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        kind, a, b, f = self._params[i].tolist()
-        return Cover(kind=kind, a=a, b=b if kind == 2 else None, f=f,
-                     key=tuple(self._keys[i].tolist()))
+        i = range(len(self))[i]  # from the end when negative; IndexError past it
+        q, q3, n1 = self._q, self._q**3, kind1_count(self._q)
+        key = tuple(self._keys[i].tolist())
+        if i < n1:
+            a, f = divmod(i, q - 1)
+            return Cover(kind=1, a=a, b=None, f=f + 1, key=key)
+        p, f = divmod(i - n1, q - 1)  # the row of f of the p-th pair a < b
+
+        def first(a):  # the number of the pair (a, a + 1): a(q^3 - 1) - a(a - 1)/2
+            return a * (2 * q3 - a - 1) // 2
+
+        a = bisect.bisect_right(range(q3), p, key=first) - 1
+        return Cover(kind=2, a=a, b=a + 1 + p - first(a), f=f + 1, key=key)
 
 
 @dataclass
 class CoverSet:
     """All covers of CG(3,q), one row each: kind 1 by (a, f), then kind 2 by (a < b, f).
 
-    keys[i] is the sorted label row of cover i and params[i] its (kind, a, b, f),
-    with b = -1 for kind 1.  The counts are of distinct keys.
+    keys[i] is the sorted label row of cover i; covers[i] decodes its
+    (kind, a, b, f) from i.  The counts are of distinct keys.
     """
 
     q: int
     keys: np.ndarray  # (N, q^2+q+1) uint16
-    params: np.ndarray  # (N, 4) int32
     hashes: np.ndarray  # (N,) uint64, ascending
     order: np.ndarray  # (N,) int32, keys[order] in the order of hashes
     count_kind1: int
@@ -221,7 +233,7 @@ class CoverSet:
 
     @property
     def covers(self) -> CoverRows:
-        return CoverRows(self.keys, self.params)
+        return CoverRows(self.q, self.keys)
 
 
 def _level_keys(table: np.ndarray, idx: np.ndarray, q: int, kind: int,
@@ -356,24 +368,15 @@ def enumerate_covers(ctx: FieldCtx, check_dedup: bool = False) -> CoverSet:
             r = int(np.argmin(ok))
             raise _size_error(bdiv[idx[r]], q, 2, int(pair_a[lo + r]), int(pair_b[lo + r]))  # table bug
 
-    fs = np.arange(1, q)
-    params = np.empty((len(keys), 4), dtype=np.int32)
-    # (kind, a, b, f) written into the int32 columns: kind 1 by (a, f), kind 2 by (a < b, f)
-    kind1 = params[:n1].reshape(q3, q - 1, 4)
-    kind2 = params[n1:].reshape(len(pair_a), q - 1, 4)
-    kind1[..., 0], kind1[..., 1], kind1[..., 2] = 1, xs[:, None], -1
-    kind2[..., 0], kind2[..., 1], kind2[..., 2] = 2, pair_a[:, None], pair_b[:, None]
-    kind1[..., 3] = kind2[..., 3] = fs
-
     hashes = row_hash(keys)
     order = np.argsort(hashes).astype(np.int32)
     hashes = hashes[order]
     count_kind1, count_kind2, total = _distinct_counts(keys, n1, hashes, order)
-    result = CoverSet(q=q, keys=keys, params=params, hashes=hashes, order=order,
+    result = CoverSet(q=q, keys=keys, hashes=hashes, order=order,
                       count_kind1=count_kind1, count_kind2=count_kind2, total=total)
 
     if check_dedup:
-        swap_f = np.array([base._inv[f] for f in fs]) - 1  # the row of 1/f in its pair's rows
+        swap_f = np.array([base._inv[f] for f in range(1, q)]) - 1  # the row of 1/f in its pair's rows
         exact = count_kind2 == len(keys) - n1  # the a < b keys are pairwise distinct
         rows = np.empty((min(step, len(pair_a)) * (q - 1), k), dtype=np.uint16)  # reused by every block
         for lo in range(0, len(pair_a), step):

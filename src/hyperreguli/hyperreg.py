@@ -63,8 +63,8 @@ import numpy as np
 from .census import DEFAULT_CHUNK_SIZE
 from .covers import Cover, cover_type1
 from .gf import FieldCtx
-from .pg5 import Plane, _plane_from_rref, block_points, plane_from_rows
-from .spread import Spread, block_labels, check_disjoint, point_labels
+from .pg5 import Plane, block_points, plane_from_rows
+from .spread import Spread, block_labels, check_disjoint, graph_plane, point_labels
 
 
 @dataclass
@@ -88,16 +88,6 @@ def hyper_regulus(spread: Spread, cover: Cover) -> HyperRegulus:
     return HyperRegulus(cover=cover, planes=planes)
 
 
-def _graph_plane(ctx: FieldCtx, a: int, m: int, power: int) -> Plane:
-    """The plane {(t, a*t + m*t^(q^power)) : t}; rows come out in RREF."""
-    q = ctx.q
-    rows = []
-    for e in (1, q, q * q):
-        img = ctx.add(ctx.mul(a, e), ctx.mul(m, ctx.frobenius(e, power)))
-        rows.append(ctx.to_coords(e) + ctx.to_coords(img))
-    return _plane_from_rref(rows)
-
-
 def andre_switching_sets(ctx: FieldCtx, spread: Spread, a: int, f: int) -> SwitchingPair:
     """The two switching sets of the kind-1 cover with parameters (a, f).
 
@@ -107,8 +97,8 @@ def andre_switching_sets(ctx: FieldCtx, spread: Spread, a: int, f: int) -> Switc
     cover = cover_type1(ctx, a, f)
     hr = hyper_regulus(spread, cover)
     ms = [m for m in range(1, ctx.q3) if ctx.norm_table[m] == f]
-    ys = tuple(_graph_plane(ctx, a, m, 1) for m in ms)
-    zs = tuple(_graph_plane(ctx, a, m, 2) for m in ms)
+    ys = tuple(graph_plane(ctx, a, m, 1) for m in ms)
+    zs = tuple(graph_plane(ctx, a, m, 2) for m in ms)
 
     # a plane meets each of the k hyper-regulus planes in one point exactly
     # when its k points locate to the k cover labels

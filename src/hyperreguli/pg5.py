@@ -97,7 +97,7 @@ class Plane:
 
     The basis is always in reduced row echelon form: _plane_from_rref is the
     only constructor, and its callers (_rref through plane_from_rows,
-    spread.spread_element, hyperreg._graph_plane and the pivot templates
+    spread.graph_plane, spread.spread_element and the pivot templates
     of the test oracles) all pass RREF rows.  plane_points relies on this.
     """
 

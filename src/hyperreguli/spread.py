@@ -34,18 +34,24 @@ def format_label(ctx: FieldCtx, m: int) -> str:
     return "inf" if m == ctx.q3 else str(m)
 
 
-def spread_element(ctx: FieldCtx, m: int) -> Plane:
-    """The plane J(m); basis rows come out in RREF directly."""
+def graph_plane(ctx: FieldCtx, a: int, m: int, power: int) -> Plane:
+    """The plane {(t, a*t + m*t^(q^power)) : t}, J(a) at m = 0; rows come out in RREF."""
     q = ctx.q
+    rows = []
+    for e in (1, q, q * q):  # indices of the basis 1, t, t^2
+        img = ctx.add(ctx.mul(a, e), ctx.mul(m, ctx.frobenius(e, power)))
+        rows.append(ctx.to_coords(e) + ctx.to_coords(img))
+    return _plane_from_rref(rows)
+
+
+def spread_element(ctx: FieldCtx, m: int) -> Plane:
+    """The plane J(m), the graph of t -> m*t (J(inf) apart)."""
     if m == ctx.q3:
         rows = [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
         return _plane_from_rref(rows)
     if not 0 <= m < ctx.q3:
         raise ValueError(f"invalid circle-geometry label {m}")
-    rows = []
-    for e in (1, q, q * q):  # indices of the basis 1, t, t^2
-        rows.append(ctx.to_coords(e) + ctx.to_coords(ctx.mul(m, e)))
-    return _plane_from_rref(rows)
+    return graph_plane(ctx, m, 0, 0)
 
 
 class Spread:

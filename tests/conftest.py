@@ -2,9 +2,8 @@ import pytest
 
 from hyperreguli import spread as spread_mod
 from hyperreguli.gf import make_field
-from hyperreguli.hyperreg import _graph_plane
 from hyperreguli.pg5 import plane_from_points
-from hyperreguli.spread import build_spread
+from hyperreguli.spread import build_spread, graph_plane
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +69,7 @@ def broken_spread(request, monkeypatch):
         if request.param == "a line of J(0)":
             j0, j_inf = real(ctx, 0), real(ctx, ctx.q3)
             return plane_from_points(ctx.base, j0.basis[0], j0.basis[1], j_inf.basis[0])
-        return _graph_plane(ctx, 0, 1, 1)
+        return graph_plane(ctx, 0, 1, 1)
 
     monkeypatch.setattr(spread_mod, "spread_element", element)
     return request.param

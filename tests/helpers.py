@@ -7,12 +7,13 @@ census kernel and pg5.plane_points read, or the located-label tally that
 the package itself relies on.  The rank-based oracles (all_points,
 incidence, meet_dim, enumerate_planes, odometer_plane, verify_regularity,
 classify_by_meets, transversals_brute), the eager chunk list
-(eager_chunks) and the arithmetic plane points (plane_points_by_arithmetic)
-live only here.  The exceptions are
-classify_plane, which runs the package's census kernel on a single plane
-so that tests can compare it plane by plane, and locate_np, which reads
-the package's locate table (FieldCtx.ratio_np) point by point, so that
-tests check it against Spread.locate and use it as the label oracle.
+(eager_chunks), the broadcast cover parameters (sweep_params) and the
+arithmetic plane points (plane_points_by_arithmetic) live only here.  The
+exceptions are classify_plane, which runs the package's census kernel on a
+single plane so that tests can compare it plane by plane, and locate_np,
+which reads the package's locate table (FieldCtx.ratio_np) point by point,
+so that tests check it against Spread.locate and use it as the label
+oracle.
 """
 
 from __future__ import annotations
@@ -123,6 +124,21 @@ def eager_chunks(q, chunk_size) -> list[tuple[int, int, int]]:
         for start in range(0, size, step):
             chunks.append((i, start, min(start + step, size)))
     return chunks
+
+
+def sweep_params(q) -> np.ndarray:
+    """The (kind, a, b, f) of every row of covers.enumerate_covers, b = -1
+    for kind 1, as (N, 4) int32 rows built by broadcasting over the sweep:
+    kind 1 by (a, f), then kind 2 by (a < b, f)."""
+    q3 = q**3
+    pair_a, pair_b = np.triu_indices(q3, 1)
+    params = np.empty((q3 * (q - 1) + len(pair_a) * (q - 1), 4), dtype=np.int32)
+    kind1 = params[: q3 * (q - 1)].reshape(q3, q - 1, 4)
+    kind2 = params[q3 * (q - 1) :].reshape(len(pair_a), q - 1, 4)
+    kind1[..., 0], kind1[..., 1], kind1[..., 2] = 1, np.arange(q3)[:, None], -1
+    kind2[..., 0], kind2[..., 1], kind2[..., 2] = 2, pair_a[:, None], pair_b[:, None]
+    kind1[..., 3] = kind2[..., 3] = np.arange(1, q)
+    return params
 
 
 def plane_points_by_arithmetic(base, pl) -> list[tuple[int, ...]]:

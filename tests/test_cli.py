@@ -121,6 +121,21 @@ def test_census_q2_mirrors_report_fields(capsys):
                                    "multiplicity_ok": True}
 
 
+def test_census_exits_1_when_the_trace_check_fails(capsys, monkeypatch):
+    """census reports the trace verdict as checks, as verify does: they pass
+    on the real traces, and a failed trace check fails both and exits 1."""
+    code, report = run_json(capsys, ["census", "--q", "2"])
+    trace = [c for c in report["checks"] if c["name"].startswith("trace_")]
+    assert code == 0 and [c["name"] for c in trace] == ["trace_matched", "trace_multiplicity"]
+    assert all(c["pass"] for c in trace)
+    monkeypatch.setattr(census_mod, "trace_is_cover_check", lambda *args, **kwargs:
+                        census_mod.TraceCheck(checked=True, matched=False, multiplicity_ok=False))
+    code, report = run_json(capsys, ["census", "--q", "2"])
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == \
+        ["trace_matched", "trace_multiplicity"]
+
+
 def test_transversals_kind1(capsys):
     code, report = run_json(
         capsys, ["transversals", "--q", "2", "--kind", "1", "--a", "0", "--f", "1"])
@@ -162,8 +177,8 @@ def test_switching_union_matches_transversals(capsys):
 def test_switching_reports_a_broken_pair(capsys, monkeypatch):
     """A Z plane replaced by its Y plane: exit 1 with a report whose
     switching check fails with the error text."""
-    graph = hyperreg_mod._graph_plane
-    monkeypatch.setattr(hyperreg_mod, "_graph_plane",
+    graph = hyperreg_mod.graph_plane
+    monkeypatch.setattr(hyperreg_mod, "graph_plane",
                         lambda ctx, a, m, power: graph(ctx, a, m, 1 if m == 1 else power))
     code, report = run_json(capsys, ["switching", "--q", "3", "--a", "0", "--f", "1"])
     assert code == 1

@@ -9,6 +9,7 @@ import pytest
 
 from hyperreguli import covers
 from hyperreguli.covers import (
+    CoverRows,
     _distinct_counts,
     _level_keys,
     cover_size,
@@ -21,7 +22,7 @@ from hyperreguli.covers import (
 )
 from hyperreguli.gf import make_field
 
-from helpers import PolyFieldOracle
+from helpers import PolyFieldOracle, sweep_params
 
 
 def test_type1_q2_is_all_nonzero(ctx2):
@@ -267,11 +268,25 @@ def test_level_size_probes_match_the_full_pattern(kind):
         assert ((np.sort(vals % 16, axis=1) == pattern).all(axis=1) & ~want).any()  # wraps tried
 
 
-def cover_set_digest(cs, hashed: bool = True) -> str:
-    """sha256 of a CoverSet's arrays (dtype, shape and bytes) and its counts;
-    without hashed, of keys and params alone, which no hash change moves."""
+def cover_params(c) -> list[int]:
+    """A cover's [kind, a, b, f], with b = -1 for kind 1."""
+    return [c.kind, c.a, -1 if c.b is None else c.b, c.f]
+
+
+def decoded_params(cs) -> np.ndarray:
+    """The cover_params that cs.covers decodes from each row index, as the
+    (N, 4) int32 array that the digests hash."""
+    return np.array([cover_params(c) for c in cs.covers], dtype=np.int32).reshape(-1, 4)
+
+
+def cover_set_digest(cs, hashed: bool = True, params: np.ndarray | None = None) -> str:
+    """sha256 of a CoverSet's arrays (dtype, shape and bytes), with the
+    (N, 4) params (decoded_params unless given) after the keys, and of its
+    counts; without hashed, of keys and params alone, which no hash change
+    moves."""
+    params = decoded_params(cs) if params is None else params
     h = hashlib.sha256()
-    for a in (cs.keys, cs.params) + ((cs.hashes, cs.order) if hashed else ()):
+    for a in (cs.keys, params) + ((cs.hashes, cs.order) if hashed else ()):
         h.update(f"{a.dtype}{a.shape}".encode())
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(repr((cs.count_kind1, cs.count_kind2, cs.total, cs.dedup_exact)).encode())
@@ -301,11 +316,12 @@ GOLDEN_KEY_SETS = {
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_audited_enumeration_matches_golden_digest(q, ctx_by_q):
-    """keys, params, hashes, order, the counts and the audit verdict, byte
-    for byte."""
+    """keys, decoded params, hashes, order, the counts and the audit
+    verdict, byte for byte."""
     cs = enumerate_covers(ctx_by_q[q], check_dedup=True)
-    assert cover_set_digest(cs) == GOLDEN_COVER_SETS[q]
-    assert cover_set_digest(cs, hashed=False) == GOLDEN_KEY_SETS[q]
+    params = decoded_params(cs)
+    assert cover_set_digest(cs, params=params) == GOLDEN_COVER_SETS[q]
+    assert cover_set_digest(cs, hashed=False, params=params) == GOLDEN_KEY_SETS[q]
 
 
 def test_flat_quotient_index_addresses_every_pair_q16():
@@ -331,13 +347,19 @@ def test_flat_quotient_index_addresses_every_pair_q16():
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_params_rows_follow_the_sweep_order(q, ctx_by_q):
-    """params lists (kind, a, b, f) as int32 rows: kind 1 by (a, f) with
-    b = -1, then kind 2 by (a < b, f)."""
+    """CoverRows decodes (kind, a, b, f) from each row index: kind 1 by
+    (a, f) with b = None, then kind 2 by (a < b, f), as sweep_params
+    broadcasts them; negative indices count from the end, and the index
+    len(rows) raises IndexError."""
     q3 = q**3
     want = [[1, a, -1, f] for a in range(q3) for f in range(1, q)]
     want += [[2, a, b, f] for a in range(q3) for b in range(a + 1, q3) for f in range(1, q)]
-    params = enumerate_covers(ctx_by_q[q]).params
-    assert params.dtype == np.int32 and params.tolist() == want
+    rows = CoverRows(q, enumerate_covers(ctx_by_q[q]).keys)
+    assert [cover_params(c) for c in rows] == want == sweep_params(q).tolist()
+    assert rows[-1] == rows[len(rows) - 1] and rows[-len(rows)] == rows[0]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
 
 
 def word_labels(k: int) -> list[list[int]]:
@@ -416,7 +438,7 @@ def test_few_cover_rows_share_a_row_hash(q, ctx_by_q):
 def test_cover_rows_view(ctx3):
     cs = enumerate_covers(ctx3)
     view = cs.covers
-    assert len(view) == len(cs.keys) == len(cs.params) == total_count(3)
+    assert len(view) == len(cs.keys) == total_count(3) and not hasattr(cs, "params")
     last = view[-1]
     assert (last.kind, last.a, last.b, last.f) == (2, 25, 26, 2)
     assert last == cover_type2(ctx3, 25, 26, 2)
@@ -451,8 +473,17 @@ def test_enumeration_q7_counts_and_audit(covers7):
 
 
 def test_enumeration_q7_matches_golden_digest(covers7):
-    assert cover_set_digest(covers7[1]) == GOLDEN_COVER_SETS[7]
-    assert cover_set_digest(covers7[1], hashed=False) == GOLDEN_KEY_SETS[7]
+    """The digests hash the broadcast sweep_params, as decoding all 353,976
+    rows takes seconds; a seeded sample of decoded rows, the ends of both
+    kinds among them, must match it."""
+    cs = covers7[1]
+    params = sweep_params(7)
+    n1 = kind1_count(7)
+    rows = random.Random(7).sample(range(len(cs.keys)), 500) + [0, n1 - 1, n1, len(cs.keys) - 1]
+    for i in rows:
+        assert cover_params(cs.covers[i]) == params[i].tolist()
+    assert cover_set_digest(cs, params=params) == GOLDEN_COVER_SETS[7]
+    assert cover_set_digest(cs, hashed=False, params=params) == GOLDEN_KEY_SETS[7]
 
 
 def test_enumeration_q7_sample_matches_scalar_constructors(covers7):

@@ -64,14 +64,14 @@ def test_switching_sets_reject_a_plane_off_the_hyper_regulus(ctx3, spread3, monk
     f = 1
     first = next(m for m in range(1, ctx3.q3) if ctx3.norm_table[m] == f)
     off = next(n for n in range(1, ctx3.q3) if ctx3.norm_table[n] != f)  # J(off) is off the cover
-    graph = hyperreg._graph_plane
+    graph = hyperreg.graph_plane
 
     def one_wrong_y(ctx, a, m, power):
         if power == 1 and m == first:
             return spread3.element(off) if wrong == "spread element" else graph(ctx, a, off, 1)
         return graph(ctx, a, m, power)
 
-    monkeypatch.setattr(hyperreg, "_graph_plane", one_wrong_y)
+    monkeypatch.setattr(hyperreg, "graph_plane", one_wrong_y)
     with pytest.raises(RuntimeError, match="hyper-regulus plane"):
         andre_switching_sets(ctx3, spread3, 0, f)
 
@@ -216,7 +216,7 @@ def test_switching_sets_reject_a_broken_switching_pair(ctx3, spread3, monkeypatc
     it but makes the two classes differ from the Y and Z families."""
     f = 1
     first = next(m for m in range(1, ctx3.q3) if ctx3.norm_table[m] == f)
-    graph = hyperreg._graph_plane
+    graph = hyperreg.graph_plane
 
     def broken(ctx, a, m, power):
         if m == first and wrong == "a Y and a Z plane swapped":
@@ -225,7 +225,7 @@ def test_switching_sets_reject_a_broken_switching_pair(ctx3, spread3, monkeypatc
             return graph(ctx, a, m, 1)
         return graph(ctx, a, m, power)
 
-    monkeypatch.setattr(hyperreg, "_graph_plane", broken)
+    monkeypatch.setattr(hyperreg, "graph_plane", broken)
     match = "Y and Z families" if wrong == "a Y and a Z plane swapped" else None
     with pytest.raises(RuntimeError, match=match):
         andre_switching_sets(ctx3, spread3, 0, f)

@@ -9,7 +9,7 @@ import pytest
 from hyperreguli.census import DEFAULT_CHUNK_SIZE
 from hyperreguli.covers import cover_type2
 from hyperreguli.gf import factorize, make_field
-from hyperreguli.hyperreg import _graph_plane, hyper_regulus, transversal_planes
+from hyperreguli.hyperreg import hyper_regulus, transversal_planes
 from hyperreguli.pg5 import (
     PIVOT_PATTERNS,
     column_codes,
@@ -27,7 +27,7 @@ from hyperreguli.pg5 import (
     planes_block_np,
     run_length,
 )
-from hyperreguli.spread import build_spread
+from hyperreguli.spread import build_spread, graph_plane
 
 from helpers import (
     all_points,
@@ -153,7 +153,7 @@ def test_plane_points_match_arithmetic_oracle(q, base_modulus):
     ms = [m for m in range(1, q3) if ctx.norm_table[m] == f]
     a, b = rng.sample(range(q3), 2)
     planes = [spread.element(m) for m in [0, q3] + rng.sample(range(1, q3), 7)]
-    planes += [_graph_plane(ctx, a, m, power) for m in rng.sample(ms, 4) for power in (1, 2)]
+    planes += [graph_plane(ctx, a, m, power) for m in rng.sample(ms, 4) for power in (1, 2)]
     planes += rng.sample(transversal_planes(spread, hyper_regulus(spread, cover_type2(ctx, a, b, f))), 8)
     planes += [random_full_rank_rows(base, rng)[1] for _ in range(16)]
     for pl in planes:
