@@ -23,7 +23,9 @@ up in one pass (CoverTable): a hash of three 64-bit words (12 labels) of
 each row, a slot read that gives one candidate key row, and a compare of
 every label, which is the proof; the key rows are gathered into the
 chunk's label buffer and compared with the B rows as one flat array of
-64-bit words.
+64-bit words.  The verdict reads these counts as arrays; for callers that
+compare traces as key bytes, TraceCounts lists the distinct traces and
+CoverTable answers membership, and no caller lists the cover keys.
 
 A plane is classified without any rank computations: each of its q^2+q+1
 points lies in exactly one spread element, located arithmetically, so the
@@ -32,29 +34,29 @@ B; one label q+1 times and the rest once: C).  spread.block_labels locates
 the points of a block of planes, for every p alike: coordinate j of a point
 depends on column j of the basis alone, so each point's flat coordinate
 index is a sum of rows of one (q^3, k) table (pg5.point_table), no GF(p)
-product.  A chunk holds whole runs of one pivot pattern's odometer, in which
-only the fastest free column changes, so the census builds no plane's
+product.  A chunk holds whole runs of one pivot pattern's odometer, in
+which only the fastest free column changes, so the census builds no plane's
 basis: it passes block_labels the chunk's pg5.PlaneBlock, one head basis
 per run (pg5.planes_block_np).  block_labels sums each run's other columns
 once, gathers the run's q labels per point (one per value of the point's
 fast coordinate) from FieldCtx.ratio_np, and expands those tables over the
 chunk's planes with one np.take at a fixed index.  The class masks come
 from one equality pass over the chunk's flat label rows, and the B rows go
-to the trace tally gathered by index.  Each process of the sweep
-allocates the chunk's arrays once (_ChunkWork: the kernel's work, one
-buffer for the equality mask and then the B rows, and the tally's lookup
-arrays) and reuses them for every chunk.  The sweep is an
-order-independent reduction over enumeration chunks, so any chunk split or
-job count produces the identical report.  The enumeration is cut into
-min(jobs, q^6) shares, share j of n taking runs floor(jR/n) ..
-floor((j+1)R/n) of each pivot pattern's R runs (a pg5.ChunkPlan of one
-range of chunk starts per pattern), and each share is reduced by one
-process (class counts, one covers-sized array of trace counts, witnesses):
-the main process reduces the first share while a pool of one worker fewer
-reduces the others, each sending its one result, and the main process sums
-the results in share order.  A plane of no class stops the census with its
-basis (rebuilt from its run's head), pivot pattern and odometer index; the
-first failing share's plane is the one reported.
+to the trace tally gathered by index.  Each process of the sweep allocates
+the chunk's arrays once (_ChunkWork: the kernel's work, one buffer for the
+equality mask and then the B rows, and the tally's lookup arrays) and
+reuses them for every chunk.  The sweep is an order-independent reduction
+over enumeration chunks of DEFAULT_CHUNK_SIZE planes, so no chunk split or
+job count changes the report.  The enumeration is cut into min(jobs, q^6)
+shares, share j of n taking runs floor(jR/n) .. floor((j+1)R/n) of each
+pivot pattern's R runs (a pg5.ChunkPlan of one range of chunk starts per
+pattern), and each share is reduced by one process (class counts, one
+covers-sized array of trace counts, witnesses): the main process reduces
+the first share while a pool of one worker fewer reduces the others, each
+sending its one result, and the main process sums the results in share
+order.  A plane of no class stops the census with its basis (rebuilt from
+its run's head), pivot pattern and odometer index; the first failing
+share's plane is the one reported.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import Counter
-from collections.abc import Mapping, Set
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -193,9 +194,10 @@ class _LookupWork:
         self.keys = np.empty(n * k, dtype=np.uint16) if keys is None else keys
 
 
-class CoverTable(Set):
-    """The cover keys of a CoverSet, as a set of key bytes, with exact lookup
-    of label rows.
+class CoverTable:
+    """Exact lookup of label rows among the cover keys of a CoverSet, and
+    membership of key bytes (key in table, and keys & table for a set of
+    them); it never iterates the keys.
 
     A row's one candidate is the first cover whose row_hash is at least the
     row's.  The slot table has at least two int32 slots per key, indexed by
@@ -233,20 +235,12 @@ class CoverTable(Set):
     def __len__(self) -> int:
         return self.total
 
-    def __contains__(self, key) -> bool:
-        return self.find(key) >= 0
+    def __contains__(self, key) -> bool:  # key: a cover's key bytes
+        ok = isinstance(key, bytes) and len(key) == 2 * self.keys.shape[1]
+        return ok and int(self.lookup(np.frombuffer(key, dtype="<u2")[None])[0]) >= 0
 
-    def __iter__(self):  # the key rows that lookup finds at their own index
-        n, k = len(self.keys), self.keys.shape[1]
-        work = _LookupWork(min(n, DEFAULT_CHUNK_SIZE), k)
-        for start in range(0, n, DEFAULT_CHUNK_SIZE):
-            block = self.keys[start : start + DEFAULT_CHUNK_SIZE]
-            own = self.lookup(block, work) == np.arange(start, start + len(block))
-            yield from (trace_key_bytes(block[i]) for i in np.flatnonzero(own))
-
-    @classmethod
-    def _from_iterable(cls, it) -> set:
-        return set(it)
+    def __rand__(self, keys) -> set:  # keys & table, for a set of key bytes
+        return {key for key in keys if key in self}
 
     def lookup(self, rows: np.ndarray, work: _LookupWork | None = None) -> np.ndarray:
         """Key row index of each row's cover (int32), or -1 where the row is no cover.
@@ -318,11 +312,6 @@ class CoverTable(Set):
         at = by_bytes[np.minimum(np.searchsorted(keys[by_bytes], want), len(keys) - 1)]
         return np.where(keys[at] == want, self.order[pos[at]], np.int32(-1))
 
-    def find(self, key) -> int:
-        """Key row index of the cover with key bytes key, or -1."""
-        ok = isinstance(key, bytes) and len(key) == 2 * self.keys.shape[1]
-        return int(self.lookup(np.frombuffer(key, dtype="<u2")[None])[0]) if ok else -1
-
     def tally(self, rows: np.ndarray, work: _LookupWork | None = None) -> tuple[np.ndarray, Counter]:
         """The key row index of each row that is a cover (one entry per row,
         not per cover), and a Counter of the rows that are no cover.
@@ -334,17 +323,14 @@ class CoverTable(Set):
         return idx[idx >= 0], Counter(map(trace_key_bytes, rows[missed]))
 
 
-class TraceCounts(Mapping):
-    """The B-plane traces, key bytes to count: hits per key row, then witnesses."""
+class TraceCounts:
+    """The B-plane traces of a census: hits[i] traces equal to key row i of
+    table, and the witnesses, a Counter of the traces that are no cover.
+    Iterating gives each distinct trace's key bytes once, the hit rows'
+    first; len counts them."""
 
     def __init__(self, table: CoverTable, hits: np.ndarray, witnesses: Counter):
         self.table, self.hits, self.witnesses = table, hits, witnesses
-
-    def __getitem__(self, key) -> int:
-        i = self.table.find(key)
-        if count := int(self.hits[i]) if i >= 0 else self.witnesses[key]:
-            return count
-        raise KeyError(key)
 
     def __iter__(self):
         keys = self.table.keys
@@ -469,15 +455,15 @@ def run_census(
     spread: Spread | None = None,
     jobs: int = 1,
     collect_traces: bool = True,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     cover_set: CoverSet | None = None,
 ) -> CensusReport:
     """Sweep every plane of PG(5,q) and report exact class counts.
 
     With collect_traces, every B-plane trace is checked against the covers.
-    The reduction over chunks is associative, so jobs and chunk_size affect
-    runtime only; the report is identical for any split.  The covers are
-    enumerated here unless cover_set, their enumeration over ctx, is given.
+    The reduction over chunks of DEFAULT_CHUNK_SIZE planes is associative,
+    so jobs affects runtime only; the report is identical for any split.
+    The covers are enumerated here unless cover_set, their enumeration over
+    ctx, is given.
     """
     t0 = time.perf_counter()
     if spread is not None and spread.ctx.q3 != ctx.q3:
@@ -486,7 +472,7 @@ def run_census(
     if cover_set is None:
         cover_set = enumerate_covers(ctx)
     table = CoverTable(cover_set) if collect_traces else None
-    na, nb, nc, hits, witnesses = _sweep(ctx, jobs, table, chunk_size)
+    na, nb, nc, hits, witnesses = _sweep(ctx, jobs, table, DEFAULT_CHUNK_SIZE)
     total = na + nb + nc
     if total != count_planes(ctx.q):
         raise RuntimeError("census did not visit every plane exactly once")

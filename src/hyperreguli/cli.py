@@ -7,9 +7,10 @@ Every subcommand emits a report with the same envelope:
 
 as JSON or as an aligned text table.  The exit status is 0 only when every
 executed check passed, 1 on any mismatch, 2 for an invalid configuration,
-and 3 for an infrastructure failure (a census worker process died, or
-memory ran out), which prints no report.  Reports are byte-stable across
-runs for a fixed configuration and seed, apart from the runtime fields.
+and 3 for an infrastructure failure (a census worker process died or could
+not be started, or memory ran out), which prints no report.  Reports are
+byte-stable across runs for a fixed configuration and seed, apart from the
+runtime fields.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:  # a RuntimeError, but no verdict on the math
+    except (BrokenProcessPool, OSError) as exc:  # a worker died or did not fork: no verdict
         print(f"infrastructure failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

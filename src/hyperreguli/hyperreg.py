@@ -43,13 +43,16 @@ and the last, p3, is on P3.  It cannot drop a transversal either: its k
 points lie on k distinct cover elements, one each, and the line p1p3 lies
 in it.  A triple that passes is accepted exactly when its located labels
 (spread.block_labels) equal the cover key.  A dependent triple repeats a
-label, so it never passes; every transversal is found and nothing else is.
+label, so it never passes; every transversal is found and nothing else is,
+and each once: it meets P1 and P2 in one point each, so it owns one pair,
+and that pair's third plane in one point, so it owns one triple.
 The third plane is chosen per pair because no fixed one works: the planes
 {(t, m*t^q)} over GF(8) meet J(1), J(2), J(3) in collinear points, because
 1+2+3 = 0 there, so with P1, P2 = J(1), J(2) the plane J(3) is met by the
 line of every such transversal.  The work is k^2 lines, then k lines and
 about one k-label check per surviving pair; in the covers checked at
-q = 3..9 exactly 2k pairs survive, one per transversal.  The tests
+q = 3..9 exactly 2k pairs survive, one per transversal.  Each stage is one
+block: all k^2 lines, then the k triples of every surviving pair.  The tests
 cross-check it against a brute-force sweep of the full plane enumeration
 with rank-based meet dimensions only.
 """
@@ -60,7 +63,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import DEFAULT_CHUNK_SIZE
 from .covers import Cover, cover_type1
 from .gf import FieldCtx
 from .pg5 import Plane, block_points, plane_from_rows
@@ -121,11 +123,6 @@ def transversal_planes(spread: Spread, hr: HyperRegulus, method: str = "span") -
     # method stays because perfbench passes method="span" and records it
     if method != "span":
         raise ValueError(f"unknown search method {method!r}")
-    return _transversals_span(spread, hr)
-
-
-def _transversals_span(spread: Spread, hr: HyperRegulus,
-                       chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[Plane]:
     ctx = spread.ctx
     base, q = ctx.base, ctx.q
     # the points of P1, P2 and the q candidate third planes (see above), in
@@ -140,29 +137,21 @@ def _transversals_span(spread: Spread, hr: HyperRegulus,
 
     # stage 1: pair t = i*k + j stands for the line through P1[i] and P2[j]
     k = len(pts1)
-    kept = []
-    for start in range(0, k * k, chunk_size):
-        i, j = np.divmod(np.arange(start, min(start + chunk_size, k * k)), k)
-        B = np.zeros((len(i), 3, 6), dtype=np.uint8)
-        B[:, 0], B[:, 1] = pts1[i], pts2[j]
-        labels = point_labels(ctx, B, line12)
-        keep = in_cover[labels].all(axis=1)
-        missed = (labels[keep, :, None] != target[2:q + 2]).all(axis=1)
-        kept.append((i[keep], j[keep], missed.argmax(axis=1)))
-    i, j, third = (np.concatenate(a) for a in zip(*kept))
+    i, j = np.divmod(np.arange(k * k), k)
+    B = np.zeros((k * k, 3, 6), dtype=np.uint8)
+    B[:, 0], B[:, 1] = pts1[i], pts2[j]
+    labels = point_labels(ctx, B, line12)
+    keep = in_cover[labels].all(axis=1)
+    i, j = i[keep], j[keep]
+    third = (labels[keep, :, None] != target[2:q + 2]).all(axis=1).argmax(axis=1)
 
     # stage 2: triple t = s*k + l stands for (P1[i[s]], P2[j[s]], point l of
     # the first candidate third plane that line s misses)
-    total = len(i) * k
-    found = {}
-    for start in range(0, total, chunk_size):
-        s, l = np.divmod(np.arange(start, min(start + chunk_size, total)), k)
-        B = np.stack([pts1[i[s]], pts2[j[s]], pts3[third[s], l]], axis=1)
-        B = B[in_cover[point_labels(ctx, B, line13)].all(axis=1)]
-        for rows in B[(block_labels(ctx, B) == target).all(axis=1)]:
-            pl = plane_from_rows(base, rows.tolist())
-            found.setdefault(pl.key, pl)
-    return [found[kk] for kk in sorted(found)]
+    s, l = np.divmod(np.arange(len(i) * k), k)
+    B = np.stack([pts1[i[s]], pts2[j[s]], pts3[third[s], l]], axis=1)
+    B = B[in_cover[point_labels(ctx, B, line13)].all(axis=1)]
+    hits = B[(block_labels(ctx, B) == target).all(axis=1)]
+    return sorted((plane_from_rows(base, rows.tolist()) for rows in hits), key=lambda pl: pl.key)
 
 
 def split_switching_classes(

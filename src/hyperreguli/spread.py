@@ -81,16 +81,6 @@ class Spread:
         return ctx.div(y, x)
 
 
-def _flat_weights(ctx: FieldCtx) -> np.ndarray:
-    """Weights of the six coordinates in the flat index x*q^3 + y into
-    FieldCtx.ratio_np.  The index is below q^6: uint16 up to q = 5, uint32
-    from q = 7."""
-    q, q3 = ctx.q, ctx.q3
-    dtype = np.uint16 if q**6 <= 1 << 16 else np.uint32
-    # x = c0 + c1 q + c2 q^2 and y = c3 + c4 q + c5 q^2
-    return np.array([q3, q3 * q, q3 * q * q, 1, q, q * q], dtype=dtype)
-
-
 # The columns by falling weight in the flat index x*q^3 + y, x = c0 + c1 q +
 # c2 q^2 and y = c3 + c4 q + c5 q^2: the index is Horner's scheme in q over
 # the columns' coordinates in this order.
@@ -171,7 +161,7 @@ def block_labels(ctx: FieldCtx, B, work: LabelWork | None = None) -> np.ndarray:
     P = point_table(ctx.base)
     runs, k = len(heads), P.shape[1]
     idx = _flat_index(q, P, column_codes(q, heads), work.index[: runs * k].reshape(runs, k), fast)
-    w = int(_flat_weights(ctx)[fast])
+    w = q ** (5 - _HORNER_COLUMNS.index(fast))  # the fast column's weight in the flat index
     tables = work.tables[: runs * k * q].reshape(runs, k, q)
     # no index is out of range; with mode="raise" np.take would buffer out
     for v in range(q):  # entry [r, j, v]: point j of run r at fast coordinate v
@@ -191,11 +181,11 @@ def point_labels(ctx: FieldCtx, B: np.ndarray, cols) -> np.ndarray:
 
     Each point's flat index into FieldCtx.ratio_np is the Horner sum of
     _flat_index, read from point_table's columns cols alone, so no other
-    point of the plane is built; the sums are uint16 up to q = 5 and
-    uint32 from q = 7 (_flat_weights).
+    point of the plane is built; the sums, below q^6, are uint16 up to
+    q = 5 and uint32 from q = 7.
     """
     P = point_table(ctx.base)[:, cols]
-    flat = np.empty((len(B), P.shape[1]), dtype=_flat_weights(ctx).dtype)
+    flat = np.empty((len(B), P.shape[1]), dtype=np.uint16 if ctx.q**6 <= 1 << 16 else np.uint32)
     return ctx.ratio_np[_flat_index(ctx.q, P, column_codes(ctx.q, B), flat)]
 
 

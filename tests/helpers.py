@@ -8,7 +8,9 @@ the package itself relies on.  The rank-based oracles (all_points,
 incidence, meet_dim, enumerate_planes, odometer_plane, verify_regularity,
 classify_by_meets, transversals_brute), the eager chunk list
 (eager_chunks), the broadcast cover parameters (sweep_params) and the
-arithmetic plane points (plane_points_by_arithmetic) live only here.  The
+arithmetic plane points (plane_points_by_arithmetic) live only here; the
+rank oracles eliminate with their own code (reduce_by, rank), not the
+package's RREF.  The
 exceptions are classify_plane, which runs the package's census kernel on a
 single plane so that tests can compare it plane by plane, and locate_np,
 which reads the package's locate table (FieldCtx.ratio_np) point by point,
@@ -27,7 +29,6 @@ from hyperreguli.census import _classify_block
 from hyperreguli.pg5 import (
     PIVOT_PATTERNS,
     _plane_from_rref,
-    _rref,
     free_positions,
     pattern_block_size,
     plane_from_rows,
@@ -69,21 +70,51 @@ def all_points(base):
             yield (0,) * lead + (1,) + tail
 
 
-def incidence(base, pt, pl) -> bool:
-    """True iff pt lies in the row space of pl (reduction against the RREF)."""
+def reduce_by(base, v, pl) -> list[int]:
+    """v minus its part in the row space of pl: each RREF row of pl clears
+    its pivot entry of v.  Zero exactly when v lies in pl."""
     add, mul, neg = base._add, base._mul, base._neg
-    v = list(pt)
+    v = list(v)
     for row in pl.basis:
-        col = next(i for i, x in enumerate(row) if x)  # pivot of an RREF row
+        col = row.index(1)  # the pivot: an RREF row's first nonzero entry is 1
         if v[col]:
             mrow = mul[neg[v[col]]]
             v = [add[x][mrow[r]] for x, r in zip(v, row)]
-    return not any(v)
+    return v
+
+
+def incidence(base, pt, pl) -> bool:
+    """True iff pt lies in the row space of pl (reduction against the RREF)."""
+    return not any(reduce_by(base, pt, pl))
+
+
+def rank(base, rows) -> int:
+    """Rank over GF(q) by forward elimination: a nonzero row with its first
+    nonzero entry in column c adds one to the rank of the others once they
+    are cleared in column c."""
+    add, mul, neg, inv = base._add, base._mul, base._neg, base._inv
+    rows = [list(r) for r in rows]
+    n = 0
+    while rows:
+        pivot = rows.pop()
+        if not any(pivot):
+            continue
+        n += 1
+        col = next(i for i, x in enumerate(pivot) if x)
+        lead = inv[pivot[col]]
+        for i, r in enumerate(rows):
+            if r[col]:
+                mrow = mul[neg[mul[r[col]][lead]]]
+                rows[i] = [add[x][mrow[y]] for x, y in zip(r, pivot)]
+    return n
 
 
 def meet_dim(base, a, b) -> int:
-    """Projective dimension of a∩b: -1 empty, 0 point, 1 line, 2 equal."""
-    return 5 - _rref(base, a.basis + b.basis)[1]
+    """Projective dimension of a∩b: -1 empty, 0 point, 1 line, 2 equal.
+
+    a+b has rank 3 plus the rank of b's rows reduced by a, so a∩b has
+    rank 3 minus that."""
+    return 2 - rank(base, [reduce_by(base, row, a) for row in b.basis])
 
 
 def enumerate_planes(base):

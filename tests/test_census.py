@@ -139,7 +139,6 @@ def test_census_agrees_with_reference_classifier_q2(spread2, table2, sweep2):
             traces[trace_key_bytes(cls.trace)] += 1
     na, nb, nc, hits, witnesses = sweep2
     assert (tags["A"], tags["B"], tags["C"]) == (na, nb, nc)
-    assert TraceCounts(table2, hits, witnesses) == traces
     assert trace_counter(table2.keys, hits, witnesses) == traces
 
 
@@ -171,24 +170,28 @@ def test_census_invariant_under_worker_count(ctx2, ctx3):
     assert signature(run_census(ctx3, jobs=8)) == base3
 
 
-def test_census_invariant_under_chunk_size(ctx2):
-    reports = [run_census(ctx2, chunk_size=c) for c in (37, 512, 1 << 16)]
+def test_census_invariant_under_chunk_size(ctx2, monkeypatch):
+    reports = []
+    for c in (37, 512, 1 << 16):
+        monkeypatch.setattr(census, "DEFAULT_CHUNK_SIZE", c)
+        reports.append(run_census(ctx2))
     counts = {(r.count_a, r.count_b, r.count_c, r.total) for r in reports}
     assert counts == {(9, 504, 882, 1395)}
 
 
-def test_census_report_invariant_under_chunk_size_q3(ctx3):
+def test_census_report_invariant_under_chunk_size_q3(ctx3, monkeypatch):
     """At odd p too, chunk sizes whose last chunk of a pattern is short,
     and a second worker, give the same report, traces included."""
-    def report(**kw):
-        d = run_census(ctx3, **kw).to_dict()
+    def report(chunk_size=DEFAULT_CHUNK_SIZE, jobs=1):
+        monkeypatch.setattr(census, "DEFAULT_CHUNK_SIZE", chunk_size)
+        d = run_census(ctx3, jobs=jobs).to_dict()
         del d["runtime_seconds"]
         return d
 
     want = report()
     for chunk_size in (1000, 4096, 1 << 16):  # 3^9 = 4*4096 + 3299
-        assert report(chunk_size=chunk_size) == want
-    assert report(chunk_size=1000, jobs=2) == want
+        assert report(chunk_size) == want
+    assert report(1000, jobs=2) == want
     assert (want["count_a"], want["count_b"], want["count_c"]) == (28, 19656, 14196)
     assert want["trace_check"] == {"checked": True, "matched": True, "multiplicity_ok": True}
 
@@ -234,9 +237,8 @@ def test_trace_check_standalone_q2(ctx2, table2, sweep2, cover_keys2):
 def test_trace_multiplicities_are_constant_q2(table2, sweep2, cover_keys2):
     traces = TraceCounts(table2, *sweep2[3:])
     assert set(traces) == cover_keys2
-    assert set(traces.values()) == {14}
+    assert set(traces.hits) == {14} and not traces.witnesses
     assert len(traces) == len(table2) == len(cover_keys2)
-    assert set(table2) == cover_keys2
     # what the benchmark's trace hook computes: a plain set, never a view
     matched = set(traces) & table2
     assert type(matched) is set and matched == cover_keys2
@@ -263,12 +265,10 @@ def test_iterating_the_traces_copies_no_key_rows_q5(ctx5):
 def test_trace_views_answer_lookups_q2(table2, sweep2, cover_keys2):
     traces = TraceCounts(table2, sweep2[3], Counter({b"\0" * 14: 3}))
     some_cover = min(cover_keys2)
-    assert some_cover in table2 and traces[some_cover] == 14
-    assert traces[b"\0" * 14] == 3 and b"\0" * 14 not in table2
+    assert some_cover in table2 and some_cover in traces
+    assert b"\0" * 14 in traces and b"\0" * 14 not in table2
     for absent in (b"\1" * 14, b"\0" * 13, "not bytes", 7):
         assert absent not in table2 and absent not in traces
-        with pytest.raises(KeyError):
-            traces[absent]
 
 
 def test_trace_check_failure_paths_q2(ctx2, table2, sweep2, cover_keys2):
@@ -303,7 +303,6 @@ def test_trace_check_failure_paths_q2(ctx2, table2, sweep2, cover_keys2):
     twice = CoverTable(dataclasses.replace(cover_set, keys=keys, order=order,
                                            hashes=row_hash(keys[order])))
     assert len(twice) == len(table2) and len(twice.keys) == len(table2.keys) + 1
-    assert set(twice) == cover_keys2
     na, nb, nc, hits, witnesses = _sweep(ctx2, 1, twice, DEFAULT_CHUNK_SIZE)
     assert sorted(hits[[0, -1]]) == [0, 2 * k]
     assert array_verdict(ctx2, twice, hits, witnesses) == (True, False)
@@ -896,8 +895,8 @@ def test_crowded_slots_stay_exact_and_fast_q5(ctx5, monkeypatch):
 
 
 def test_cover_table_keeps_no_state_between_lookups(ctx3):
-    """Lookups, tallies, membership tests and iteration, with a chunk's work
-    and without, leave the table's attributes and arrays as built."""
+    """Lookups, tallies and membership tests, with a chunk's work and
+    without, leave the table's attributes and arrays as built."""
     table = cover_table(ctx3)
     before = {name: (value.copy() if isinstance(value, np.ndarray) else value)
               for name, value in vars(table).items()}
@@ -906,7 +905,7 @@ def test_cover_table_keeps_no_state_between_lookups(ctx3):
     rows[::3, 0] += 1
     table.lookup(rows, work.lookup)
     table.tally(rows)
-    assert table.keys[0].tobytes() in table and set(table) == set(table)
+    assert table.keys[0].tobytes() in table
     assert vars(table).keys() == before.keys()
     for name, value in before.items():
         now = getattr(table, name)

@@ -1,3 +1,4 @@
+import errno
 import functools
 import hashlib
 import json
@@ -408,3 +409,21 @@ def test_verify_with_a_crashed_worker_is_still_an_infrastructure_failure(capsys,
         assert main(["verify", "--q", "2", "--jobs", jobs, "--format", "json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "infrastructure failure" in captured.err
+
+
+def test_a_pool_that_cannot_fork_is_an_infrastructure_failure(capsys, monkeypatch):
+    """A census pool that cannot fork its worker (EAGAIN, an OSError) gives
+    exit 3 and no report, not the exit 1 of a mismatch, through census and
+    verify alike, and leaves no child process: the refused submit starts
+    none."""
+    def refuse(self, *args, **kwargs):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", refuse)
+    for command in ("census", "verify"):
+        assert main([command, "--q", "2", "--jobs", "2", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"infrastructure failure: [Errno {errno.EAGAIN}] "
+                                "Resource temporarily unavailable\n")
+        assert multiprocessing.active_children() == []

@@ -499,22 +499,3 @@ def test_enumeration_q7_sample_matches_scalar_constructors(covers7):
             rebuilt = cover_type2(ctx, cov.a, cov.b, cov.f)
         assert rebuilt == cov
     assert {cs.covers[i].kind for i in rows} == {1, 2}
-
-
-def test_cover_table_iterates_keys_without_copying_them(covers7):
-    """Iterating the census's CoverTable over all 353,976 q = 7 keys (40 MB)
-    yields each key's bytes once, in row order, from lookups a chunk of
-    rows at a time: it allocates under 4 MB (tracemalloc)."""
-    from hyperreguli.census import CoverTable
-
-    _, cs, _ = covers7
-    table = CoverTable(cs)
-    first = next(iter(table))
-    tracemalloc.start()
-    try:
-        n = sum(1 for _ in table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert n == len(cs.keys) == cs.total and first == cs.keys[0].tobytes()
-    assert peak < 4 << 20 < cs.keys.nbytes // 8

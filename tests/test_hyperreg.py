@@ -8,7 +8,6 @@ from hyperreguli import hyperreg
 from hyperreguli.covers import cover_type1, cover_type2, enumerate_covers
 from hyperreguli.gf import make_field
 from hyperreguli.hyperreg import (
-    _transversals_span,
     andre_switching_sets,
     hyper_regulus,
     split_switching_classes,
@@ -252,19 +251,6 @@ def test_andre_parameter_validation(ctx2, spread2):
             transversal_planes(spread2,
                                hyper_regulus(spread2, cover_type1(ctx2, 0, 1)),
                                method=method)
-
-
-@pytest.mark.parametrize("cover_args", [(1, 0, 1), (2, 0, 1, 2)])
-def test_span_search_invariant_under_chunk_size_q3(ctx3, spread3, cover_args):
-    """Chunk sizes that do not divide the k^2 = 169 lines of stage 1 or the
-    2k*k = 338 triples of stage 2 find the same planes."""
-    kind, *params = cover_args
-    cover = (cover_type1 if kind == 1 else cover_type2)(ctx3, *params)
-    hr = hyper_regulus(spread3, cover)
-    want = keys(transversal_planes(spread3, hr))
-    assert len(want) == transversal_count(3)
-    for chunk_size in (1, 7, 1000):
-        assert keys(_transversals_span(spread3, hr, chunk_size=chunk_size)) == want
 
 
 def test_span_search_exact_q7():
